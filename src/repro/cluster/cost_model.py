@@ -19,6 +19,7 @@ whether a stage reads RAM or re-executes a shuffle over disk + network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -243,6 +244,50 @@ class SimStr(str):
         return self
 
 
+_FIXED_WIDTH = frozenset((int, float, bool, type(None)))
+
+
+def _payload(value: object) -> int:
+    """Serialized payload bytes of ``value`` — the record minus its header.
+
+    Exact builtin types are dispatched on ``type(v) is`` with the leaf
+    cases unrolled inside the container loop (none of them can carry a
+    ``sim_size``, so skipping the probe changes nothing); subclasses,
+    size-declaring objects, dicts and opaque objects take the generic
+    rules below.  Rules and precedence: ``docs/COST_MODEL.md``.
+    """
+    kind = type(value)
+    if kind is tuple or kind is list:
+        total = 8 * len(value)
+        for v in value:
+            kind = type(v)
+            if kind in _FIXED_WIDTH:
+                total += 8
+            elif kind is SimStr:
+                total += v.sim_size
+            elif kind is str or kind is bytes:
+                total += len(v)
+            else:
+                total += _payload(v)
+        return total
+    declared = getattr(value, "sim_size", None)
+    if declared is not None:
+        return int(declared)
+    if value is None or isinstance(value, (bool, int, float)):
+        return 8
+    if isinstance(value, (str, bytes)):
+        return len(value)
+    if isinstance(value, (tuple, list)):
+        return sum(_payload(v) for v in value) + 8 * len(value)
+    if isinstance(value, dict):
+        return sum(_payload(k) + _payload(v) for k, v in value.items())
+    return 48  # opaque object
+
+
+#: ``int * float`` is exact while the product's numerator fits a double.
+_EXACT_BELOW = 2 ** 53
+
+
 @dataclass(frozen=True)
 class RecordSizer:
     """Maps records to byte sizes for cache/shuffle/checkpoint accounting.
@@ -263,27 +308,24 @@ class RecordSizer:
     base: int = 24
     memory_overhead: float = 2.5
 
-    def size_of(self, record: object) -> int:
-        return self.base + self._payload(record)
+    def __post_init__(self) -> None:
+        if self.base < 0:
+            raise ValueError(f"base must be >= 0: {self.base}")
+        if not (self.memory_overhead > 0 and math.isfinite(self.memory_overhead)):
+            raise ValueError(
+                f"memory_overhead must be finite and > 0: {self.memory_overhead}")
 
-    def _payload(self, value: object) -> int:
-        declared = getattr(value, "sim_size", None)
-        if declared is not None:
-            return int(declared)
-        if value is None or isinstance(value, (bool, int, float)):
-            return 8
-        if isinstance(value, (str, bytes)):
-            return len(value)
-        if isinstance(value, (tuple, list)):
-            return sum(self._payload(v) for v in value) + 8 * len(value)
-        if isinstance(value, dict):
-            return sum(self._payload(k) + self._payload(v) for k, v in value.items())
-        return 48  # opaque object
+    def size_of(self, record: object) -> int:
+        return self.base + _payload(record)
 
     def size_of_partition(self, records) -> int:
-        return sum(self.size_of(r) for r in records)
+        base = self.base
+        total = 0
+        for r in records:
+            total += base + _payload(r)
+        return total
 
-    def in_memory_size(self, records) -> float:
+    def in_memory_size(self, records, serialized: Optional[int] = None) -> float:
         """Deserialized (heap) footprint of a cached partition.
 
         A record exposing ``sim_memory_size`` declares its own heap
@@ -291,12 +333,29 @@ class RecordSizer:
         batches (``repro.columnar``) sit in contiguous typed arrays, so
         their in-memory size *is* their byte size plus one object header.
         Everything else pays ``memory_overhead`` on its serialized size.
+
+        ``serialized`` is ``size_of_partition(records)`` when the caller
+        already has it: if no record declares a heap size and every
+        per-record product and partial sum is exactly representable
+        (``memory_overhead`` = n/2^k with ``serialized * n < 2^53`` — any
+        partition under 1.8 PB at the default 2.5), the per-record
+        accumulation equals ``serialized * memory_overhead`` bit for bit
+        and the records are not walked again.
         """
+        base, overhead = self.base, self.memory_overhead
+        if serialized is not None and \
+                serialized * overhead.as_integer_ratio()[0] < _EXACT_BELOW:
+            for r in records:  # an exact tuple cannot declare anything
+                if type(r) is not tuple \
+                        and getattr(r, "sim_memory_size", None) is not None:
+                    break
+            else:
+                return float(serialized * overhead)
         total = 0.0
         for r in records:
             declared = getattr(r, "sim_memory_size", None)
             if declared is not None:
-                total += self.base + declared
+                total += base + declared
             else:
-                total += self.size_of(r) * self.memory_overhead
+                total += (base + _payload(r)) * overhead
         return total

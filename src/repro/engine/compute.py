@@ -78,17 +78,31 @@ class EvalContext:
         #: Heap footprint of each memoized partition, filled at
         #: memoization time in the same insertion order as ``_memo``.
         #: ``Task.run`` sums these for the GC surcharge instead of
-        #: re-sizing every record of every partition per task — the
-        #: single hottest wall-clock path of the whole simulator before
-        #: PR 9.  Cache hits reuse ``block.size_bytes``, which *is* the
+        #: re-sizing every record of every partition per task.  Cache
+        #: hits reuse ``block.size_bytes``, which *is* the
         #: ``in_memory_size`` computed when the block was cached, so the
         #: sum is bit-identical to re-sizing.
         self._memo_sizes: Dict[Tuple[int, int], float] = {}
+        #: ``(records, serialized bytes)`` of the partition walked last: a
+        #: source charges its read and ``evaluate`` then receives that
+        #: very list.  Holds the list itself and compares with ``is`` —
+        #: an ``id()`` could be reused by a later list.
+        self._last_sized: Optional[Tuple[list, int]] = None
         self._recompute_depth = 0
 
     def working_set_bytes(self) -> float:
         """Heap footprint of everything this task materialized."""
         return sum(self._memo_sizes.values())
+
+    def serialized_size(self, records: list) -> int:
+        """``size_of_partition(records)`` — the one deep walk a materialised
+        partition gets; heap bytes follow from it without another
+        (``in_memory_size(records, serialized=...)``)."""
+        last = self._last_sized
+        if last is None or last[0] is not records:
+            last = self._last_sized = (
+                records, self.context.sizer.size_of_partition(records))
+        return last[1]
 
     # ---- cost charging (called by RDD.compute implementations) ---------------
 
@@ -116,7 +130,7 @@ class EvalContext:
         return cost
 
     def charge_driver_ship(self, rdd: "RDD", records: list) -> float:
-        size = self.context.sizer.size_of_partition(records)
+        size = self.serialized_size(records)
         cost = self.context.cost_model.serde_cost(size) + \
             self.context.cost_model.network_cost(size)
         self.metrics.source_read_time += cost
@@ -124,7 +138,7 @@ class EvalContext:
         return cost
 
     def charge_source_read(self, rdd: "RDD", records: list, read_cost: str) -> float:
-        size = self.context.sizer.size_of_partition(records)
+        size = self.serialized_size(records)
         model = self.context.cost_model
         if read_cost == "disk":
             cost = model.disk_read_cost(size) + model.serde_cost(size)
@@ -183,7 +197,9 @@ class EvalContext:
                 model.disk_read_cost(size) + model.serde_cost(size)
             )
             self._memo[key] = records
-            mem_size = ctx.sizer.in_memory_size(records)
+            # ``size`` is what ``checkpoint_rdd`` (the only writer) got
+            # walking this very list: no second walk here.
+            mem_size = ctx.sizer.in_memory_size(records, serialized=size)
             self._memo_sizes[key] = mem_size
             if rdd.cached:
                 self._cache_block(rdd, pid, records, mem_size)
@@ -211,10 +227,9 @@ class EvalContext:
         else:
             records = rdd.compute(pid, self)
         self._memo[key] = records
-        mem_size = ctx.sizer.in_memory_size(records)
+        size = self.serialized_size(records)
+        mem_size = ctx.sizer.in_memory_size(records, serialized=size)
         self._memo_sizes[key] = mem_size
-
-        size = ctx.sizer.size_of_partition(records)
         ctx.rdd_stats(rdd.rdd_id).record_size(pid, size)
         if rdd.cached:
             self._cache_block(rdd, pid, records, mem_size)
@@ -392,7 +407,7 @@ class EvalContext:
         return block.records
 
     def _cache_block(self, rdd: "RDD", pid: int, records: list,
-                     size: Optional[float] = None) -> None:
+                     size: float) -> None:
         from .block_manager import Block
 
         if not self.commit_effects:
@@ -400,10 +415,8 @@ class EvalContext:
         ctx = self.context
         # Cached blocks live deserialized on the heap: bigger than their
         # serialized (disk/shuffle) form by the memory-overhead factor.
-        # ``evaluate`` passes the footprint it already computed for the
-        # working-set ledger so the records are only sized once.
-        if size is None:
-            size = ctx.sizer.in_memory_size(records)
+        # ``size`` is the heap footprint ``evaluate`` already computed
+        # for the working-set ledger.
         if not ctx.cache_manager.should_admit(rdd.rdd_id, size):
             # Cheaper to rebuild than the admission threshold: caching it
             # would only displace blocks whose loss actually costs time.

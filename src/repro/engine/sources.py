@@ -57,9 +57,9 @@ class ParallelCollectionRDD(RDD):
                 self._slices[i % num_partitions].append(record)
 
     def compute(self, pid: int, ctx: "EvalContext") -> list:
-        records = self._slices[pid]
+        records = list(self._slices[pid])
         ctx.charge_driver_ship(self, records)
-        return list(records)
+        return records
 
 
 class GeneratedRDD(RDD):

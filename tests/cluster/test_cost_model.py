@@ -1,9 +1,12 @@
 """Tests for the cost model and record sizer."""
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.cost_model import CostModel, RecordSizer
+from repro.cluster.cost_model import CostModel, RecordSizer, SimStr
+from repro.columnar.batch import ColumnarBatch
 
 
 class TestCostModel:
@@ -89,9 +92,19 @@ class TestRecordSizer:
 
     def test_partition_size_is_sum(self):
         records = [("k", "v")] * 10
-        assert self.sizer.size_of_partition(records) == pytest.approx(
+        assert self.sizer.size_of_partition(records) == \
             10 * self.sizer.size_of(("k", "v"))
-        )
+
+    @pytest.mark.parametrize("kwargs", [
+        {"base": -1}, {"memory_overhead": 0}, {"memory_overhead": -2.5},
+        {"memory_overhead": float("inf")}, {"memory_overhead": float("nan")}])
+    def test_rejects_sizes_that_never_fill_a_cache(self, kwargs):
+        # A negative base yields negative block sizes, a non-positive
+        # overhead weightless cached blocks: either way nothing evicts.
+        # A non-finite overhead has no integer ratio for in_memory_size's
+        # exactness check (and prices every block at inf / nan).
+        with pytest.raises(ValueError):
+            RecordSizer(**kwargs)
 
     def test_opaque_object_has_default_size(self):
         class Thing:
@@ -103,3 +116,111 @@ class TestRecordSizer:
     def test_partition_size_non_negative_and_additive(self, values):
         total = self.sizer.size_of_partition(values)
         assert total == sum(self.sizer.size_of(v) for v in values)
+
+
+# ---- the type-dispatched walker against the recursive definition -------------
+
+
+def reference_payload(value):
+    """``RecordSizer._payload`` as it stood before the dispatch walker."""
+    declared = getattr(value, "sim_size", None)
+    if declared is not None:
+        return int(declared)
+    if value is None or isinstance(value, (bool, int, float)):
+        return 8
+    if isinstance(value, (str, bytes)):
+        return len(value)
+    if isinstance(value, (tuple, list)):
+        return sum(reference_payload(v) for v in value) + 8 * len(value)
+    if isinstance(value, dict):
+        return sum(reference_payload(k) + reference_payload(v)
+                   for k, v in value.items())
+    return 48
+
+
+def reference_in_memory_size(sizer, records):
+    total = 0.0
+    for r in records:
+        declared = getattr(r, "sim_memory_size", None)
+        if declared is not None:
+            total += sizer.base + declared
+        else:
+            total += (sizer.base + reference_payload(r)) * sizer.memory_overhead
+    return total
+
+
+class SizedInt(int):
+    """An ``int`` subclass declaring its size — as a float, to pin the
+    ``int(declared)`` truncation."""
+
+    sim_size = 1234.75
+
+
+class PlainStr(str):
+    """A ``str`` subclass declaring nothing: sized by its length."""
+
+
+class Opaque:
+    pass
+
+
+class HeapDeclared:
+    """Declares its heap footprint but not its serialized size."""
+
+    def __init__(self, heap):
+        self.sim_memory_size = heap
+
+
+Pair = namedtuple("Pair", "left right")
+
+BATCH = ColumnarBatch.from_rows([("k", "str"), ("v", "int")],
+                                [("ab", 1), ("c", 2)])
+
+hashable_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=20), st.binary(max_size=20),
+    st.builds(SimStr, st.text(max_size=5),
+              st.one_of(st.none(), st.integers(0, 2 ** 52))),
+    st.builds(SizedInt, st.integers()), st.builds(PlainStr, st.text(max_size=9)),
+)
+leaves = st.one_of(
+    hashable_leaves, st.builds(Opaque), st.just(BATCH),
+    st.builds(HeapDeclared, st.one_of(st.integers(0, 10 ** 9),
+                                      st.floats(0, 1e9))))
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.builds(Pair, children, children),
+        st.dictionaries(hashable_leaves, children, max_size=3)),
+    max_leaves=12)
+sizers = st.builds(
+    RecordSizer, base=st.integers(0, 64),
+    memory_overhead=st.sampled_from([2.5, 1.1, 3, 0.75, 1 / 3]))
+
+
+class TestWalkerMatchesRecursiveDefinition:
+    @given(values)
+    def test_size_of(self, value):
+        sizer = RecordSizer()
+        assert sizer.size_of(value) == sizer.base + reference_payload(value)
+
+    @given(sizers, st.lists(values, max_size=6))
+    def test_partition_sizes(self, sizer, records):
+        serialized = sum(sizer.base + reference_payload(r) for r in records)
+        heap = reference_in_memory_size(sizer, records)
+        assert sizer.size_of_partition(records) == serialized
+        assert sizer.in_memory_size(records) == heap
+        # The engine's single-walk form: exact, not approximately equal,
+        # whether or not the closed form applies (it does not for 1.1,
+        # 1/3, totals past 2**53 / 5, or a record declaring its heap).
+        assert sizer.in_memory_size(records, serialized=serialized) == heap
+        assert type(sizer.in_memory_size(records, serialized)) is float
+
+    @given(sizers, st.lists(values, max_size=6))
+    def test_iterables_are_consumed_once(self, sizer, records):
+        assert sizer.size_of_partition(r for r in records) == \
+            sizer.size_of_partition(records)
+        assert sizer.in_memory_size(iter(records)) == \
+            reference_in_memory_size(sizer, records)
