@@ -22,7 +22,7 @@ CLI (``python -m repro --cache-policy lrc <figure>``).  See
 """
 
 from .admission import AdmissionController
-from .broker import BrokerPolicy, CacheBroker
+from .broker import CacheBroker
 from .manager import CacheManager
 from .policy import (
     DEFAULTS,
@@ -42,7 +42,6 @@ from .reference_tracker import ReferenceTracker
 
 __all__ = [
     "AdmissionController",
-    "BrokerPolicy",
     "CacheBroker",
     "CacheDefaults",
     "CacheManager",

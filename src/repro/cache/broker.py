@@ -1,11 +1,12 @@
 """Cluster-wide cache broker: the single authority for cache value.
 
 With ``StarkConfig.cache_broker`` on, eviction stops being a
-per-executor decision.  Every block store's policy is a
-:class:`BrokerPolicy` stub that forwards all bookkeeping to the
-driver-side :class:`CacheBroker`, which ranks **every live block in the
-cluster** with the same value function the cost-aware policy uses per
-executor (:func:`repro.cache.policy.value_score`)::
+per-executor decision.  Every block store runs a
+:class:`~repro.cache.policy.CostAwarePolicy` the driver-side
+:class:`CacheBroker` created and keeps — the cost-aware policy with a
+cluster-wide reference oracle and one clock shared by every store — so
+the broker ranks **every live block in the cluster** through the
+stores' own entries (:func:`repro.cache.policy.value_score`)::
 
     value = recompute_cost * (1 + cross_job_references) / size_bytes
 
@@ -52,11 +53,13 @@ capacity (unless every candidate's resident bytes exceed the migration
 budget), and drains stores hottest-block-first so the budget is spent
 on the blocks most worth saving.
 
-Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`) become
-a broker *constraint* rather than a policy wrapper: local victim choice
-nominates over-quota tenants' blocks first, and quota displacement uses
-the broker's value ranking to drop the owning tenant's own
-lowest-value block **cluster-wide** — never another tenant's.
+Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`)
+constrain the ranking exactly as they do without a broker: the stores'
+:class:`~repro.cache.policy.QuotaAwarePolicy` wrapper nominates
+over-quota tenants' blocks first, the market stands aside while it
+does, and quota displacement uses the broker's value ranking to drop
+the owning tenant's own lowest-value block **cluster-wide** — never
+another tenant's.
 
 All state lives in insertion-ordered dicts with total-order tie-breaks,
 so runs are byte-identical for identical inputs.
@@ -68,7 +71,7 @@ import math
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from .policy import CachePolicy, value_score
+from .policy import CostAwarePolicy, value_score
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.block_manager import Block, BlockManagerMaster, BlockStore
@@ -79,61 +82,15 @@ if TYPE_CHECKING:  # pragma: no cover
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
 
-class _BrokerEntry:
-    """Broker-side bookkeeping for one resident block."""
-
-    __slots__ = ("seq", "size_bytes", "last_access")
-
-    def __init__(self, seq: int, size_bytes: float) -> None:
-        self.seq = seq
-        self.size_bytes = size_bytes
-        self.last_access = seq
-
-
-class BrokerPolicy(CachePolicy):
-    """Per-store policy stub that defers every decision to the broker.
-
-    The store still calls the standard policy contract
-    (insert/access/remove/victim/clear), which is exactly the channel
-    that keeps the broker's global ledger in sync with store contents —
-    including migrations, quota removals, and worker loss, which all go
-    through the same store mutations.
-    """
-
-    name = "broker"
-
-    def __init__(self, broker: "CacheBroker", worker_id: int) -> None:
-        self._broker = broker
-        self._worker_id = worker_id
-
-    def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
-        self._broker.note_insert(self._worker_id, block_id, size_bytes)
-
-    def on_access(self, block_id: BlockId) -> None:
-        self._broker.note_access(self._worker_id, block_id)
-
-    def on_remove(self, block_id: BlockId) -> None:
-        self._broker.note_remove(self._worker_id, block_id)
-
-    def choose_victim(self) -> BlockId:
-        return self._broker.choose_local_victim(self._worker_id)
-
-    def clear(self) -> None:
-        self._broker.note_clear(self._worker_id)
-
-    def __len__(self) -> int:
-        return self._broker.resident_count(self._worker_id)
-
-
 class CacheBroker:
     """Driver-side authority for cluster-wide cache value decisions."""
 
     def __init__(self, manager: "CacheManager") -> None:
         self.manager = manager
         self.master: "BlockManagerMaster | None" = None
-        #: worker_id -> {block_id -> entry}, both insertion-ordered.
-        self._entries: Dict[int, Dict[BlockId, _BrokerEntry]] = {}
-        self._seq = count()
+        #: worker_id -> the policy its store runs (see :meth:`policy_for`).
+        self._policies: Dict[int, CostAwarePolicy] = {}
+        self._clock = count()
         self._relieving = False
 
         # -- prefix sharing state -------------------------------------------
@@ -170,30 +127,22 @@ class CacheBroker:
 
     def on_worker_registered(self, worker_id: int) -> None:
         assert self.master is not None
-        self._entries.setdefault(worker_id, {})
         self.master.stores[worker_id].pressure_reliever = self.relieve_pressure
 
-    # ---- store bookkeeping (BrokerPolicy callbacks) -------------------------
-
-    def note_insert(self, worker_id: int, block_id: BlockId,
-                    size_bytes: float) -> None:
-        entries = self._entries.setdefault(worker_id, {})
-        entries.pop(block_id, None)
-        entries[block_id] = _BrokerEntry(next(self._seq), size_bytes)
-
-    def note_access(self, worker_id: int, block_id: BlockId) -> None:
-        entry = self._entries.get(worker_id, {}).get(block_id)
-        if entry is not None:
-            entry.last_access = next(self._seq)
-
-    def note_remove(self, worker_id: int, block_id: BlockId) -> None:
-        self._entries.get(worker_id, {}).pop(block_id, None)
-
-    def note_clear(self, worker_id: int) -> None:
-        self._entries.get(worker_id, {}).clear()
+    def policy_for(self, worker_id: int) -> CostAwarePolicy:
+        """The ranking policy of ``worker_id``'s store, created once per
+        worker id (an idempotent re-registration must not fork it).  All
+        of them draw ``seq``/``last_access`` from one clock, so
+        ``(value, last_access, seq)`` is a total order across workers."""
+        policy = self._policies.get(worker_id)
+        if policy is None:
+            policy = self._policies[worker_id] = CostAwarePolicy(
+                self.cross_job_refcount,
+                self.manager.estimate_recompute_cost, clock=self._clock)
+        return policy
 
     def resident_count(self, worker_id: int) -> int:
-        return len(self._entries.get(worker_id, ()))
+        return len(self._policies[worker_id])
 
     # ---- the value function -------------------------------------------------
 
@@ -206,10 +155,10 @@ class CacheBroker:
 
     def block_value(self, worker_id: int, block_id: BlockId,
                     size_bytes: Optional[float] = None) -> float:
-        """``recompute_cost × cross_job_refcount / size`` for one block
-        (the per-byte seconds this block's residency is saving)."""
+        """``recompute_cost × (1 + cross_job_refcount) / size`` for one
+        block (the per-byte seconds this block's residency is saving)."""
         if size_bytes is None:
-            entry = self._entries.get(worker_id, {}).get(block_id)
+            entry = self._policies[worker_id].entries.get(block_id)
             size_bytes = entry.size_bytes if entry is not None else 1.0
         cost = self.manager.estimate_recompute_cost(block_id[0])
         return value_score(cost, self.cross_job_refcount(block_id),
@@ -224,15 +173,15 @@ class CacheBroker:
         total = math.fsum(
             self.block_value(worker_id, bid, entry.size_bytes)
             * entry.size_bytes
-            for bid, entry in self._entries.get(worker_id, {}).items())
+            for bid, entry in self._policies[worker_id].entries.items())
         return total / max(store.capacity_bytes, 1.0)
 
     def accounted_bytes(self) -> float:
         """Broker-ledger resident bytes (``math.fsum`` so the trace
         reconciliation row compares exactly against the store sizes)."""
         return math.fsum(entry.size_bytes
-                         for entries in self._entries.values()
-                         for entry in entries.values())
+                         for policy in self._policies.values()
+                         for entry in policy.entries.values())
 
     def top_blocks(self, n: int = 10) -> List[Tuple[float, int, BlockId]]:
         """The ``n`` most valuable resident blocks as
@@ -240,8 +189,8 @@ class CacheBroker:
         tie-break on worker then block id)."""
         scored = [
             (self.block_value(wid, bid, entry.size_bytes), wid, bid)
-            for wid in sorted(self._entries)
-            for bid, entry in self._entries[wid].items()
+            for wid in sorted(self._policies)
+            for bid, entry in self._policies[wid].entries.items()
         ]
         scored.sort(key=lambda t: (-t[0], t[1], t[2]))
         return scored[:n]
@@ -249,22 +198,11 @@ class CacheBroker:
     # ---- global eviction ----------------------------------------------------
 
     def choose_local_victim(self, worker_id: int) -> BlockId:
-        """The block ``worker_id`` should drop first: an over-quota
-        tenant's oldest block when one is resident (the quota
-        constraint), else the lowest-value block by the broker
-        ranking."""
-        entries = self._entries[worker_id]
-        quotas = self.manager.quotas
-        if quotas is not None:
-            preferred = quotas.preferred_victim(worker_id, iter(entries))
-            if preferred is not None:
-                return preferred
-        return min(
-            entries.items(),
-            key=lambda kv: (self.block_value(worker_id, kv[0],
-                                             kv[1].size_bytes),
-                            kv[1].last_access, kv[1].seq),
-        )[0]
+        """The block ``worker_id`` should drop first — its store's own
+        policy decides: an over-quota tenant's oldest block when one is
+        resident (the quota constraint), else the lowest-value block."""
+        assert self.master is not None
+        return self.master.stores[worker_id].policy.choose_victim()
 
     def relieve_pressure(self, store: "BlockStore",
                          incoming: "Block") -> None:
@@ -275,8 +213,7 @@ class CacheBroker:
         evicted), evict the remote block cluster-wide (reason
         ``"broker"``) and migrate the local victim into the freed
         space.  Whatever overflow remains falls through to the store's
-        normal local eviction loop (which asks
-        :meth:`choose_local_victim`)."""
+        normal local eviction loop."""
         master = self.master
         if master is None or self._relieving:
             return
@@ -288,11 +225,13 @@ class CacheBroker:
             while (store.used_bytes + incoming.size_bytes
                    > store.capacity_bytes and len(store)):
                 wid = store.worker_id
-                if quotas is not None and quotas.preferred_victim(
-                        wid, iter(self._entries[wid])) is not None:
+                if (quotas is not None
+                        and quotas.preferred_victim(wid) is not None):
                     return  # quota enforcement wants a local eviction
-                local_id = self.choose_local_victim(wid)
-                local_entry = self._entries[wid][local_id]
+                # Quota ruled out: rank on the unwrapped policy.
+                policy = self._policies[wid]
+                local_id = policy.choose_victim()
+                local_entry = policy.entries[local_id]
                 local_value = self.block_value(wid, local_id,
                                                local_entry.size_bytes)
                 move = self._cheapest_remote_slot(
@@ -320,12 +259,12 @@ class CacheBroker:
         room to host it (no cascading evictions at the destination)."""
         assert self.master is not None
         best: Optional[Tuple[Tuple[float, int, int], int, BlockId]] = None
-        for wid in sorted(self._entries):
+        for wid in sorted(self._policies):
             if wid == local_wid or wid not in self.master.stores:
                 continue
             dst = self.master.stores[wid]
             headroom = dst.capacity_bytes - dst.used_bytes
-            for bid, entry in self._entries[wid].items():
+            for bid, entry in self._policies[wid].entries.items():
                 if headroom + entry.size_bytes < needed_bytes:
                     continue
                 value = self.block_value(wid, bid, entry.size_bytes)
@@ -408,7 +347,7 @@ class CacheBroker:
         """A decommissioning worker's blocks hottest-first, so the
         migration budget is spent on the most valuable ones."""
         return sorted(
-            self._entries.get(worker_id, {}),
+            self._policies[worker_id].entries,
             key=lambda bid: (-self.block_value(worker_id, bid), bid))
 
     # ---- event posting ------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, TYPE_CHECKING
 
 from .admission import AdmissionController
-from .broker import BrokerPolicy, CacheBroker
+from .broker import CacheBroker
 from .policy import CachePolicy, QuotaAwarePolicy, make_policy
 from .reference_tracker import ReferenceTracker
 
@@ -54,9 +54,8 @@ class CacheManager:
         )
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` keeps classic per-executor eviction.  The broker
-        #: subsumes both the per-store policy (every store gets a
-        #: :class:`~repro.cache.broker.BrokerPolicy` stub) and the
-        #: quota wrapper (quotas become a broker constraint).
+        #: supplies every store's policy, so ``cache_policy`` is not
+        #: consulted while it is on.
         self.broker: "CacheBroker | None" = (
             CacheBroker(self) if getattr(config, "cache_broker", False)
             else None)
@@ -82,25 +81,23 @@ class CacheManager:
     # ---- policy construction ----------------------------------------------
 
     def policy_for_worker(self, worker_id: int) -> CachePolicy:
-        """Build this context's configured policy for one block store.
+        """Build this context's configured policy for one block store —
+        or, with the cluster-wide broker on, the broker's cost-aware
+        policy for that worker (:meth:`CacheBroker.policy_for`).
 
-        With the cluster-wide broker on, every store gets a
-        :class:`~repro.cache.broker.BrokerPolicy` stub instead — victim
-        choice (including the tenant-quota constraint) moves to the
-        broker, so no :class:`QuotaAwarePolicy` wrapper is needed.
-
-        Otherwise the policy is wrapped in a :class:`QuotaAwarePolicy`
-        whose quota lookup is late-bound to :attr:`quotas`, so attaching
-        a service layer retrofits quota-aware victim selection onto
-        stores that already exist.
+        Either way it is wrapped in a :class:`QuotaAwarePolicy` whose
+        quota lookup is late-bound to :attr:`quotas`, so attaching a
+        service layer retrofits quota-aware victim selection onto stores
+        that already exist.
         """
         if self.broker is not None:
-            return BrokerPolicy(self.broker, worker_id)
-        inner = make_policy(
-            self.policy_name,
-            ref_fn=self.tracker.block_ref_count,
-            cost_fn=self.estimate_recompute_cost,
-        )
+            inner = self.broker.policy_for(worker_id)
+        else:
+            inner = make_policy(
+                self.policy_name,
+                ref_fn=self.tracker.block_ref_count,
+                cost_fn=self.estimate_recompute_cost,
+            )
         return QuotaAwarePolicy(inner, worker_id, lambda: self.quotas)
 
     # ---- declarations (application API) ------------------------------------

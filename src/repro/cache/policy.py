@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
@@ -132,40 +132,43 @@ class _ScoredPolicy(CachePolicy):
     Victims are ``min`` by ``(score, last_access, seq)`` so identical
     traces always evict identically; the recency tie-break makes the
     scored policies degrade to LRU when their oracles are uninformative
-    (all scores equal).
+    (all scores equal).  ``clock`` is the counter ``seq``/``last_access``
+    are drawn from; policies sharing one (the cache broker's stores)
+    keep that order total *across* stores.
     """
 
-    def __init__(self) -> None:
-        self._entries: Dict[BlockId, _ScoredEntry] = {}
-        self._seq = itertools.count()
+    def __init__(self, clock: Optional[Iterator[int]] = None) -> None:
+        #: block_id -> entry, insertion-ordered like the store's blocks.
+        self.entries: Dict[BlockId, _ScoredEntry] = {}
+        self._seq = clock if clock is not None else itertools.count()
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
         raise NotImplementedError
 
     def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
         seq = next(self._seq)
-        self._entries[block_id] = _ScoredEntry(seq, size_bytes, seq)
+        self.entries[block_id] = _ScoredEntry(seq, size_bytes, seq)
 
     def on_access(self, block_id: BlockId) -> None:
-        entry = self._entries.get(block_id)
+        entry = self.entries.get(block_id)
         if entry is not None:
             entry.last_access = next(self._seq)
 
     def on_remove(self, block_id: BlockId) -> None:
-        self._entries.pop(block_id, None)
+        self.entries.pop(block_id, None)
 
     def choose_victim(self) -> BlockId:
         return min(
-            self._entries.items(),
+            self.entries.items(),
             key=lambda kv: (self.score(kv[0], kv[1]),
                             kv[1].last_access, kv[1].seq),
         )[0]
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
 
 def value_score(recompute_cost: float, references: float,
@@ -211,8 +214,9 @@ class CostAwarePolicy(_ScoredPolicy):
 
     name = "cost"
 
-    def __init__(self, ref_fn: RefCountFn, cost_fn: CostFn) -> None:
-        super().__init__()
+    def __init__(self, ref_fn: RefCountFn, cost_fn: CostFn,
+                 clock: Optional[Iterator[int]] = None) -> None:
+        super().__init__(clock)
         self._ref_fn = ref_fn
         self._cost_fn = cost_fn
 
@@ -242,38 +246,34 @@ class QuotaAwarePolicy(CachePolicy):
 
     def __init__(self, inner: CachePolicy, worker_id: int,
                  quotas_fn: Callable[[], Optional[object]]) -> None:
-        self._inner = inner
+        #: The wrapped policy: the store's recency + ranking ledger.
+        self.inner = inner
         self._worker_id = worker_id
         self._quotas_fn = quotas_fn
-        self._resident: "OrderedDict[BlockId, None]" = OrderedDict()
         self.name = inner.name
 
     def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
-        self._resident[block_id] = None
-        self._inner.on_insert(block_id, size_bytes)
+        self.inner.on_insert(block_id, size_bytes)
 
     def on_access(self, block_id: BlockId) -> None:
-        self._inner.on_access(block_id)
+        self.inner.on_access(block_id)
 
     def on_remove(self, block_id: BlockId) -> None:
-        self._resident.pop(block_id, None)
-        self._inner.on_remove(block_id)
+        self.inner.on_remove(block_id)
 
     def choose_victim(self) -> BlockId:
         quotas = self._quotas_fn()
         if quotas is not None:
-            victim = quotas.preferred_victim(
-                self._worker_id, self._resident.keys())
+            victim = quotas.preferred_victim(self._worker_id)
             if victim is not None:
                 return victim
-        return self._inner.choose_victim()
+        return self.inner.choose_victim()
 
     def clear(self) -> None:
-        self._resident.clear()
-        self._inner.clear()
+        self.inner.clear()
 
     def __len__(self) -> int:
-        return len(self._inner)
+        return len(self.inner)
 
 
 POLICY_NAMES = (LRUPolicy.name, FIFOPolicy.name, LRCPolicy.name,

@@ -297,11 +297,10 @@ class EventQueue:
         advanced it) even when the queue drains early.  Daemon events due
         by ``end_time`` fire too — time passing is exactly their trigger.
 
-        This is the simulator's hottest loop: the detached variant pops
-        and dispatches with local bindings only (no profiler check, no
-        method-call indirection per event); both variants perform the
-        same simulated-state mutations, so a profiled run replays
-        byte-identically.
+        This is the simulator's hottest loop, so it pops and dispatches
+        with local bindings only; the profiler branch wraps nothing but
+        the callback, so a profiled run performs the same simulated-state
+        mutations and replays byte-identically.
         """
         count = 0
         prev, self._running = self._running, True
@@ -309,48 +308,30 @@ class EventQueue:
         heappop = heapq.heappop
         profiler = self._profiler
         try:
-            if profiler is None:
-                heap = self._heap
-                while heap:
-                    if self._cancelled_in_heap:
-                        self._drop_cancelled()
-                        heap = self._heap  # a sweep may rebuild the list
-                        if not heap:
-                            break
-                    event = heap[0]
-                    t = event[_TIME]
-                    if t > end_time:
-                        break
-                    heappop(heap)
-                    event[_FIRED] = True
-                    if not event[_DAEMON]:
-                        self._live_regular -= 1
-                    if t > clock._now:
-                        clock._now = t
-                    event[_CALLBACK]()
-                    count += 1
-            else:
-                while True:
-                    if self._cancelled_in_heap:
-                        self._drop_cancelled()
-                    heap = self._heap
-                    if not heap:
-                        break
-                    event = heap[0]
-                    t = event[_TIME]
-                    if t > end_time:
-                        break
-                    heappop(heap)
-                    event[_FIRED] = True
-                    if not event[_DAEMON]:
-                        self._live_regular -= 1
-                    if t > clock._now:
-                        clock._now = t
-                    callback = event[_CALLBACK]
+            while True:
+                if self._cancelled_in_heap:
+                    self._drop_cancelled()
+                heap = self._heap  # a sweep may rebuild the list
+                if not heap:
+                    break
+                event = heap[0]
+                t = event[_TIME]
+                if t > end_time:
+                    break
+                heappop(heap)
+                event[_FIRED] = True
+                if not event[_DAEMON]:
+                    self._live_regular -= 1
+                if t > clock._now:
+                    clock._now = t
+                callback = event[_CALLBACK]
+                if profiler is None:
+                    callback()
+                else:
                     t0 = _perf_counter()
                     callback()
                     profiler.on_dispatch(callback, _perf_counter() - t0)
-                    count += 1
+                count += 1
         finally:
             self._running = prev
         if end_time > clock._now:

@@ -67,8 +67,9 @@ class ReplicationManager:
         )
 
     def on_block_evicted(self, worker_id: int, block_id: Tuple[int, int]) -> None:
-        """Cache eviction: de-replicate the collection partition from the
-        worker that just lost its data."""
+        """A block left ``worker_id``'s store (any reason on the block
+        master's removal channel): de-replicate the collection partition
+        from the worker that just lost its data."""
         rdd_id, pid = block_id
         manager = self.context.locality_manager
         namespace = manager.namespace_of_rdd(rdd_id)

@@ -87,16 +87,17 @@ class BlockStore:
         """Return the block without touching the eviction order."""
         return self._blocks.get(block_id)
 
-    def put(self, block: Block) -> List[Block]:
+    def put(self, block: Block) -> Optional[List[Block]]:
         """Insert ``block``, evicting policy-chosen blocks as needed.
 
-        Returns the list of evicted blocks (possibly including a
-        previously cached version of the same block id, which is replaced,
-        not double-counted).  If the block cannot fit even in an empty
-        store it is rejected and returned as the sole "evicted" element.
+        Returns the list of evicted blocks (a previously cached version
+        of the same block id is replaced, not evicted).  A block that
+        cannot fit even in an empty store is rejected: the store is left
+        untouched — an older version of the id stays — and the result
+        is ``None``.
         """
         if block.size_bytes > self.capacity_bytes:
-            return [block]
+            return None
         evicted: List[Block] = []
         old = self._blocks.pop(block.block_id, None)
         if old is not None:
@@ -136,15 +137,16 @@ class BlockStore:
         return self.used_bytes / self.capacity_bytes
 
 
-EvictionListener = Callable[[int, BlockId], None]
-
 #: ``listener(worker_id, block_id, reason)`` where reason is one of
 #: ``"capacity"`` | ``"explicit"`` | ``"worker_lost"`` | ``"migrated"``
-#: | ``"quota"`` | ``"broker"`` — the channel the observability layer
-#: turns into ``BlockEvicted`` events.  ``"migrated"`` marks the
-#: source-side removal of a block that was copied to another store first
-#: (graceful decommission or broker migration), i.e. *not* a loss of
-#: cached state; ``"quota"`` marks an intra-tenant eviction by the
+#: | ``"quota"`` | ``"broker"`` — the one removal channel: every block
+#: that leaves a store is reported here exactly once, and eviction
+#: metrics, de-replication, tenant usage and ``BlockEvicted`` events all
+#: hang off it.  ``"capacity"`` marks a victim the store's policy chose
+#: to make room for an insert; ``"migrated"`` marks the source-side
+#: removal of a block that was copied to another store first (graceful
+#: decommission or broker migration), i.e. *not* a loss of cached
+#: state; ``"quota"`` marks an intra-tenant eviction by the
 #: per-tenant cache quota enforcer (``repro.service.quotas``);
 #: ``"broker"`` marks a cluster-wide eviction the cache broker ordered
 #: to host a more valuable migrated block (``repro.cache.broker``).
@@ -182,31 +184,10 @@ class BlockManagerMaster:
         self._locations: Dict[BlockId, Set[int]] = {}
         #: rdd_id -> partition indices with at least one live location.
         self._rdd_index: Dict[int, Set[int]] = {}
-        self._eviction_listeners: List[EvictionListener] = []
-        self._capacity_eviction_listeners: List[EvictionListener] = []
         self._block_event_listeners: List[BlockEventListener] = []
         self._insert_listeners: List[InsertListener] = []
 
     # ---- listeners --------------------------------------------------------
-
-    def add_eviction_listener(self, listener: EvictionListener) -> None:
-        """Register a callback fired as ``listener(worker_id, block_id)``
-        whenever a block is evicted or lost."""
-        self._eviction_listeners.append(listener)
-
-    def add_capacity_eviction_listener(self, listener: EvictionListener) -> None:
-        """Register a callback fired only for capacity evictions (a
-        policy chose the victim), not explicit removals or worker
-        losses."""
-        self._capacity_eviction_listeners.append(listener)
-
-    def _notify_evicted(self, worker_id: int, block_id: BlockId) -> None:
-        for listener in self._eviction_listeners:
-            listener(worker_id, block_id)
-
-    def _notify_capacity_evicted(self, worker_id: int, block_id: BlockId) -> None:
-        for listener in self._capacity_eviction_listeners:
-            listener(worker_id, block_id)
 
     def add_block_event_listener(self, listener: BlockEventListener) -> None:
         """Register a reasoned removal callback: fired as
@@ -233,18 +214,18 @@ class BlockManagerMaster:
     def get_local(self, worker_id: int, block_id: BlockId) -> Optional[Block]:
         return self.stores[worker_id].get(block_id)
 
-    def put(self, worker_id: int, block: Block) -> List[Block]:
-        """Cache ``block`` on ``worker_id``; maintain the location index."""
+    def put(self, worker_id: int, block: Block) -> Optional[List[Block]]:
+        """Cache ``block`` on ``worker_id``; maintain the location index.
+
+        Returns the capacity victims, or ``None`` when the store
+        rejected the block (indexes and listeners untouched)."""
         evicted = self.stores[worker_id].put(block)
-        if evicted and evicted[0] is block and block.block_id not in self.stores[worker_id]:
-            # Rejected: too large for the store.
-            return evicted
+        if evicted is None:
+            return None
         self._add_location(block.block_id, worker_id)
         self._notify_inserted(worker_id, block)
         for victim in evicted:
             self._drop_location(victim.block_id, worker_id)
-            self._notify_evicted(worker_id, victim.block_id)
-            self._notify_capacity_evicted(worker_id, victim.block_id)
             self._notify_block_event(worker_id, victim.block_id, "capacity")
         return evicted
 
@@ -309,9 +290,8 @@ class BlockManagerMaster:
         has zero locations mid-migration.  The source-side removal is
         reported with reason ``"migrated"`` (not a capacity eviction — it
         must not count against cache-pressure metrics).  Returns False
-        without touching ``src`` when ``dst`` rejects the block (too
-        large, or its own evictions would be needed and the put still
-        cannot fit it).
+        without touching ``src`` when ``dst`` rejects the block (larger
+        than the whole store).
         """
         if dst == src:
             return False
@@ -324,8 +304,7 @@ class BlockManagerMaster:
             return True
         copy = Block(block_id=block.block_id, records=block.records,
                      size_bytes=block.size_bytes)
-        evicted = self.put(dst, copy)
-        if evicted and evicted[0] is copy and block_id not in self.stores[dst]:
+        if self.put(dst, copy) is None:
             return False  # destination rejected it
         self._remove_migrated_source(block_id, src)
         return True
@@ -333,7 +312,6 @@ class BlockManagerMaster:
     def _remove_migrated_source(self, block_id: BlockId, src: int) -> None:
         if self.stores[src].remove(block_id) is not None:
             self._drop_location(block_id, src)
-            self._notify_evicted(src, block_id)
             self._notify_block_event(src, block_id, "migrated")
 
     # ---- invalidation ---------------------------------------------------------
@@ -350,7 +328,6 @@ class BlockManagerMaster:
         for wid in targets:
             if self.stores[wid].remove(block_id) is not None:
                 self._drop_location(block_id, wid)
-                self._notify_evicted(wid, block_id)
                 self._notify_block_event(wid, block_id, reason)
 
     def remove_rdd(self, rdd_id: int) -> None:
@@ -365,7 +342,6 @@ class BlockManagerMaster:
         lost_ids = []
         for block in lost:
             self._drop_location(block.block_id, worker_id)
-            self._notify_evicted(worker_id, block.block_id)
             self._notify_block_event(worker_id, block.block_id, "worker_lost")
             lost_ids.append(block.block_id)
         return lost_ids

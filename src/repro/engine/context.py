@@ -277,9 +277,6 @@ class StarkContext:
             * self.config.storage_memory_fraction,
             policy_factory=self.cache_manager.policy_for_worker,
         )
-        self.block_manager_master.add_capacity_eviction_listener(
-            lambda wid, bid: self.metrics.record_eviction()
-        )
         self.block_manager_master.add_block_event_listener(
             self._on_block_removed
         )
@@ -307,9 +304,6 @@ class StarkContext:
             remote_policy=remote_policy,
         )
         self.dag_scheduler = DAGScheduler(self)
-        self.block_manager_master.add_eviction_listener(
-            self.replication_manager.on_block_evicted
-        )
 
         self._rdd_ids = itertools.count()
         self._stage_ids = itertools.count()
@@ -319,6 +313,10 @@ class StarkContext:
         notify_context_created(self)
 
     def _on_block_removed(self, worker_id: int, block_id, reason: str) -> None:
+        """The driver's end of the block master's one removal channel."""
+        if reason == "capacity":
+            self.metrics.record_eviction()
+        self.replication_manager.on_block_evicted(worker_id, block_id)
         if self.event_bus.active:
             self.event_bus.post(BlockEvicted(
                 time=self.cluster.clock.now, worker_id=worker_id,

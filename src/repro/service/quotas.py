@@ -28,7 +28,7 @@ dicts — deterministic under identical traces.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.block_manager import Block, BlockManagerMaster
@@ -160,12 +160,11 @@ class TenantCacheQuotas:
              for index, ((wid, bid), size) in enumerate(blocks.items())),
         )[2]
 
-    def preferred_victim(self, worker_id: int,
-                         resident: Iterable[BlockId]) -> Optional[BlockId]:
+    def preferred_victim(self, worker_id: int) -> Optional[BlockId]:
         """Under capacity pressure on ``worker_id``, nominate the oldest
         resident block owned by an over-quota tenant (``None`` defers to
         the store's base policy)."""
-        for block_id in resident:
+        for block_id in self.master.stores[worker_id].block_ids():
             tenant = self._owner.get(block_id[0])
             if tenant is None:
                 continue

@@ -5,11 +5,13 @@ layer's density-driven scale-in."""
 
 import math
 
+import pytest
+
 from repro import obs
-from repro.cache.broker import BrokerPolicy
-from repro.cache.policy import value_score
+from repro.cache.policy import CostAwarePolicy, value_score
 from repro.cluster.cost_model import SimStr
 from repro.elastic import BacklogPolicy, ResourceManager
+from repro.engine.block_manager import Block
 from repro.engine.context import StarkConfig, StarkContext
 from repro.service.quotas import TenantCacheQuotas
 
@@ -57,11 +59,25 @@ class TestValueScore:
 
 
 class TestLedgerSync:
-    def test_every_store_runs_a_broker_policy(self):
+    def test_every_store_runs_the_brokers_cost_aware_policy(self):
+        # ``cache_policy`` is not consulted under the broker.
+        sc = make_context(cache_policy="lru")
+        broker = sc.cache_broker
+        for wid, store in sc.block_manager_master.stores.items():
+            assert isinstance(store.policy.inner, CostAwarePolicy)
+            assert store.policy.inner is broker.policy_for(wid)
+            assert store.policy.name == "cost"
+
+    def test_reregistering_a_worker_keeps_its_policy(self):
         sc = make_context()
-        for store in sc.block_manager_master.stores.values():
-            assert isinstance(store.policy, BrokerPolicy)
-            assert store.policy.name == "broker"
+        dataset(sc).cache().count()
+        store = sc.block_manager_master.stores[0]
+        policy, resident = store.policy, len(store)
+        assert resident > 0
+        sc.register_worker(0)  # idempotent: the store survived
+        assert sc.block_manager_master.stores[0].policy is policy
+        assert sc.cache_broker.policy_for(0) is policy.inner
+        assert sc.cache_broker.resident_count(0) == resident
 
     def test_ledger_tracks_inserts_and_removals(self):
         sc = make_context()
@@ -167,6 +183,47 @@ class TestGlobalEvictionMarket:
         assert ledger_matches_stores(sc)
         for wid, store in sc.block_manager_master.stores.items():
             assert sc.cache_broker.resident_count(wid) == len(store)
+
+
+class TestSharedClock:
+    """Recency must be comparable *across* stores: every store's policy
+    draws ``seq``/``last_access`` from the broker's one clock."""
+
+    @pytest.mark.parametrize("older, newer", [(1, 2), (2, 1)])
+    def test_market_takes_globally_least_recent_of_equal_values(
+            self, older, newer):
+        sc = make_context(num_workers=3)
+        master = sc.block_manager_master
+        half = master.stores[0].capacity_bytes / 2
+        cold = dataset(sc, name="cold")  # never materialised: value 0
+        hot = dataset(sc, name="hot")
+        sc.rdd_stats(hot.rdd_id).record_delay(1.0)
+
+        def put(wid, rdd, pid):
+            master.put(wid, Block((rdd.rdd_id, pid), ["r"], half))
+
+        # The cluster's least-recently-accessed block lives on a store
+        # whose own event count is already *ahead* of the other store's:
+        # per-store counters would rank it the more recent of the two.
+        put(older, cold, 0)
+        for _ in range(3):
+            assert master.get_local(older, (cold.rdd_id, 0)) is not None
+        put(newer, cold, 1)
+        broker = sc.cache_broker
+        assert (broker.block_value(older, (cold.rdd_id, 0))
+                == broker.block_value(newer, (cold.rdd_id, 1)) == 0.0)
+
+        removed = []
+        master.add_block_event_listener(
+            lambda wid, bid, reason: removed.append((wid, bid, reason)))
+        for pid in range(3):  # the third insert overflows worker 0
+            put(0, hot, pid)
+        assert removed == [(older, (cold.rdd_id, 0), "broker"),
+                           (0, (hot.rdd_id, 0), "migrated")]
+        assert master.locations((hot.rdd_id, 0)) == {older}
+        assert master.locations((cold.rdd_id, 1)) == {newer}
+        assert (broker.broker_evictions, broker.broker_migrations) == (1, 1)
+        assert ledger_matches_stores(sc)
 
 
 class TestPrefixSharing:

@@ -58,8 +58,7 @@ class TestPolicyContract:
     def test_oversized_block_refused(self, name):
         store = BlockStore(0, 100.0, policy=fresh_policy(name))
         store.put(block(1, 0, 60))
-        rejected = store.put(block(2, 0, 150))
-        assert rejected == [block(2, 0, 150)]
+        assert store.put(block(2, 0, 150)) is None
         assert (2, 0) not in store
         assert (1, 0) in store  # nothing was evicted for a refused block
 
@@ -70,10 +69,12 @@ class TestPolicyContract:
             policy_factory=lambda wid: fresh_policy(name, oracles),
         )
         events = []
-        master.add_capacity_eviction_listener(
-            lambda wid, bid: events.append((wid, bid)))
+        master.add_block_event_listener(
+            lambda wid, bid, reason: reason == "capacity"
+            and events.append((wid, bid)))
         for pid in range(4):
             master.put(0, block(1, pid, 40))
+        master.remove_block((1, 3))  # not a capacity eviction
         assert len(events) == 2
         for wid, bid in events:
             assert wid == 0

@@ -41,8 +41,7 @@ class TestBlockStore:
 
     def test_block_larger_than_capacity_rejected(self):
         store = BlockStore(0, 100.0)
-        rejected = store.put(block(1, 0, 200))
-        assert rejected[0].block_id == (1, 0)
+        assert store.put(block(1, 0, 200)) is None
         assert (1, 0) not in store
         assert store.used_bytes == 0
 
@@ -123,15 +122,53 @@ class TestBlockManagerMaster:
     def test_eviction_listener_fires(self):
         master = self.make_master(capacity=100.0)
         events = []
-        master.add_eviction_listener(lambda wid, bid: events.append((wid, bid)))
+        master.add_block_event_listener(
+            lambda wid, bid, reason: events.append((wid, bid, reason)))
         master.put(0, block(1, 0, 60))
         master.put(0, block(1, 1, 60))
-        assert events == [(0, (1, 0))]
+        assert events == [(0, (1, 0), "capacity")]
 
     def test_rejected_oversize_block_not_registered(self):
         master = self.make_master(capacity=100.0)
-        master.put(0, block(1, 0, 500))
+        assert master.put(0, block(1, 0, 500)) is None
         assert master.locations((1, 0)) == set()
+
+    def test_rejected_oversize_reput_leaves_resident_version_alone(self):
+        """Regression: an oversized re-put of a resident id used to be
+        taken for an accepted insert that evicted itself — the insert
+        listener fired with the rejected size, then the still-resident
+        block lost its location and a "capacity" removal was posted for
+        a block that never left."""
+        master = self.make_master(capacity=100.0)
+        inserted, removed = [], []
+        master.add_insert_listener(
+            lambda wid, blk: inserted.append((wid, blk.size_bytes)))
+        master.add_block_event_listener(
+            lambda wid, bid, reason: removed.append((wid, bid, reason)))
+        master.put(0, block(1, 0, 50))
+        result = master.put(0, block(1, 0, 500))
+        store = master.stores[0]
+        assert store.peek((1, 0)).size_bytes == 50
+        assert store.used_bytes == 50
+        assert len(store.policy) == 1
+        assert master.locations((1, 0)) == {0}
+        assert master.cached_partitions_of(1) == {0}
+        assert inserted == [(0, 50.0)]
+        assert removed == []
+        assert result is None
+
+    def test_migration_rejected_by_small_destination(self):
+        master = BlockManagerMaster(
+            [0, 1], lambda wid: 100.0 if wid == 0 else 40.0)
+        removed = []
+        master.add_block_event_listener(
+            lambda wid, bid, reason: removed.append((wid, bid, reason)))
+        master.put(0, block(1, 0, 60))
+        master.put(1, block(2, 0, 30))
+        assert master.migrate_block((1, 0), src=0, dst=1) is False
+        assert master.locations((1, 0)) == {0}
+        assert (2, 0) in master.stores[1]  # nothing evicted to no purpose
+        assert removed == []
 
     def test_remove_rdd(self):
         master = self.make_master()

@@ -152,14 +152,21 @@ class TestPreferredVictim:
         quotas.own(rdd_b.rdd_id, "b")
         sc.run_job(rdd_a, len)
         sc.run_job(rdd_b, len)
-        resident = (block_ids(sc, rdd_a.rdd_id)
-                    + block_ids(sc, rdd_b.rdd_id))
+        stores = sc.block_manager_master.stores
         # Nobody over quota: defer to the base policy.
-        assert quotas.preferred_victim(0, resident) is None
-        # Push b over quota: its block is nominated, a's never.
+        assert all(quotas.preferred_victim(wid) is None for wid in stores)
+        # Push b over quota: on every worker the nominee is the oldest
+        # of b's blocks resident *there* (the quota manager walks that
+        # store itself) — a's never.
         quotas.set_quota("b", 1.0)
-        victim = quotas.preferred_victim(0, resident)
-        assert victim is not None and victim[0] == rdd_b.rdd_id
+        nominated = 0
+        for wid, store in stores.items():
+            b_resident = [bid for bid in store.block_ids()
+                          if bid[0] == rdd_b.rdd_id]
+            victim = quotas.preferred_victim(wid)
+            assert victim == (b_resident[0] if b_resident else None)
+            nominated += victim is not None
+        assert nominated > 0
 
     def test_capacity_pressure_evicts_over_quota_tenant_first(self):
         """End to end through the block store's eviction path: a tiny
