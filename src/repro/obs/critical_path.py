@@ -24,12 +24,19 @@ it, which `stark critical-path` and the hypothesis suite assert.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cluster.events import TIME_EPS
 
-from .events import BlockEvicted, CacheMiss, Event, TaskRetried
+from .events import (
+    TASK_PHASE_TABLE,
+    BlockEvicted,
+    CacheMiss,
+    Event,
+    TaskRetried,
+)
 from .spans import JobSpan, TaskSpan, build_spans
 
 #: Blame categories in display order (waits last).
@@ -43,19 +50,8 @@ CATEGORIES: Tuple[str, ...] = (
 )
 
 #: TaskEnd phase field -> blame category (compute may become recompute).
-PHASE_CATEGORY: Tuple[Tuple[str, str], ...] = (
-    ("launch_overhead", "launch"),
-    ("cache_read_time", "read"),
-    ("source_read_time", "read"),
-    ("checkpoint_read_time", "read"),
-    ("shuffle_fetch_local_time", "fetch"),
-    ("shuffle_fetch_remote_time", "fetch"),
-    ("shuffle_handoff_time", "handoff"),
-    ("compute_time", "compute"),
-    ("shuffle_write_time", "shuffle_write"),
-    ("gc_time", "gc"),
-    ("straggler_time", "straggler"),
-)
+PHASE_CATEGORY: Tuple[Tuple[str, str], ...] = tuple(
+    (field_name, category) for field_name, _, category in TASK_PHASE_TABLE)
 
 #: Chrome reserved colour names for the Perfetto annotation track.
 CATEGORY_COLORS: Dict[str, str] = {
@@ -183,26 +179,14 @@ class _Walk:
         self.report.segments = list(reversed(self._reversed))
 
 
-def compute_critical_path(job: JobSpan,
-                          events: Sequence[Event] = (),
-                          locality_wait: float = 0.0,
-                          ) -> CriticalPathReport:
-    """Blame-attribute one job's makespan (see module docstring).
-
-    ``events`` supplies the auxiliary streams the walk classifies with:
-    ``CacheMiss`` (compute -> recompute) and ``TaskRetried`` (failed
-    attempts extended by their backoff).  ``locality_wait`` is the delay
-    scheduler's budget (``StarkConfig.locality_wait``) charged before
-    non-local launches.
-    """
-    report = CriticalPathReport(job_id=job.job_id,
-                                description=job.description,
-                                start=job.start, finish=job.finish)
-    walk = _Walk(report)
-
+def _index_aux(events: Iterable[Event]) -> tuple:
+    """One pass over the raw stream for what every job's walk looks up:
+    cache misses per worker as time-sorted ``(time, rdd_id, partition)``,
+    first broker eviction time per ``(rdd_id, partition)``, and retry
+    backoff per ``(job_id, task_id)``."""
     misses: Dict[int, List[Tuple[float, int, int]]] = {}
     broker_evicted: Dict[Tuple[int, int], float] = {}
-    backoffs: Dict[int, float] = {}
+    backoffs: Dict[Tuple[int, int], float] = {}
     for event in events:
         if isinstance(event, CacheMiss):
             misses.setdefault(event.worker_id, []).append(
@@ -210,10 +194,49 @@ def compute_critical_path(job: JobSpan,
         elif isinstance(event, BlockEvicted) and event.reason == "broker":
             broker_evicted.setdefault(
                 (event.rdd_id, event.partition), event.time)
-        elif isinstance(event, TaskRetried) and event.job_id == job.job_id:
-            backoffs[event.task_id] = event.backoff
+        elif isinstance(event, TaskRetried):
+            backoffs[event.job_id, event.task_id] = event.backoff
     for entries in misses.values():
         entries.sort()
+    return misses, broker_evicted, backoffs
+
+
+def compute_critical_path(job: JobSpan,
+                          events: Sequence[Event] = (),
+                          locality_wait: float = 0.0,
+                          ) -> CriticalPathReport:
+    """Blame-attribute one job's makespan (see module docstring).
+
+    ``events`` supplies the auxiliary streams the walk classifies with:
+    ``CacheMiss`` (compute -> recompute), ``BlockEvicted`` with reason
+    ``"broker"`` (recompute -> broker_recompute) and ``TaskRetried``
+    (failed attempts extended by their backoff).  ``locality_wait`` is
+    the delay scheduler's budget (``StarkConfig.locality_wait``) charged
+    before non-local launches.
+    """
+    return _walk_job(job, *_index_aux(events), locality_wait)
+
+
+def critical_paths(events: Sequence[Event],
+                   locality_wait: float = 0.0) -> List[CriticalPathReport]:
+    """Span-reconstruct ``events`` and blame-attribute every job (the
+    auxiliary index is built once and shared by all the walks)."""
+    aux = _index_aux(events)
+    return [_walk_job(job, *aux, locality_wait)
+            for job in build_spans(events)]
+
+
+# ---- walk internals --------------------------------------------------------
+
+def _walk_job(job: JobSpan,
+              misses: Dict[int, List[Tuple[float, int, int]]],
+              broker_evicted: Dict[Tuple[int, int], float],
+              backoffs: Dict[Tuple[int, int], float],
+              locality_wait: float) -> CriticalPathReport:
+    report = CriticalPathReport(job_id=job.job_id,
+                                description=job.description,
+                                start=job.start, finish=job.finish)
+    walk = _Walk(report)
 
     successes = sorted(job.successful_tasks(),
                        key=lambda t: (t.finish, t.start, t.task_id))
@@ -244,15 +267,6 @@ def compute_critical_path(job: JobSpan,
     walk.finalize()
     return report
 
-
-def critical_paths(events: Sequence[Event],
-                   locality_wait: float = 0.0) -> List[CriticalPathReport]:
-    """Span-reconstruct ``events`` and blame-attribute every job."""
-    return [compute_critical_path(job, events, locality_wait)
-            for job in build_spans(events)]
-
-
-# ---- walk internals --------------------------------------------------------
 
 def _latest_finishing(successes: List[TaskSpan], cursor: float,
                       used: set) -> Optional[TaskSpan]:
@@ -295,7 +309,7 @@ def _push_task_phases(walk: _Walk, task: TaskSpan,
 
 def _push_prestart_gap(walk: _Walk, job: JobSpan, task: TaskSpan,
                        others: List[TaskSpan], submits: Dict[int, List[float]],
-                       backoffs: Dict[int, float],
+                       backoffs: Dict[Tuple[int, int], float],
                        locality_wait: float) -> None:
     """Explain ``[stage submit, task.start]`` then park the cursor at
     the stage submit (the next walk step finds the parent stage)."""
@@ -320,7 +334,7 @@ def _push_prestart_gap(walk: _Walk, job: JobSpan, task: TaskSpan,
         category = "speculation"
         if attempt.status in ("failed", "fetch_failed"):
             category = "retry"
-            hi += backoffs.get(attempt.task_id, 0.0)
+            hi += backoffs.get((job.job_id, attempt.task_id), 0.0)
         covered.append((attempt.start, hi, category))
 
     boundaries = {lo, walk.cursor}
@@ -371,8 +385,6 @@ def _window_miss_category(
     """``None`` when no cache miss fell in the task's window on its
     worker; ``"broker_recompute"`` when one did and its block had been
     broker-evicted earlier; ``"recompute"`` otherwise."""
-    import bisect
-
     entries = misses.get(worker_id)
     if not entries:
         return None

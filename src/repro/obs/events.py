@@ -19,6 +19,7 @@ event-shape drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Dict, List, Tuple, Type
 
 #: Registry of event classes by type name (class name), filled by
@@ -122,6 +123,24 @@ class TaskEnd(Event):
     speculative: bool = False
     #: "success" | "failed" | "killed" | "fetch_failed".
     status: str = "success"
+
+
+#: (TaskEnd field, trace phase, blame category) in the order phases occur
+#: in a task — the one declaration the trace exporter's ``TASK_PHASES``
+#: and the critical path's ``PHASE_CATEGORY`` are derived from.
+TASK_PHASE_TABLE: Tuple[Tuple[str, str, str], ...] = (
+    ("launch_overhead", "launch", "launch"),
+    ("cache_read_time", "cache_read", "read"),
+    ("source_read_time", "source_read", "read"),
+    ("checkpoint_read_time", "checkpoint_read", "read"),
+    ("shuffle_fetch_local_time", "shuffle_fetch", "fetch"),
+    ("shuffle_fetch_remote_time", "shuffle_fetch", "fetch"),
+    ("shuffle_handoff_time", "handoff", "handoff"),
+    ("compute_time", "compute", "compute"),
+    ("shuffle_write_time", "shuffle_write", "shuffle_write"),
+    ("gc_time", "gc", "gc"),
+    ("straggler_time", "straggler", "straggler"),
+)
 
 
 # ---- cache traffic ---------------------------------------------------------
@@ -601,40 +620,20 @@ def validate_event_dict(record: Dict[str, Any]) -> List[str]:
     return problems
 
 
+#: Constructor arguments after ``time``: ``TaskMetrics`` carries every
+#: ``TaskStart``/``TaskEnd`` field under the event's own field name.
+_TASK_START_ARGS = attrgetter(*(f.name for f in fields(TaskStart)[1:]))
+_TASK_END_ARGS = attrgetter(*(f.name for f in fields(TaskEnd)[1:]))
+
+
 def task_events_from_metrics(tm: Any) -> Tuple[TaskStart, TaskEnd]:
     """Build the start/end pair for one finished task attempt.
 
     Duck-typed over :class:`~repro.engine.metrics.TaskMetrics` so the
     event layer stays import-free of the engine.
     """
-    start = TaskStart(
-        time=tm.start_time, job_id=tm.job_id, stage_id=tm.stage_id,
-        task_id=tm.task_id, partition=tm.partition,
-        worker_id=tm.worker_id, locality=tm.locality,
-        attempt=getattr(tm, "attempt", 0),
-        speculative=getattr(tm, "speculative", False),
-    )
-    end = TaskEnd(
-        time=tm.finish_time, job_id=tm.job_id, stage_id=tm.stage_id,
-        task_id=tm.task_id, partition=tm.partition,
-        worker_id=tm.worker_id, locality=tm.locality,
-        duration=tm.duration,
-        launch_overhead=tm.launch_overhead,
-        cache_read_time=tm.cache_read_time,
-        compute_time=tm.compute_time,
-        shuffle_fetch_local_time=tm.shuffle_fetch_local_time,
-        shuffle_fetch_remote_time=tm.shuffle_fetch_remote_time,
-        shuffle_write_time=tm.shuffle_write_time,
-        checkpoint_read_time=tm.checkpoint_read_time,
-        source_read_time=tm.source_read_time,
-        gc_time=tm.gc_time,
-        shuffle_handoff_time=getattr(tm, "shuffle_handoff_time", 0.0),
-        straggler_time=getattr(tm, "straggler_time", 0.0),
-        attempt=getattr(tm, "attempt", 0),
-        speculative=getattr(tm, "speculative", False),
-        status=getattr(tm, "status", "success"),
-    )
-    return start, end
+    return (TaskStart(tm.start_time, *_TASK_START_ARGS(tm)),
+            TaskEnd(tm.finish_time, *_TASK_END_ARGS(tm)))
 
 
 def event_from_dict(record: Dict[str, Any]) -> Event:

@@ -139,22 +139,24 @@ class UtilizationSampler:
 
     # ---- timelines ---------------------------------------------------------
 
+    def _timeline(self, deltas: Dict[int, List[Tuple[float, float]]],
+                  worker_id: Optional[int]) -> Timeline:
+        """One worker's step series, or every worker's merged when
+        ``worker_id`` is ``None``."""
+        if worker_id is not None:
+            series = deltas.get(worker_id, [])
+        else:
+            series = [d for ds in deltas.values() for d in ds]
+        return self._close(_deltas_to_timeline(series))
+
     def slot_occupancy(self, worker_id: Optional[int] = None) -> Timeline:
         """Busy-slot count over time for one worker, or summed across
         the cluster when ``worker_id`` is ``None``."""
-        if worker_id is not None:
-            return self._close(
-                _deltas_to_timeline(self._slot_deltas.get(worker_id, [])))
-        merged = [d for ds in self._slot_deltas.values() for d in ds]
-        return self._close(_deltas_to_timeline(merged))
+        return self._timeline(self._slot_deltas, worker_id)
 
     def cache_bytes(self, worker_id: Optional[int] = None) -> Timeline:
         """Resident cache bytes over time (per worker or cluster-wide)."""
-        if worker_id is not None:
-            return self._close(
-                _deltas_to_timeline(self._cache_deltas.get(worker_id, [])))
-        merged = [d for ds in self._cache_deltas.values() for d in ds]
-        return self._close(_deltas_to_timeline(merged))
+        return self._timeline(self._cache_deltas, worker_id)
 
     def cache_blocks(self, worker_id: Optional[int] = None) -> Timeline:
         """Resident cached-block *count* over time — the complement of
@@ -162,11 +164,7 @@ class UtilizationSampler:
         is what distinguishes a columnar working set (few, large record
         batches) from a row working set (many small blocks) at equal
         byte footprints."""
-        if worker_id is not None:
-            return self._close(
-                _deltas_to_timeline(self._count_deltas.get(worker_id, [])))
-        merged = [d for ds in self._count_deltas.values() for d in ds]
-        return self._close(_deltas_to_timeline(merged))
+        return self._timeline(self._count_deltas, worker_id)
 
     def network_in_flight(self) -> Timeline:
         """Remote shuffle bytes in flight over time, cluster-wide."""

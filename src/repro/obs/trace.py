@@ -28,15 +28,13 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 from ..cluster.events import TIME_EPS
 
 from .events import (
-    BatchCompleted,
-    BatchSubmitted,
+    TASK_PHASE_TABLE,
     BlockCached,
     BlockEvicted,
     BlocksMigrated,
     BrokerEvicted,
     BrokerMigrated,
     BrokerPrefixHit,
-    CacheHit,
     CacheMiss,
     CheckpointWritten,
     DatasetBranched,
@@ -55,17 +53,13 @@ from .events import (
     QueryFailed,
     QueryPlanned,
     ScalingDecision,
-    ShuffleFetch,
     StageCompleted,
     StageResubmitted,
     StageSubmitted,
     TaskEnd,
     TaskRetried,
     TaskSpeculated,
-    TenantJobAdmitted,
-    TenantJobCompleted,
     TenantJobShed,
-    TenantJobSubmitted,
     TenantSloAlert,
     WorkerDecommissioned,
     WorkerProvisioned,
@@ -77,13 +71,30 @@ _US = 1e6  # simulated seconds -> trace microseconds
 DRIVER_PID = 0
 
 #: Driver thread track for multi-tenant service markers (sheds, dataset
-#: lifecycle, pool reweights, SLO alerts).  Tids 1-3 are jobs / stages /
-#: scaling; tid 4 is the critical-path annotation track
-#: (:data:`~repro.obs.critical_path.CRITICAL_PATH_TID`).
+#: lifecycle, pool reweights, SLO alerts).
 SERVICE_TID = 5
 
 #: Driver thread track for SQL query spans (planned -> completed/failed).
 SQL_TID = 6
+
+#: Driver thread tracks, tid -> name, in metadata order.  Jobs and stages
+#: are always named, the rest only when something was drawn on them.
+#: Tid 4 is the critical-path annotation track
+#: (:data:`~repro.obs.critical_path.CRITICAL_PATH_TID`).
+_DRIVER_TRACKS: Dict[int, str] = {
+    1: "jobs", 2: "stages", 3: "scaling", SERVICE_TID: "service",
+    SQL_TID: "sql",
+}
+
+#: Counter tracks (Perfetto step charts), name -> args key, in section
+#: order: alive workers per membership change; cluster-wide resident
+#: bytes per cache or eviction event (the sampler's cache_bytes timeline);
+#: cumulative broker evictions + migrations + cross-job prefix hits.
+_COUNTERS: Dict[str, str] = {
+    "cluster size": "alive workers",
+    "cache bytes": "resident bytes",
+    "broker actions": "broker actions",
+}
 
 #: Trace-phase colour names (Chrome's reserved palette, understood by
 #: Perfetto's legacy colour mapping).
@@ -100,20 +111,97 @@ PHASE_COLORS = {
     "straggler": "bad",
 }
 
-TASK_PHASES: Tuple[Tuple[str, str], ...] = (
-    # (TaskEnd field, phase name) in the order phases occur in a task.
-    ("launch_overhead", "launch"),
-    ("cache_read_time", "cache_read"),
-    ("source_read_time", "source_read"),
-    ("checkpoint_read_time", "checkpoint_read"),
-    ("shuffle_fetch_local_time", "shuffle_fetch"),
-    ("shuffle_fetch_remote_time", "shuffle_fetch"),
-    ("shuffle_handoff_time", "handoff"),
-    ("compute_time", "compute"),
-    ("shuffle_write_time", "shuffle_write"),
-    ("gc_time", "gc"),
-    ("straggler_time", "straggler"),
-)
+#: (TaskEnd field, phase name) in the order phases occur in a task.
+TASK_PHASES: Tuple[Tuple[str, str], ...] = tuple(
+    (field_name, phase) for field_name, phase, _ in TASK_PHASE_TABLE)
+
+#: Event types drawn as one instant marker: type -> (track, category,
+#: scope, name, arg fields).  ``track`` names the event attribute holding
+#: the worker whose process the marker lands on, or is a driver tid;
+#: ``arg fields`` are copied off the event into the marker's ``args``.
+#: Types absent from here and from ``_HANDLERS`` leave the timeline alone.
+_INSTANTS: Dict[Type[Event], Tuple[Union[str, int], str, str,
+                                   Callable[[Any], str], Tuple[str, ...]]] = {
+    BlockEvicted: ("worker_id", "eviction", "t",
+                   lambda e: f"evict rdd_{e.rdd_id}[{e.partition}]",
+                   ("reason",)),
+    CacheMiss: ("worker_id", "cache", "t",
+                lambda e: f"miss rdd_{e.rdd_id}[{e.partition}]", ()),
+    BrokerEvicted: ("worker_id", "broker", "t",
+                    lambda e: f"broker evict rdd_{e.rdd_id}[{e.partition}]",
+                    ("requested_by", "value")),
+    BrokerMigrated: ("dst_worker", "broker", "t",
+                     lambda e: f"broker migrate rdd_{e.rdd_id}[{e.partition}]",
+                     ("src_worker", "size_bytes", "value")),
+    BrokerPrefixHit: ("worker_id", "broker", "t",
+                      lambda e: (f"prefix hit rdd_{e.rdd_id} <- "
+                                 f"rdd_{e.served_rdd_id}[{e.partition}]"),
+                      ("remote",)),
+    FailureInjected: ("worker_id", "failure", "g",
+                      lambda e: "worker failure",
+                      ("lost_blocks", "lost_shuffle_outputs")),
+    LineageRecovered: ("worker_id", "failure", "g",
+                       lambda e: "lineage recovered", ("recovery_delay",)),
+    TaskSpeculated: ("speculative_worker_id", "speculation", "t",
+                     lambda e: f"speculate task {e.task_id}",
+                     ("original_worker_id", "running_for",
+                      "median_duration")),
+    TaskRetried: ("worker_id", "retry", "t",
+                  lambda e: f"retry task {e.task_id} (attempt {e.attempt})",
+                  ("backoff", "reason")),
+    ExecutorBlacklisted: ("worker_id", "blacklist", "g",
+                          lambda e: "executor blacklisted",
+                          ("stage_id", "failures", "until")),
+    FetchFailed: ("worker_id", "failure", "g",
+                  lambda e: f"fetch failed (shuffle {e.shuffle_id})",
+                  ("task_id", "reason")),
+    StageResubmitted: (2, "failure", "p",
+                       lambda e: (f"resubmit stage {e.stage_id} "
+                                  f"(attempt {e.attempt})"),
+                       ("job_id", "shuffle_id", "reason")),
+    WorkerProvisioned: ("worker_id", "elastic", "g",
+                        lambda e: "worker provisioned",
+                        ("cores", "ready_at", "spinup_seconds")),
+    WorkerDecommissioned: ("worker_id", "elastic", "g",
+                           lambda e: "worker decommissioned",
+                           ("migrated_blocks", "dropped_blocks",
+                            "drain_seconds")),
+    BlocksMigrated: ("worker_id", "elastic", "t",
+                     lambda e: f"migrated {e.num_blocks} blocks",
+                     ("total_bytes", "migration_seconds")),
+    JobShed: (1, "elastic", "p",
+              lambda e: f"shed job {e.job_index}", ("pending_jobs",)),
+    ScalingDecision: (3, "elastic", "p",
+                      lambda e: f"{e.action} ({e.policy})",
+                      ("delta", "alive_workers", "reason")),
+    CheckpointWritten: (1, "checkpoint", "p",
+                        lambda e: f"checkpoint rdd_{e.rdd_id}",
+                        ("total_bytes",)),
+    TenantJobShed: (SERVICE_TID, "service", "t",
+                    lambda e: f"shed {e.tenant} job {e.job_index}",
+                    ("tenant", "pending")),
+    DatasetRegistered: (SERVICE_TID, "dataset", "t",
+                        lambda e: (f"register {e.name} v{e.version}"
+                                   + (" (dedup)" if e.deduped else "")),
+                        ("tenant", "rdd_id", "deduped")),
+    DatasetBranched: (SERVICE_TID, "dataset", "t",
+                      lambda e: f"branch {e.source_name} -> {e.new_name}",
+                      ("tenant", "source_version", "rdd_id")),
+    DatasetDropped: (SERVICE_TID, "dataset", "t",
+                     lambda e: f"drop {e.name} v{e.version}",
+                     ("tenant", "deferred", "unpersisted")),
+    PoolWeightsUpdated: (SERVICE_TID, "service", "t",
+                         lambda e: f"pool {e.pool} w={e.weight:g}",
+                         ("min_share",)),
+    TenantSloAlert: (SERVICE_TID, "slo", "g",
+                     lambda e: (f"SLO {'clear' if e.cleared else 'alert'} "
+                                f"{e.tenant} {e.metric}"),
+                     ("observed", "target", "burn_rate")),
+}
+
+#: TaskEnd fields copied into a task span's ``args``.
+_TASK_ARGS = ("job_id", "stage_id", "task_id", "partition", "locality",
+              "gc_time", "compute_time", "attempt", "speculative", "status")
 
 _SLOT_EPS = TIME_EPS
 
@@ -153,308 +241,148 @@ class ChromeTraceExporter:
         self._tasks: List[TaskEnd] = []
         self._instants: List[Dict[str, Any]] = []
         self._driver_spans: List[Dict[str, Any]] = []
-        self._open_stages: Dict[Tuple[int, int], StageSubmitted] = {}
-        self._open_jobs: Dict[int, JobStart] = {}
-        #: (time, alive worker count) samples for the dynamic cluster-size
-        #: counter track (fed by provision/decommission events).
-        self._cluster_size: List[Tuple[float, int]] = []
-        #: (time, resident bytes) samples for the cache-footprint counter
-        #: track (fed by BlockCached/BlockEvicted, cluster-wide).
-        self._cache_counter: List[Tuple[float, float]] = []
+        #: (opener type, ids...) -> the JobStart / StageSubmitted /
+        #: QueryPlanned still waiting for its closing event.
+        self._open: Dict[Tuple[Any, ...], Any] = {}
+        #: counter track -> (time, value) samples in event order.
+        self._counters: Dict[str, List[Tuple[float, float]]] = {
+            track: [] for track in _COUNTERS}
         self._cache_bytes = 0.0
-        #: (time, cumulative broker action count) samples for the broker
-        #: activity counter track (evictions + migrations + prefix hits).
-        self._broker_counter: List[Tuple[float, int]] = []
-        self._broker_actions = 0
         self._cached_block_sizes: Dict[Tuple[int, int, int], float] = {}
-        self._open_queries: Dict[int, QueryPlanned] = {}
-        self._saw_scaling = False
-        self._saw_service = False
-        self._saw_sql = False
 
     # ---- listener ----------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        if isinstance(event, TaskEnd):
-            self._tasks.append(event)
-        elif isinstance(event, JobStart):
-            self._open_jobs[event.job_id] = event
-        elif isinstance(event, JobEnd):
-            start = self._open_jobs.pop(event.job_id, None)
-            begin = start.time if start is not None else event.time
-            self._driver_spans.append(self._span(
-                name=f"job {event.job_id}"
-                     + (f": {start.description}" if start is not None
-                        and start.description else ""),
-                cat="job", begin=begin, end=event.time, tid=1,
-                args={"job_id": event.job_id,
-                      "num_stages": event.num_stages,
-                      "skipped_stages": event.skipped_stages},
-            ))
-        elif isinstance(event, StageSubmitted):
-            self._open_stages[(event.job_id, event.stage_id)] = event
-        elif isinstance(event, StageCompleted):
-            start = self._open_stages.pop(
-                (event.job_id, event.stage_id), None)
-            begin = start.time if start is not None else event.time
-            self._driver_spans.append(self._span(
-                name=f"stage {event.stage_id}"
-                     + (" (skipped)" if event.skipped else ""),
-                cat="stage", begin=begin, end=event.time, tid=2,
-                args={"job_id": event.job_id, "stage_id": event.stage_id,
-                      "skipped": event.skipped},
-            ))
-        elif isinstance(event, BlockEvicted):
-            key = (event.worker_id, event.rdd_id, event.partition)
-            size = self._cached_block_sizes.pop(key, 0.0)
-            if size:
-                self._cache_bytes -= size
-                self._cache_counter.append((event.time, self._cache_bytes))
-            self._instant(event.time, event.worker_id,
-                          f"evict rdd_{event.rdd_id}[{event.partition}]",
-                          "eviction", {"reason": event.reason})
-        elif isinstance(event, CacheMiss):
-            self._instant(event.time, event.worker_id,
-                          f"miss rdd_{event.rdd_id}[{event.partition}]",
-                          "cache", {})
-        elif isinstance(event, BrokerEvicted):
-            self._broker_actions += 1
-            self._broker_counter.append((event.time, self._broker_actions))
-            self._instant(event.time, event.worker_id,
-                          f"broker evict rdd_{event.rdd_id}"
-                          f"[{event.partition}]", "broker",
-                          {"requested_by": event.requested_by,
-                           "value": event.value})
-        elif isinstance(event, BrokerMigrated):
-            self._broker_actions += 1
-            self._broker_counter.append((event.time, self._broker_actions))
-            self._instant(event.time, event.dst_worker,
-                          f"broker migrate rdd_{event.rdd_id}"
-                          f"[{event.partition}]", "broker",
-                          {"src_worker": event.src_worker,
-                           "size_bytes": event.size_bytes,
-                           "value": event.value})
-        elif isinstance(event, BrokerPrefixHit):
-            self._broker_actions += 1
-            self._broker_counter.append((event.time, self._broker_actions))
-            self._instant(event.time, event.worker_id,
-                          f"prefix hit rdd_{event.rdd_id} <- "
-                          f"rdd_{event.served_rdd_id}[{event.partition}]",
-                          "broker", {"remote": event.remote})
-        elif isinstance(event, FailureInjected):
-            self._instant(event.time, event.worker_id, "worker failure",
-                          "failure",
-                          {"lost_blocks": event.lost_blocks,
-                           "lost_shuffle_outputs": event.lost_shuffle_outputs},
-                          scope="g")
-        elif isinstance(event, LineageRecovered):
-            self._instant(event.time, event.worker_id, "lineage recovered",
-                          "failure",
-                          {"recovery_delay": event.recovery_delay},
-                          scope="g")
-        elif isinstance(event, TaskSpeculated):
-            self._instant(event.time, event.speculative_worker_id,
-                          f"speculate task {event.task_id}", "speculation",
-                          {"original_worker_id": event.original_worker_id,
-                           "running_for": event.running_for,
-                           "median_duration": event.median_duration})
-        elif isinstance(event, TaskRetried):
-            self._instant(event.time, event.worker_id,
-                          f"retry task {event.task_id} "
-                          f"(attempt {event.attempt})", "retry",
-                          {"backoff": event.backoff,
-                           "reason": event.reason})
-        elif isinstance(event, ExecutorBlacklisted):
-            self._instant(event.time, event.worker_id,
-                          "executor blacklisted", "blacklist",
-                          {"stage_id": event.stage_id,
-                           "failures": event.failures,
-                           "until": event.until},
-                          scope="g")
-        elif isinstance(event, FetchFailed):
-            self._instant(event.time, event.worker_id,
-                          f"fetch failed (shuffle {event.shuffle_id})",
-                          "failure",
-                          {"task_id": event.task_id,
-                           "reason": event.reason},
-                          scope="g")
-        elif isinstance(event, StageResubmitted):
-            self._instants.append({
-                "name": f"resubmit stage {event.stage_id} "
-                        f"(attempt {event.attempt})", "ph": "i",
-                "ts": event.time * _US, "pid": DRIVER_PID, "tid": 2,
-                "s": "p", "cat": "failure",
-                "args": {"job_id": event.job_id,
-                         "shuffle_id": event.shuffle_id,
-                         "reason": event.reason},
-            })
-        elif isinstance(event, WorkerProvisioned):
-            self._cluster_size.append((event.time, event.alive_workers))
-            self._instant(event.time, event.worker_id, "worker provisioned",
-                          "elastic",
-                          {"cores": event.cores, "ready_at": event.ready_at,
-                           "spinup_seconds": event.spinup_seconds},
-                          scope="g")
-        elif isinstance(event, WorkerDecommissioned):
-            self._cluster_size.append((event.time, event.alive_workers))
-            self._instant(event.time, event.worker_id,
-                          "worker decommissioned", "elastic",
-                          {"migrated_blocks": event.migrated_blocks,
-                           "dropped_blocks": event.dropped_blocks,
-                           "drain_seconds": event.drain_seconds},
-                          scope="g")
-        elif isinstance(event, BlocksMigrated):
-            self._instant(event.time, event.worker_id,
-                          f"migrated {event.num_blocks} blocks", "elastic",
-                          {"total_bytes": event.total_bytes,
-                           "migration_seconds": event.migration_seconds})
-        elif isinstance(event, JobShed):
-            self._instants.append({
-                "name": f"shed job {event.job_index}", "ph": "i",
-                "ts": event.time * _US, "pid": DRIVER_PID, "tid": 1,
-                "s": "p", "cat": "elastic",
-                "args": {"pending_jobs": event.pending_jobs},
-            })
-        elif isinstance(event, ScalingDecision):
-            self._saw_scaling = True
-            self._instants.append({
-                "name": f"{event.action} ({event.policy})", "ph": "i",
-                "ts": event.time * _US, "pid": DRIVER_PID, "tid": 3,
-                "s": "p", "cat": "elastic",
-                "args": {"delta": event.delta,
-                         "alive_workers": event.alive_workers,
-                         "reason": event.reason},
-            })
-        elif isinstance(event, CheckpointWritten):
-            self._instants.append({
-                "name": f"checkpoint rdd_{event.rdd_id}", "ph": "i",
-                "ts": event.time * _US, "pid": DRIVER_PID, "tid": 1,
-                "s": "p", "cat": "checkpoint",
-                "args": {"total_bytes": event.total_bytes},
-            })
-        elif isinstance(event, TenantJobShed):
-            self._service_instant(
-                event.time, f"shed {event.tenant} job {event.job_index}",
-                "service", {"tenant": event.tenant,
-                            "pending": event.pending})
-        elif isinstance(event, DatasetRegistered):
-            self._service_instant(
-                event.time,
-                f"register {event.name} v{event.version}"
-                + (" (dedup)" if event.deduped else ""),
-                "dataset", {"tenant": event.tenant,
-                            "rdd_id": event.rdd_id,
-                            "deduped": event.deduped})
-        elif isinstance(event, DatasetBranched):
-            self._service_instant(
-                event.time,
-                f"branch {event.source_name} -> {event.new_name}",
-                "dataset", {"tenant": event.tenant,
-                            "source_version": event.source_version,
-                            "rdd_id": event.rdd_id})
-        elif isinstance(event, DatasetDropped):
-            self._service_instant(
-                event.time, f"drop {event.name} v{event.version}",
-                "dataset", {"tenant": event.tenant,
-                            "deferred": event.deferred,
-                            "unpersisted": event.unpersisted})
-        elif isinstance(event, PoolWeightsUpdated):
-            self._service_instant(
-                event.time, f"pool {event.pool} w={event.weight:g}",
-                "service", {"min_share": event.min_share})
-        elif isinstance(event, TenantSloAlert):
-            self._service_instant(
-                event.time,
-                f"SLO {'clear' if event.cleared else 'alert'} "
-                f"{event.tenant} {event.metric}",
-                "slo", {"observed": event.observed,
-                        "target": event.target,
-                        "burn_rate": event.burn_rate},
-                scope="g")
-        elif isinstance(event, QueryPlanned):
-            self._saw_sql = True
-            self._open_queries[event.query_id] = event
-        elif isinstance(event, QueryCompleted):
-            self._saw_sql = True
-            planned = self._open_queries.pop(event.query_id, None)
-            begin = event.time - event.duration
-            self._driver_spans.append(self._span(
-                name=f"query {event.query_id}", cat="sql",
-                begin=begin, end=event.time, tid=SQL_TID,
-                args={"query_id": event.query_id, "rows": event.rows,
-                      "plan": planned.description if planned else "",
-                      "pushed_filters":
-                          planned.pushed_filters if planned else 0,
-                      "pruned_columns":
-                          planned.pruned_columns if planned else 0,
-                      "elided_exchanges":
-                          planned.elided_exchanges if planned else 0},
-            ))
-        elif isinstance(event, QueryFailed):
-            self._saw_sql = True
-            planned = self._open_queries.pop(event.query_id, None)
-            begin = planned.time if planned is not None else event.time
-            self._driver_spans.append(self._span(
-                name=f"query {event.query_id} [failed]", cat="sql",
-                begin=begin, end=event.time, tid=SQL_TID,
-                args={"query_id": event.query_id, "error": event.error},
-            ))
-        elif isinstance(event, BlockCached):
-            key = (event.worker_id, event.rdd_id, event.partition)
-            previous = self._cached_block_sizes.get(key, 0.0)
-            self._cached_block_sizes[key] = event.size_bytes
-            self._cache_bytes += event.size_bytes - previous
-            self._cache_counter.append((event.time, self._cache_bytes))
-        elif isinstance(event, (BatchSubmitted, BatchCompleted,
-                                CacheHit, ShuffleFetch,
-                                TenantJobSubmitted, TenantJobAdmitted,
-                                TenantJobCompleted)):
-            pass  # timeline-neutral here; the sampler consumes these
+        kind = type(event)
+        handler = _HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, event)
+        if kind not in _INSTANTS:
+            return
+        track, cat, scope, name, arg_fields = _INSTANTS[kind]
+        if isinstance(track, str):
+            pid, tid = getattr(event, track) + 1, 0
+        else:
+            pid, tid = DRIVER_PID, track
+        self._instants.append({
+            "name": name(event), "ph": "i", "ts": event.time * _US,
+            "pid": pid, "tid": tid, "s": scope, "cat": cat,
+            "args": {f: getattr(event, f) for f in arg_fields},
+        })
+
+    def _span(self, name: str, cat: str, begin: float, end: float,
+              tid: int, args: Dict[str, Any]) -> None:
+        self._driver_spans.append({
+            "name": name, "cat": cat, "ph": "X", "ts": begin * _US,
+            "dur": max(end - begin, 0.0) * _US,
+            "pid": DRIVER_PID, "tid": tid, "args": args})
+
+    def _hold(self, event: Event, *ids: int) -> None:
+        """Keep an opener for its closer (the latest under an id wins)."""
+        self._open[(type(event), *ids)] = event
+
+    def _on_job_end(self, event: JobEnd) -> None:
+        start = self._open.pop((JobStart, event.job_id), None)
+        self._span(
+            name=f"job {event.job_id}"
+                 + (f": {start.description}" if start is not None
+                    and start.description else ""),
+            cat="job", begin=start.time if start is not None else event.time,
+            end=event.time, tid=1,
+            args={"job_id": event.job_id, "num_stages": event.num_stages,
+                  "skipped_stages": event.skipped_stages})
+
+    def _on_stage_completed(self, event: StageCompleted) -> None:
+        start = self._open.pop(
+            (StageSubmitted, event.job_id, event.stage_id), None)
+        self._span(
+            name=f"stage {event.stage_id}"
+                 + (" (skipped)" if event.skipped else ""),
+            cat="stage",
+            begin=start.time if start is not None else event.time,
+            end=event.time, tid=2,
+            args={"job_id": event.job_id, "stage_id": event.stage_id,
+                  "skipped": event.skipped})
+
+    def _on_query_completed(self, event: QueryCompleted) -> None:
+        planned = self._open.pop((QueryPlanned, event.query_id), None)
+        self._span(
+            name=f"query {event.query_id}", cat="sql",
+            begin=event.time - event.duration, end=event.time, tid=SQL_TID,
+            args={"query_id": event.query_id, "rows": event.rows,
+                  "plan": planned.description if planned else "",
+                  "pushed_filters": planned.pushed_filters if planned else 0,
+                  "pruned_columns": planned.pruned_columns if planned else 0,
+                  "elided_exchanges":
+                      planned.elided_exchanges if planned else 0})
+
+    def _on_query_failed(self, event: QueryFailed) -> None:
+        planned = self._open.pop((QueryPlanned, event.query_id), None)
+        self._span(
+            name=f"query {event.query_id} [failed]", cat="sql",
+            begin=planned.time if planned is not None else event.time,
+            end=event.time, tid=SQL_TID,
+            args={"query_id": event.query_id, "error": event.error})
+
+    def _on_block_cached(self, event: BlockCached) -> None:
+        key = (event.worker_id, event.rdd_id, event.partition)
+        previous = self._cached_block_sizes.get(key, 0.0)
+        self._cached_block_sizes[key] = event.size_bytes
+        self._cache_bytes += event.size_bytes - previous
+        self._counters["cache bytes"].append((event.time, self._cache_bytes))
+
+    def _on_block_evicted(self, event: BlockEvicted) -> None:
+        key = (event.worker_id, event.rdd_id, event.partition)
+        size = self._cached_block_sizes.pop(key, 0.0)
+        if size:
+            self._cache_bytes -= size
+            self._counters["cache bytes"].append(
+                (event.time, self._cache_bytes))
+
+    def _on_broker_action(self, event: Event) -> None:
+        series = self._counters["broker actions"]
+        series.append((event.time, len(series) + 1))
+
+    def _on_membership(self, event: Any) -> None:
+        self._counters["cluster size"].append(
+            (event.time, event.alive_workers))
 
     # ---- rendering ---------------------------------------------------------
 
     def to_trace(self) -> Dict[str, Any]:
-        """Build the Trace Event Format container."""
-        trace_events: List[Dict[str, Any]] = []
-        trace_events.extend(self._metadata_events())
+        """Build the Trace Event Format container: metadata, driver
+        spans, tasks by worker, instants, then the counter tracks."""
+        lanes = self.slot_assignment()
+        drawn = {record["tid"]
+                 for record in self._driver_spans + self._instants
+                 if record["pid"] == DRIVER_PID} | {1, 2}
+        trace_events: List[Dict[str, Any]] = [
+            {"name": "process_name", "ph": "M", "pid": DRIVER_PID,
+             "args": {"name": "driver"}}]
+        for tid, name in _DRIVER_TRACKS.items():
+            if tid in drawn:
+                trace_events.append({
+                    "name": "thread_name", "ph": "M", "pid": DRIVER_PID,
+                    "tid": tid, "args": {"name": name}})
+        for worker_id, assigned in lanes.items():
+            pid = worker_id + 1
+            trace_events.append({
+                "name": "process_name", "ph": "M", "pid": pid,
+                "args": {"name": f"worker {worker_id}"}})
+            for slot in range(max(slot for _, slot in assigned) + 1):
+                trace_events.append({
+                    "name": "thread_name", "ph": "M", "pid": pid,
+                    "tid": slot, "args": {"name": f"slot {slot}"}})
         trace_events.extend(self._driver_spans)
-
-        by_worker: Dict[int, List[TaskEnd]] = {}
-        for task in self._tasks:
-            by_worker.setdefault(task.worker_id, []).append(task)
-
-        for worker_id, tasks in sorted(by_worker.items()):
-            tasks = sorted(tasks, key=lambda t: (t.time - t.duration, t.time))
-            slots = assign_slots(
-                [(t.time - t.duration, t.time) for t in tasks]
-            )
-            for task, slot in zip(tasks, slots):
+        for assigned in lanes.values():
+            for task, slot in assigned:
                 trace_events.extend(self._task_events(task, slot))
-
-        for instant in self._instants:
-            trace_events.append(dict(instant))
-        # Dynamic cluster-size counter track (Perfetto renders "C" events
-        # as a step chart): one sample per membership change.
-        for time, alive in self._cluster_size:
-            trace_events.append({
-                "name": "cluster size", "ph": "C", "ts": time * _US,
-                "pid": DRIVER_PID, "args": {"alive workers": alive},
-            })
-        # Cache-footprint counter track: resident bytes after every cache
-        # or eviction event, cluster-wide (the Perfetto view of the
-        # sampler's cache_bytes timeline).
-        for time, resident in self._cache_counter:
-            trace_events.append({
-                "name": "cache bytes", "ph": "C", "ts": time * _US,
-                "pid": DRIVER_PID, "args": {"resident bytes": resident},
-            })
-        # Broker activity counter track: cumulative broker decisions
-        # (global evictions, migrations, cross-job prefix hits).
-        for time, actions in self._broker_counter:
-            trace_events.append({
-                "name": "broker actions", "ph": "C", "ts": time * _US,
-                "pid": DRIVER_PID, "args": {"broker actions": actions},
-            })
+        trace_events.extend(dict(instant) for instant in self._instants)
+        for track, key in _COUNTERS.items():
+            for time, value in self._counters[track]:
+                trace_events.append({
+                    "name": track, "ph": "C", "ts": time * _US,
+                    "pid": DRIVER_PID, "args": {key: value}})
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
     def export(self, path: Union[str, Path]) -> Path:
@@ -465,62 +393,20 @@ class ChromeTraceExporter:
         return path
 
     def slot_assignment(self) -> Dict[int, List[Tuple[TaskEnd, int]]]:
-        """Per worker: ``(task, slot)`` pairs (the ASCII renderer input)."""
-        out: Dict[int, List[Tuple[TaskEnd, int]]] = {}
+        """Per worker, ascending: ``(task, slot)`` pairs in start order —
+        the one grouping, sort and lane packing both the trace (slot
+        metadata, task spans) and the CLI's ASCII gantt read."""
         by_worker: Dict[int, List[TaskEnd]] = {}
         for task in self._tasks:
             by_worker.setdefault(task.worker_id, []).append(task)
+        out: Dict[int, List[Tuple[TaskEnd, int]]] = {}
         for worker_id, tasks in sorted(by_worker.items()):
-            tasks = sorted(tasks, key=lambda t: (t.time - t.duration, t.time))
+            tasks.sort(key=lambda t: (t.time - t.duration, t.time))
             slots = assign_slots(
                 [(t.time - t.duration, t.time) for t in tasks]
             )
             out[worker_id] = list(zip(tasks, slots))
         return out
-
-    # ---- internals ---------------------------------------------------------
-
-    def _metadata_events(self) -> List[Dict[str, Any]]:
-        events: List[Dict[str, Any]] = [
-            {"name": "process_name", "ph": "M", "pid": DRIVER_PID,
-             "args": {"name": "driver"}},
-            {"name": "thread_name", "ph": "M", "pid": DRIVER_PID, "tid": 1,
-             "args": {"name": "jobs"}},
-            {"name": "thread_name", "ph": "M", "pid": DRIVER_PID, "tid": 2,
-             "args": {"name": "stages"}},
-        ]
-        if self._saw_scaling:
-            events.append({"name": "thread_name", "ph": "M",
-                           "pid": DRIVER_PID, "tid": 3,
-                           "args": {"name": "scaling"}})
-        if self._saw_service:
-            events.append({"name": "thread_name", "ph": "M",
-                           "pid": DRIVER_PID, "tid": SERVICE_TID,
-                           "args": {"name": "service"}})
-        if self._saw_sql:
-            events.append({"name": "thread_name", "ph": "M",
-                           "pid": DRIVER_PID, "tid": SQL_TID,
-                           "args": {"name": "sql"}})
-        workers: Dict[int, int] = {}
-        for task in self._tasks:
-            spans = workers.get(task.worker_id)
-            workers[task.worker_id] = (spans or 0) + 1
-        by_worker: Dict[int, List[TaskEnd]] = {}
-        for task in self._tasks:
-            by_worker.setdefault(task.worker_id, []).append(task)
-        for worker_id, tasks in sorted(by_worker.items()):
-            pid = worker_id + 1
-            events.append({"name": "process_name", "ph": "M", "pid": pid,
-                           "args": {"name": f"worker {worker_id}"}})
-            tasks = sorted(tasks, key=lambda t: (t.time - t.duration, t.time))
-            num_slots = max(assign_slots(
-                [(t.time - t.duration, t.time) for t in tasks]
-            )) + 1
-            for slot in range(num_slots):
-                events.append({"name": "thread_name", "ph": "M", "pid": pid,
-                               "tid": slot,
-                               "args": {"name": f"slot {slot}"}})
-        return events
 
     def _task_events(self, task: TaskEnd, slot: int) -> List[Dict[str, Any]]:
         pid = task.worker_id + 1
@@ -533,14 +419,7 @@ class ChromeTraceExporter:
                     f"(s{task.stage_id} p{task.partition}){suffix}",
             "cat": "task", "ph": "X", "ts": start * _US,
             "dur": max(task.duration, 0.0) * _US, "pid": pid, "tid": slot,
-            "args": {
-                "job_id": task.job_id, "stage_id": task.stage_id,
-                "task_id": task.task_id, "partition": task.partition,
-                "locality": task.locality, "gc_time": task.gc_time,
-                "compute_time": task.compute_time,
-                "attempt": task.attempt, "speculative": task.speculative,
-                "status": task.status,
-            },
+            "args": {f: getattr(task, f) for f in _TASK_ARGS},
         }]
         if not self.include_phases:
             return events
@@ -559,25 +438,24 @@ class ChromeTraceExporter:
             cursor += seconds
         return events
 
-    def _span(self, name: str, cat: str, begin: float, end: float,
-              tid: int, args: Dict[str, Any]) -> Dict[str, Any]:
-        return {"name": name, "cat": cat, "ph": "X", "ts": begin * _US,
-                "dur": max(end - begin, 0.0) * _US,
-                "pid": DRIVER_PID, "tid": tid, "args": args}
 
-    def _instant(self, time: float, worker_id: int, name: str, cat: str,
-                 args: Dict[str, Any], scope: str = "t") -> None:
-        self._instants.append({
-            "name": name, "ph": "i", "ts": time * _US,
-            "pid": worker_id + 1, "tid": 0, "s": scope, "cat": cat,
-            "args": args,
-        })
-
-    def _service_instant(self, time: float, name: str, cat: str,
-                         args: Dict[str, Any], scope: str = "t") -> None:
-        self._saw_service = True
-        self._instants.append({
-            "name": name, "ph": "i", "ts": time * _US,
-            "pid": DRIVER_PID, "tid": SERVICE_TID, "s": scope,
-            "cat": cat, "args": args,
-        })
+#: Event type -> the exporter state it updates (task list, open spans,
+#: driver spans, counters).  Independent of ``_INSTANTS``: an event may
+#: update state, draw a marker, or both.
+_HANDLERS: Dict[Type[Event], Callable[[ChromeTraceExporter, Any], None]] = {
+    TaskEnd: lambda self, e: self._tasks.append(e),
+    JobStart: lambda self, e: self._hold(e, e.job_id),
+    StageSubmitted: lambda self, e: self._hold(e, e.job_id, e.stage_id),
+    QueryPlanned: lambda self, e: self._hold(e, e.query_id),
+    JobEnd: ChromeTraceExporter._on_job_end,
+    StageCompleted: ChromeTraceExporter._on_stage_completed,
+    QueryCompleted: ChromeTraceExporter._on_query_completed,
+    QueryFailed: ChromeTraceExporter._on_query_failed,
+    BlockCached: ChromeTraceExporter._on_block_cached,
+    BlockEvicted: ChromeTraceExporter._on_block_evicted,
+    BrokerEvicted: ChromeTraceExporter._on_broker_action,
+    BrokerMigrated: ChromeTraceExporter._on_broker_action,
+    BrokerPrefixHit: ChromeTraceExporter._on_broker_action,
+    WorkerProvisioned: ChromeTraceExporter._on_membership,
+    WorkerDecommissioned: ChromeTraceExporter._on_membership,
+}

@@ -121,6 +121,36 @@ class TestSynthetic:
             assert span["args"]["category"] in CATEGORIES
 
 
+class _CountingList(list):
+    """Counts how often it is iterated (a clock-free cost probe)."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_critical_paths_scans_the_stream_a_constant_number_of_times():
+    """The aux index (misses, evictions, backoffs) is built once for all
+    jobs, not once per job: the raw event list is iterated twice (span
+    reconstruction + index) however many jobs it holds."""
+    events = _CountingList()
+    for job in range(40):
+        t = float(job)
+        events += [
+            job_start(t, job_id=job), stage_submitted(t, job_id=job),
+            task_end(t + 0.5, job_id=job, duration=0.4),
+            stage_completed(t + 0.5, job_id=job, duration=0.5),
+            job_end(t + 0.5, job_id=job),
+        ]
+    reports = critical_paths(events)
+    assert len(reports) == 40
+    for report in reports:
+        assert_sound(report)
+    assert events.iterations <= 2
+
+
 class TestRealStreams:
     def test_small_workload(self):
         context = make_context()
@@ -182,7 +212,13 @@ class TestRealStreams:
             query = rdd.map(lambda kv: kv[1])
         for _ in range(repeats):
             query.count()
-        for report in critical_paths(
-                collector.events,
-                locality_wait=context.config.locality_wait):
+        locality_wait = context.config.locality_wait
+        reports = critical_paths(collector.events,
+                                 locality_wait=locality_wait)
+        for report in reports:
             assert_sound(report)
+        # The shared aux index changes nothing: the batch entry point and
+        # the per-job one agree report for report.
+        assert reports == [
+            compute_critical_path(job, collector.events, locality_wait)
+            for job in build_spans(collector.events)]

@@ -3,9 +3,11 @@ re-parse the JSON, and check track/span structure."""
 
 import json
 
-from repro.cli import _run_traced_workload
+import pytest
+
+from repro.cli import WORKLOADS, _run_traced_workload
 from repro.obs import ChromeTraceExporter, JsonlEventLog
-from repro.obs.listeners import validate_event_log
+from repro.obs.listeners import read_event_log, validate_event_log
 from repro.obs.trace import DRIVER_PID, SERVICE_TID
 
 _US = 1e6
@@ -96,3 +98,17 @@ def test_service_run_renders_service_track(tmp_path):
     assert any(e["ph"] == "M" and e["name"] == "thread_name"
                and e.get("tid") == SERVICE_TID
                and e["args"]["name"] == "service" for e in events)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_event_log_alone_regenerates_the_trace(workload, tmp_path):
+    """An exporter replaying ``events.jsonl`` renders the same trace as
+    the one that listened live: the log is a complete record."""
+    live = ChromeTraceExporter()
+    jsonl = tmp_path / "events.jsonl"
+    with JsonlEventLog(jsonl) as log:
+        _run_traced_workload(workload, [live, log])
+    replayed = ChromeTraceExporter()
+    for event in read_event_log(jsonl):
+        replayed.on_event(event)
+    assert replayed.to_trace() == live.to_trace()
