@@ -41,8 +41,8 @@ from .spans import JobSpan, TaskSpan, build_spans
 
 #: Blame categories in display order (waits last).
 #: ``broker_recompute`` splits out of ``recompute`` the rebuilds whose
-#: missing block was evicted by the cluster-wide cache broker (reason
-#: ``"broker"``) — the cost side of the broker's memory market.
+#: missing block was last evicted by the cluster-wide cache broker
+#: (reason ``"broker"``) — the cost side of the broker's memory market.
 CATEGORIES: Tuple[str, ...] = (
     "compute", "recompute", "broker_recompute", "read", "fetch", "handoff",
     "shuffle_write", "launch", "gc", "straggler", "sched_wait",
@@ -182,23 +182,23 @@ class _Walk:
 def _index_aux(events: Iterable[Event]) -> tuple:
     """One pass over the raw stream for what every job's walk looks up:
     cache misses per worker as time-sorted ``(time, rdd_id, partition)``,
-    first broker eviction time per ``(rdd_id, partition)``, and retry
-    backoff per ``(job_id, task_id)``."""
+    every eviction per ``(rdd_id, partition)`` as time-sorted ``(time,
+    by the broker?)``, and retry backoff per ``(job_id, task_id)``."""
     misses: Dict[int, List[Tuple[float, int, int]]] = {}
-    broker_evicted: Dict[Tuple[int, int], float] = {}
+    evictions: Dict[Tuple[int, int], List[Tuple[float, bool]]] = {}
     backoffs: Dict[Tuple[int, int], float] = {}
     for event in events:
         if isinstance(event, CacheMiss):
             misses.setdefault(event.worker_id, []).append(
                 (event.time, event.rdd_id, event.partition))
-        elif isinstance(event, BlockEvicted) and event.reason == "broker":
-            broker_evicted.setdefault(
-                (event.rdd_id, event.partition), event.time)
+        elif isinstance(event, BlockEvicted):
+            evictions.setdefault((event.rdd_id, event.partition), []).append(
+                (event.time, event.reason == "broker"))
         elif isinstance(event, TaskRetried):
             backoffs[event.job_id, event.task_id] = event.backoff
-    for entries in misses.values():
+    for entries in (*misses.values(), *evictions.values()):
         entries.sort()
-    return misses, broker_evicted, backoffs
+    return misses, evictions, backoffs
 
 
 def compute_critical_path(job: JobSpan,
@@ -208,11 +208,11 @@ def compute_critical_path(job: JobSpan,
     """Blame-attribute one job's makespan (see module docstring).
 
     ``events`` supplies the auxiliary streams the walk classifies with:
-    ``CacheMiss`` (compute -> recompute), ``BlockEvicted`` with reason
-    ``"broker"`` (recompute -> broker_recompute) and ``TaskRetried``
-    (failed attempts extended by their backoff).  ``locality_wait`` is
-    the delay scheduler's budget (``StarkConfig.locality_wait``) charged
-    before non-local launches.
+    ``CacheMiss`` (compute -> recompute), ``BlockEvicted`` (recompute ->
+    broker_recompute when the block's latest eviction was the broker's)
+    and ``TaskRetried`` (failed attempts extended by their backoff).
+    ``locality_wait`` is the delay scheduler's budget
+    (``StarkConfig.locality_wait``) charged before non-local launches.
     """
     return _walk_job(job, *_index_aux(events), locality_wait)
 
@@ -230,7 +230,7 @@ def critical_paths(events: Sequence[Event],
 
 def _walk_job(job: JobSpan,
               misses: Dict[int, List[Tuple[float, int, int]]],
-              broker_evicted: Dict[Tuple[int, int], float],
+              evictions: Dict[Tuple[int, int], List[Tuple[float, bool]]],
               backoffs: Dict[Tuple[int, int], float],
               locality_wait: float) -> CriticalPathReport:
     report = CriticalPathReport(job_id=job.job_id,
@@ -261,7 +261,7 @@ def _walk_job(job: JobSpan,
             walk.push(task.finish, "sched_wait",
                       f"gap after task {task.task_id} "
                       f"(s{task.stage_id} p{task.partition})")
-        _push_task_phases(walk, task, misses, broker_evicted)
+        _push_task_phases(walk, task, misses, evictions)
         _push_prestart_gap(walk, job, task, others, submits, backoffs,
                            locality_wait)
     walk.finalize()
@@ -282,10 +282,11 @@ def _latest_finishing(successes: List[TaskSpan], cursor: float,
 
 def _push_task_phases(walk: _Walk, task: TaskSpan,
                       misses: Dict[int, List[Tuple[float, int, int]]],
-                      broker_evicted: Dict[Tuple[int, int], float]) -> None:
+                      evictions: Dict[Tuple[int, int],
+                                      List[Tuple[float, bool]]]) -> None:
     """Tile ``[task.start, task.finish]`` with its phase breakdown
     (phases occur in PHASE_CATEGORY order, so walk them in reverse)."""
-    recompute = _window_miss_category(misses, broker_evicted,
+    recompute = _window_miss_category(misses, evictions,
                                       task.end.worker_id,
                                       task.start, task.finish)
     label = (f"task {task.task_id} "
@@ -380,11 +381,12 @@ def _push_prestart_gap(walk: _Walk, job: JobSpan, task: TaskSpan,
 
 def _window_miss_category(
         misses: Dict[int, List[Tuple[float, int, int]]],
-        broker_evicted: Dict[Tuple[int, int], float],
+        evictions: Dict[Tuple[int, int], List[Tuple[float, bool]]],
         worker_id: int, start: float, finish: float) -> Optional[str]:
     """``None`` when no cache miss fell in the task's window on its
-    worker; ``"broker_recompute"`` when one did and its block had been
-    broker-evicted earlier; ``"recompute"`` otherwise."""
+    worker; ``"broker_recompute"`` when one did and its block's latest
+    eviction at or before the miss (any reason, ``"migrated"`` included)
+    was the broker's; ``"recompute"`` otherwise."""
     entries = misses.get(worker_id)
     if not entries:
         return None
@@ -392,8 +394,9 @@ def _window_miss_category(
     category: Optional[str] = None
     while idx < len(entries) and entries[idx][0] <= finish + TIME_EPS:
         time, rdd_id, partition = entries[idx]
-        evicted_at = broker_evicted.get((rdd_id, partition))
-        if evicted_at is not None and evicted_at <= time + TIME_EPS:
+        evicted = evictions.get((rdd_id, partition), ())
+        latest = bisect.bisect_right(evicted, (time + TIME_EPS, True)) - 1
+        if latest >= 0 and evicted[latest][1]:
             return "broker_recompute"
         category = "recompute"
         idx += 1

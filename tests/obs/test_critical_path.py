@@ -17,6 +17,7 @@ from repro.obs import (
     critical_paths,
     critical_span_trace_events,
 )
+from repro.obs.events import BlockCached, BlockEvicted, CacheMiss
 from repro.obs.listeners import read_event_log
 
 from ..cluster.test_determinism import full_stack_run
@@ -102,6 +103,35 @@ class TestSynthetic:
         blame = report.blame()
         assert abs(blame["locality_wait"] - 0.1) < 1e-9
         assert abs(blame["sched_wait"] - 0.2) < 1e-9
+
+    def test_broker_is_blamed_only_for_a_blocks_latest_eviction(self):
+        """A block the broker evicted once, that was re-cached and then
+        evicted for capacity, is not the memory market's recompute."""
+        block = dict(worker_id=0, rdd_id=7, partition=0)
+        capacity_evict = BlockEvicted(time=3.0, reason="capacity", **block)
+        events = [
+            job_start(0.0),
+            BlockEvicted(time=1.0, reason="broker", **block),
+            BlockCached(time=2.0, size_bytes=8.0, **block),
+            capacity_evict,
+            stage_submitted(3.5),
+            CacheMiss(time=4.0, **block),
+            task_end(4.5, duration=1.0),  # window [3.5, 4.5] on worker 0
+            stage_completed(4.5, duration=1.0),
+            job_end(4.5),
+        ]
+        report = compute_critical_path(build_spans(events)[0], events)
+        assert_sound(report)
+        blame = report.blame()
+        assert abs(blame["recompute"] - 1.0) < 1e-9
+        assert blame["broker_recompute"] == 0
+
+        events.remove(capacity_evict)
+        report = compute_critical_path(build_spans(events)[0], events)
+        assert_sound(report)
+        blame = report.blame()
+        assert abs(blame["broker_recompute"] - 1.0) < 1e-9
+        assert blame["recompute"] == 0
 
     def test_chart_and_trace_annotation(self):
         events = [
