@@ -12,12 +12,14 @@ Claims under test:
 * the columnar arm cuts *simulated* CPU at least 5x: the per-record
   vectorized rate beats the row rate by enough to swallow the fixed
   per-kernel overheads at this scale;
-* the columnar arm is at least 3x faster in *host* wall-clock — numpy
-  batches vs per-record Python;
 * the optimizer's projection pruning + filter pushdown measurably cut
   the simulated bytes scanned vs compiling the raw logical plan;
 * the whole comparison is deterministic (host wall times excluded from
   the structural equality).
+
+Host wall time per arm is printed, not gated: a ratio of two host times
+on a drifting machine is not a contract (``perf/``'s ``sql_tpch``
+workload with its A/A bounds is the wall-clock instrument).
 
 With ``--bench-json-dir`` the comparison also lands in
 ``BENCH_columnar_tpch.json`` for the CI perf gate.
@@ -29,7 +31,6 @@ from repro.bench.harness import run_columnar_tpch
 from repro.bench.reporting import print_table
 
 CPU_SPEEDUP_FLOOR = 5.0   # simulated compute seconds, row / columnar
-WALL_SPEEDUP_FLOOR = 3.0  # host wall-clock, row / columnar
 
 
 def test_columnar_tpch(run_once):
@@ -54,14 +55,11 @@ def test_columnar_tpch(run_once):
     assert revenues == sorted(revenues, reverse=True)
     assert len(col.result) == 3  # A, N, R
 
-    # Vectorization wins where it must: simulated per-record CPU and
-    # real host time, over the exact same scanned rows.
+    # Vectorization wins where it must: simulated per-record CPU over
+    # the exact same scanned rows.
     assert result.cpu_speedup >= CPU_SPEEDUP_FLOOR, (
         f"columnar sim CPU speedup {result.cpu_speedup:.2f}x "
         f"< {CPU_SPEEDUP_FLOOR}x floor")
-    assert result.wall_speedup >= WALL_SPEEDUP_FLOOR, (
-        f"columnar wall-clock speedup {result.wall_speedup:.2f}x "
-        f"< {WALL_SPEEDUP_FLOOR}x floor")
 
     # Pushdown reduces what the scan reads: pruned columns + pushed
     # predicate vs the raw logical plan compiled as-is.

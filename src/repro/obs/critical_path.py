@@ -261,7 +261,10 @@ def _walk_job(job: JobSpan,
             walk.push(task.finish, "sched_wait",
                       f"gap after task {task.task_id} "
                       f"(s{task.stage_id} p{task.partition})")
-        _push_task_phases(walk, task, misses, evictions)
+        recompute = _window_miss_category(misses, evictions,
+                                          task.end.worker_id,
+                                          task.start, task.finish)
+        _push_task_phases(walk, task, recompute)
         _push_prestart_gap(walk, job, task, others, submits, backoffs,
                            locality_wait)
     walk.finalize()
@@ -281,14 +284,10 @@ def _latest_finishing(successes: List[TaskSpan], cursor: float,
 
 
 def _push_task_phases(walk: _Walk, task: TaskSpan,
-                      misses: Dict[int, List[Tuple[float, int, int]]],
-                      evictions: Dict[Tuple[int, int],
-                                      List[Tuple[float, bool]]]) -> None:
+                      recompute: Optional[str]) -> None:
     """Tile ``[task.start, task.finish]`` with its phase breakdown
-    (phases occur in PHASE_CATEGORY order, so walk them in reverse)."""
-    recompute = _window_miss_category(misses, evictions,
-                                      task.end.worker_id,
-                                      task.start, task.finish)
+    (phases occur in PHASE_CATEGORY order, so walk them in reverse);
+    ``recompute`` is the category compute becomes on a cache miss."""
     label = (f"task {task.task_id} "
              f"(s{task.stage_id} p{task.partition})")
     for field_name, category in reversed(PHASE_CATEGORY):

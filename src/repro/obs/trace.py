@@ -257,18 +257,18 @@ class ChromeTraceExporter:
         handler = _HANDLERS.get(kind)
         if handler is not None:
             handler(self, event)
-        if kind not in _INSTANTS:
-            return
-        track, cat, scope, name, arg_fields = _INSTANTS[kind]
-        if isinstance(track, str):
-            pid, tid = getattr(event, track) + 1, 0
-        else:
-            pid, tid = DRIVER_PID, track
-        self._instants.append({
-            "name": name(event), "ph": "i", "ts": event.time * _US,
-            "pid": pid, "tid": tid, "s": scope, "cat": cat,
-            "args": {f: getattr(event, f) for f in arg_fields},
-        })
+        row = _INSTANTS.get(kind)
+        if row is not None:
+            track, cat, scope, name, arg_fields = row
+            if isinstance(track, str):
+                pid, tid = getattr(event, track) + 1, 0
+            else:
+                pid, tid = DRIVER_PID, track
+            self._instants.append({
+                "name": name(event), "ph": "i", "ts": event.time * _US,
+                "pid": pid, "tid": tid, "s": scope, "cat": cat,
+                "args": {f: getattr(event, f) for f in arg_fields},
+            })
 
     def _span(self, name: str, cat: str, begin: float, end: float,
               tid: int, args: Dict[str, Any]) -> None:
