@@ -330,7 +330,7 @@ class CacheBroker:
         candidates = [p for p in self._providers.get(prefix, ())
                       if p != rdd_id]
         for provider in candidates:
-            if self.master.cached_partitions_of(provider):
+            if self.master.has_cached_partitions(provider):
                 return provider
         if candidates:
             self.prefix_misses += 1

@@ -19,12 +19,14 @@ the per-RDD transformation delays the cost model has observed
 (:class:`~repro.engine.compute.RDDStats`), and stops at barriers —
 checkpointed RDDs, shuffle inputs, or cached ancestors that still hold
 blocks.  It is the same quantity the CheckpointOptimizer reasons about
-(§III-D1), reused as an eviction weight.
+(§III-D1), reused as an eviction weight.  Victim choice compares it far
+more often than it changes, so it is memoised per RDD and dropped by the
+four events that can move it (:meth:`CacheManager.invalidate_cost`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TYPE_CHECKING
+from typing import Dict, Iterable, Set, TYPE_CHECKING
 
 from .admission import AdmissionController
 from .broker import CacheBroker
@@ -62,6 +64,10 @@ class CacheManager:
         if self.broker is not None:
             self.tracker.set_external_pin_fn(self.broker.pin_count)
         self._quotas: "TenantCacheQuotas | None" = None
+        #: rdd_id -> memoised :meth:`estimate_recompute_cost`.
+        self._cost_memo: Dict[int, float] = {}
+        #: rdd_id -> memoised roots whose walk visited (or stopped at) it.
+        self._cost_roots: Dict[int, Set[int]] = {}
 
     @property
     def quotas(self) -> "TenantCacheQuotas | None":
@@ -129,7 +135,14 @@ class CacheManager:
         admission controller then refuses them only under a positive
         threshold, which is the conservative direction.
         """
+        cost = self._cost_memo.get(rdd_id)
+        if cost is None:
+            cost = self._cost_memo[rdd_id] = self._walk_recompute_cost(rdd_id)
+        return cost
+
+    def _walk_recompute_cost(self, rdd_id: int) -> float:
         context = self.context
+        master = context.block_manager_master
         total = 0.0
         seen = set()
         stack = [rdd_id]
@@ -143,7 +156,7 @@ class CacheManager:
                 if context.checkpoint_store.has_checkpoint(rid):
                     continue  # rebuilt by a cheap checkpoint read
                 rdd = context.get_rdd(rid)
-                if rdd.cached and context.block_manager_master.cached_partitions_of(rid):
+                if rdd.cached and master.has_cached_partitions(rid):
                     continue  # served from some executor's RAM
             else:
                 rdd = context.get_rdd(rid)
@@ -151,7 +164,19 @@ class CacheManager:
             total += context.rdd_stats(rid).max_partition_delay
             for dep in rdd.narrow_dependencies():
                 stack.append(dep.rdd.rdd_id)
+        for rid in seen:
+            self._cost_roots.setdefault(rid, set()).add(rdd_id)
         return total
+
+    def invalidate_cost(self, rdd_id: int) -> None:
+        """Forget every memoised estimate whose walk read ``rdd_id``.
+
+        Called by exactly the events that can move one: ``rdd_id``'s
+        ``max_partition_delay`` rose, its resident set went empty <->
+        non-empty, it was checkpointed, or its ``cached`` flag flipped.
+        """
+        for root in self._cost_roots.pop(rdd_id, ()):
+            self._cost_memo.pop(root, None)
 
     # ---- DAGScheduler lifecycle hooks ---------------------------------------
 

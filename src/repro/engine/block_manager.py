@@ -20,7 +20,8 @@ used for *placement* decisions, not for data transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..cache.policy import CachePolicy, LRUPolicy
 
@@ -186,6 +187,10 @@ class BlockManagerMaster:
         self._rdd_index: Dict[int, Set[int]] = {}
         self._block_event_listeners: List[BlockEventListener] = []
         self._insert_listeners: List[InsertListener] = []
+        #: ``fn(rdd_id)`` fired when an RDD's resident set goes empty <->
+        #: non-empty: the one block-store event that moves a
+        #: recompute-cost estimate (``CacheManager.invalidate_cost``).
+        self.residency_listener: Optional[Callable[[int], None]] = None
 
     # ---- listeners --------------------------------------------------------
 
@@ -242,6 +247,18 @@ class BlockManagerMaster:
 
     def cached_partitions_of(self, rdd_id: int) -> Set[int]:
         return set(self._rdd_index.get(rdd_id, ()))
+
+    def has_cached_partitions(self, rdd_id: int) -> bool:
+        """Truthiness of :meth:`cached_partitions_of` without the copy."""
+        return rdd_id in self._rdd_index
+
+    def blocks_of(self, rdd_id: int) -> Iterator[Tuple[int, BlockId]]:
+        """Every resident replica of ``rdd_id`` as ``(worker_id,
+        block_id)``."""
+        for pid in self._rdd_index.get(rdd_id, ()):
+            block_id = (rdd_id, pid)
+            for worker_id in self._locations[block_id]:
+                yield worker_id, block_id
 
     def memory_utilisation(self, worker_id: int) -> float:
         return self.stores[worker_id].utilisation()
@@ -348,7 +365,13 @@ class BlockManagerMaster:
 
     def _add_location(self, block_id: BlockId, worker_id: int) -> None:
         self._locations.setdefault(block_id, set()).add(worker_id)
-        self._rdd_index.setdefault(block_id[0], set()).add(block_id[1])
+        pids = self._rdd_index.get(block_id[0])
+        if pids is not None:
+            pids.add(block_id[1])
+            return
+        self._rdd_index[block_id[0]] = {block_id[1]}
+        if self.residency_listener is not None:
+            self.residency_listener(block_id[0])
 
     def _drop_location(self, block_id: BlockId, worker_id: int) -> None:
         locs = self._locations.get(block_id)
@@ -361,3 +384,5 @@ class BlockManagerMaster:
                     pids.discard(block_id[1])
                     if not pids:
                         self._rdd_index.pop(block_id[0], None)
+                        if self.residency_listener is not None:
+                            self.residency_listener(block_id[0])

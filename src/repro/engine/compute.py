@@ -21,7 +21,7 @@ CheckpointOptimizer (§III-D1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..obs.events import (BlockCached, BrokerPrefixHit, CacheHit, CacheMiss,
                           ShuffleFetch)
@@ -48,9 +48,16 @@ class RDDStats:
     max_partition_delay: float = 0.0
     size_bytes: float = 0.0
     _sized_partitions: set = field(default_factory=set)
+    #: ``fn(rdd_id)`` told when the delay estimate rises — one callable
+    #: shared by every stats object of a context, never one each.
+    _on_delay_raised: Optional[Callable[[int], None]] = field(
+        default=None, repr=False, compare=False)
 
     def record_delay(self, delay: float) -> None:
-        self.max_partition_delay = max(self.max_partition_delay, delay)
+        if delay > self.max_partition_delay:
+            self.max_partition_delay = delay
+            if self._on_delay_raised is not None:
+                self._on_delay_raised(self.rdd_id)
 
     def record_size(self, pid: int, size: float) -> None:
         if pid not in self._sized_partitions:

@@ -280,6 +280,10 @@ class StarkContext:
         self.block_manager_master.add_block_event_listener(
             self._on_block_removed
         )
+        #: The cache manager's recompute-cost invalidation, bound once and
+        #: shared by the block master and every :class:`RDDStats`.
+        self._invalidate_cost = self.cache_manager.invalidate_cost
+        self.block_manager_master.residency_listener = self._invalidate_cost
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` with the knob off.
         self.cache_broker = self.cache_manager.broker
@@ -351,7 +355,7 @@ class StarkContext:
     def rdd_stats(self, rdd_id: int) -> RDDStats:
         stats = self._rdd_stats.get(rdd_id)
         if stats is None:
-            stats = RDDStats(rdd_id)
+            stats = RDDStats(rdd_id, _on_delay_raised=self._invalidate_cost)
             self._rdd_stats[rdd_id] = stats
         return stats
 
@@ -449,6 +453,7 @@ class StarkContext:
             tm.start_time, tm.finish_time = start, finish
             tm.worker_id = worker_id
             self.checkpoint_store.write(rdd.rdd_id, pid, size, records)
+            self._invalidate_cost(rdd.rdd_id)  # now a barrier for its children
             total += size
             if bus.active:
                 start_event, end_event = task_events_from_metrics(tm)

@@ -46,7 +46,7 @@ class RDD:
         self.num_partitions = int(num_partitions)
         self.partitioner = partitioner
         self.name = name or type(self).__name__
-        self.cached = False
+        self._cached = False
         self.checkpointed = False
         # Co-locality namespace (paper §III-B): set by locality_partition_by
         # and automatically carried through narrow transformations.
@@ -73,6 +73,19 @@ class RDD:
         return [d for d in self.dependencies if isinstance(d, NarrowDependency)]
 
     # ---- persistence ---------------------------------------------------------
+
+    @property
+    def cached(self) -> bool:
+        """Whether materialized partitions are kept in executor memory.
+        Assignable; a flip moves the recompute cost of every descendant
+        that stops (or stopped) its lineage walk here."""
+        return self._cached
+
+    @cached.setter
+    def cached(self, value: bool) -> None:
+        if value != self._cached:
+            self._cached = value
+            self.context.cache_manager.invalidate_cost(self.rdd_id)
 
     def cache(self) -> "RDD":
         """Mark this RDD for in-memory caching on first materialization."""
