@@ -312,6 +312,7 @@ class CacheBroker:
                 jobs.discard(job_id)
                 if not jobs:
                     self._pins.pop(provider, None)
+                self.manager.announce_fall(provider)
         self.manager.tracker.flush_deferred()
 
     def pin_count(self, rdd_id: int) -> int:

@@ -53,6 +53,7 @@ class CacheManager:
         self.tracker = ReferenceTracker(
             auto_unpersist=config.cache_auto_unpersist,
             unpersist_fn=self._auto_unpersist,
+            fall_fn=self.announce_fall,
         )
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` keeps classic per-executor eviction.  The broker
@@ -176,7 +177,16 @@ class CacheManager:
         non-empty, it was checkpointed, or its ``cached`` flag flipped.
         """
         for root in self._cost_roots.pop(rdd_id, ()):
-            self._cost_memo.pop(root, None)
+            if self._cost_memo.pop(root, None) is not None:
+                self.announce_fall(root)
+
+    def announce_fall(self, rdd_id: int) -> None:
+        """Tell every store holding a block of ``rdd_id`` that its score
+        may have fallen (the scored policies' ``mark_dirty`` contract) —
+        a reference drained, a pin was released, or its cost moved."""
+        master = self.context.block_manager_master
+        for worker_id, block_id in master.blocks_of(rdd_id):
+            master.stores[worker_id].policy.mark_dirty(block_id)
 
     # ---- DAGScheduler lifecycle hooks ---------------------------------------
 

@@ -28,6 +28,13 @@ Four policies are provided:
 All policies are deterministic: given identical insert/access/remove
 traces (and, for the scored policies, identical reference/cost
 functions) they evict identical sequences.
+
+The scored policies keep their victim order in a lazy min-heap under one
+contract — **rises are discovered, falls are announced**: a block whose
+score (or recency) rose since it was last ranked is re-ranked when it
+reaches the top, so nobody has to report it; whoever *lowers* a score —
+the owner of a ``ref_fn`` / ``cost_fn`` — must call
+:meth:`CachePolicy.mark_dirty` for the blocks concerned.
 """
 
 from __future__ import annotations
@@ -35,9 +42,12 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
+#: One ranked block: ``(score, last_access, seq, block_id)``.
+Row = Tuple[float, int, int, BlockId]
 
 #: Remaining-reference oracle: block id -> pending + declared references.
 RefCountFn = Callable[[BlockId], int]
@@ -71,6 +81,10 @@ class CachePolicy:
         Only called when at least one block is resident.
         """
         raise NotImplementedError
+
+    def mark_dirty(self, block_id: BlockId) -> None:
+        """Announce that ``block_id``'s score may have *fallen*.  The
+        recency policies have no score and ignore it."""
 
     def clear(self) -> None:
         raise NotImplementedError
@@ -124,23 +138,41 @@ class _ScoredEntry:
     seq: int           # insertion sequence number (FIFO tie-break)
     size_bytes: float
     last_access: int   # recency sequence number (LRU tie-break)
+    row: Optional[Row] = None  # the block's live heap row, once ranked
 
 
 class _ScoredPolicy(CachePolicy):
     """Base for policies that evict the minimum of a score function.
 
-    Victims are ``min`` by ``(score, last_access, seq)`` so identical
+    Victims are the minimum by ``(score, last_access, seq)`` so identical
     traces always evict identically; the recency tie-break makes the
     scored policies degrade to LRU when their oracles are uninformative
     (all scores equal).  ``clock`` is the counter ``seq``/``last_access``
     are drawn from; policies sharing one (the cache broker's stores)
     keep that order total *across* stores.
+
+    The order is held in a min-heap of :data:`Row` beside ``entries``.
+    Every resident block has one live row (``entry.row``) whose key is
+    at most the block's true key, or sits in the dirty set: an access or
+    a rising score leaves the row stale-low and :meth:`min_row` repairs
+    it on meeting it at the top; a falling score must be announced with
+    :meth:`mark_dirty`.  Rows of removed, re-inserted or re-ranked
+    blocks are skipped when popped.
     """
+
+    #: The heap is dropped (and rebuilt from ``entries`` by the next
+    #: query) once rows + marks exceed ``_SLACK * resident + _SLACK_MIN``,
+    #: so a store that stops evicting stops growing.
+    _SLACK, _SLACK_MIN = 2, 32
 
     def __init__(self, clock: Optional[Iterator[int]] = None) -> None:
         #: block_id -> entry, insertion-ordered like the store's blocks.
         self.entries: Dict[BlockId, _ScoredEntry] = {}
         self._seq = clock if clock is not None else itertools.count()
+        #: ``None`` until the first query (and after a drop).
+        self._heap: Optional[List[Row]] = None
+        #: Blocks inserted, or announced as fallen, since the last query.
+        self._dirty: Set[BlockId] = set()
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
         raise NotImplementedError
@@ -148,6 +180,7 @@ class _ScoredPolicy(CachePolicy):
     def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
         seq = next(self._seq)
         self.entries[block_id] = _ScoredEntry(seq, size_bytes, seq)
+        self.mark_dirty(block_id)
 
     def on_access(self, block_id: BlockId) -> None:
         entry = self.entries.get(block_id)
@@ -155,17 +188,68 @@ class _ScoredPolicy(CachePolicy):
             entry.last_access = next(self._seq)
 
     def on_remove(self, block_id: BlockId) -> None:
-        self.entries.pop(block_id, None)
+        if self.entries.pop(block_id, None) is not None:
+            self._trim()
+
+    def mark_dirty(self, block_id: BlockId) -> None:
+        if self._heap is not None:
+            self._dirty.add(block_id)
+            self._trim()
+
+    def _trim(self) -> None:
+        heap = self._heap
+        if heap is not None and (len(heap) + len(self._dirty) > self._SLACK
+                                 * len(self.entries) + self._SLACK_MIN):
+            self._heap = None
+            self._dirty.clear()
+
+    def _rank(self, block_id: BlockId, entry: _ScoredEntry) -> Row:
+        score = self.score(block_id, entry)
+        if score != score:  # NaN equals nothing: min_row would never settle
+            raise ValueError(f"cache score of block {block_id} is NaN")
+        return (score, entry.last_access, entry.seq, block_id)
+
+    def min_row(self) -> Row:
+        """The resident block with the least ``(score, last_access,
+        seq)``, scored now."""
+        entries = self.entries
+        if not entries:
+            raise ValueError("no resident block")
+        heap = self._heap
+        if heap is None:
+            heap = []
+            for block_id, entry in entries.items():
+                entry.row = self._rank(block_id, entry)
+                heap.append(entry.row)
+            heapify(heap)
+            self._heap = heap
+        for block_id in self._dirty:
+            entry = entries.get(block_id)
+            if entry is not None:
+                row = self._rank(block_id, entry)
+                if entry.row is None or row < entry.row:
+                    entry.row = row
+                    heappush(heap, row)
+        self._dirty.clear()
+        while True:
+            row = heap[0]
+            entry = entries.get(row[3])
+            if entry is None or entry.row is not row:
+                heappop(heap)  # removed, re-inserted or re-ranked since
+                continue
+            current = self._rank(row[3], entry)
+            if current == row:
+                return row
+            entry.row = current  # rose (or was read) since it was ranked
+            heapreplace(heap, current)
 
     def choose_victim(self) -> BlockId:
-        return min(
-            self.entries.items(),
-            key=lambda kv: (self.score(kv[0], kv[1]),
-                            kv[1].last_access, kv[1].seq),
-        )[0]
+        return self.min_row()[3]
 
     def clear(self) -> None:
         self.entries.clear()
+        self._heap = None
+        self._dirty.clear()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -196,8 +280,9 @@ class LRCPolicy(_ScoredPolicy):
 
     name = "lrc"
 
-    def __init__(self, ref_fn: RefCountFn) -> None:
-        super().__init__()
+    def __init__(self, ref_fn: RefCountFn,
+                 clock: Optional[Iterator[int]] = None) -> None:
+        super().__init__(clock)
         self._ref_fn = ref_fn
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
@@ -260,6 +345,9 @@ class QuotaAwarePolicy(CachePolicy):
 
     def on_remove(self, block_id: BlockId) -> None:
         self.inner.on_remove(block_id)
+
+    def mark_dirty(self, block_id: BlockId) -> None:
+        self.inner.mark_dirty(block_id)
 
     def choose_victim(self) -> BlockId:
         quotas = self._quotas_fn()
