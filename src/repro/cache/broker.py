@@ -71,7 +71,7 @@ import math
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from .policy import CostAwarePolicy, value_score
+from .policy import CostAwarePolicy, Row, value_score
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.block_manager import Block, BlockManagerMaster, BlockStore
@@ -256,26 +256,40 @@ class CacheBroker:
     ) -> Optional[Tuple[int, BlockId, float]]:
         """The cheapest block on any *other* worker that is strictly
         cheaper than the local victim and whose eviction frees enough
-        room to host it (no cascading evictions at the destination)."""
+        room to host it (no cascading evictions at the destination).
+
+        Each store is asked for its minimum only: at or above
+        ``local_value`` nothing there is cheaper; if it frees enough
+        room it is that store's best candidate; only a cheaper minimum
+        that is too small a slot makes the store worth scanning."""
         assert self.master is not None
-        best: Optional[Tuple[Tuple[float, int, int], int, BlockId]] = None
+        best: Optional[Tuple[Row, int]] = None
         for wid in sorted(self._policies):
-            if wid == local_wid or wid not in self.master.stores:
+            policy = self._policies[wid]
+            if (wid == local_wid or wid not in self.master.stores
+                    or not policy.entries):
+                continue
+            row: Optional[Row] = policy.min_row()
+            if row[0] >= local_value:
                 continue
             dst = self.master.stores[wid]
             headroom = dst.capacity_bytes - dst.used_bytes
-            for bid, entry in self._policies[wid].entries.items():
-                if headroom + entry.size_bytes < needed_bytes:
-                    continue
-                value = self.block_value(wid, bid, entry.size_bytes)
-                if value >= local_value:
-                    continue
-                key = (value, entry.last_access, entry.seq)
-                if best is None or key < best[0]:
-                    best = (key, wid, bid)
+            if headroom + policy.entries[row[3]].size_bytes < needed_bytes:
+                row = None
+                for bid, entry in policy.entries.items():
+                    if headroom + entry.size_bytes < needed_bytes:
+                        continue
+                    value = self.block_value(wid, bid, entry.size_bytes)
+                    if value >= local_value:
+                        continue
+                    candidate = (value, entry.last_access, entry.seq, bid)
+                    if row is None or candidate < row:
+                        row = candidate
+            if row is not None and (best is None or row < best[0]):
+                best = (row, wid)
         if best is None:
             return None
-        return best[1], best[2], best[0][0]
+        return best[1], best[0][3], best[0][0]
 
     # ---- cross-job lineage-prefix sharing -----------------------------------
 

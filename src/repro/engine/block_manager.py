@@ -74,6 +74,10 @@ class BlockStore:
     def __len__(self) -> int:
         return len(self._blocks)
 
+    def __iter__(self) -> Iterator[BlockId]:
+        """Resident block ids in insertion order, without a copy."""
+        return iter(self._blocks)
+
     def block_ids(self) -> List[BlockId]:
         return list(self._blocks)
 

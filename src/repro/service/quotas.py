@@ -62,7 +62,9 @@ class TenantCacheQuotas:
         #: wires :meth:`repro.cache.broker.CacheBroker.block_value`),
         #: :meth:`admit` displaces the owning tenant's *lowest-value*
         #: block cluster-wide instead of its oldest.  Either way only
-        #: the owning tenant's own blocks are candidates.
+        #: the owning tenant's own blocks are candidates.  It must be a
+        #: per-RDD weight over ``max(size_bytes, 1.0)``: the displacement
+        #: scan asks once per RDD at size 1 and does the division itself.
         self.value_fn = None
         master.add_insert_listener(self._on_insert)
         master.add_block_event_listener(self._on_removed)
@@ -155,16 +157,22 @@ class TenantCacheQuotas:
         ties)."""
         if self.value_fn is None:
             return next(iter(blocks))
-        return min(
-            ((self.value_fn(wid, bid, size), index, (wid, bid))
-             for index, ((wid, bid), size) in enumerate(blocks.items())),
-        )[2]
+        weights: Dict[int, float] = {}  # rdd_id -> value at size 1
+        victim, lowest = None, None
+        for key, size in blocks.items():  # strict <: first of equals wins
+            weight = weights.get(key[1][0])
+            if weight is None:
+                weight = weights[key[1][0]] = self.value_fn(*key, 1.0)
+            value = weight / max(size, 1.0)
+            if lowest is None or value < lowest:
+                victim, lowest = key, value
+        return victim
 
     def preferred_victim(self, worker_id: int) -> Optional[BlockId]:
         """Under capacity pressure on ``worker_id``, nominate the oldest
         resident block owned by an over-quota tenant (``None`` defers to
         the store's base policy)."""
-        for block_id in self.master.stores[worker_id].block_ids():
+        for block_id in self.master.stores[worker_id]:
             tenant = self._owner.get(block_id[0])
             if tenant is None:
                 continue

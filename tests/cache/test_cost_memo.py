@@ -178,3 +178,51 @@ def test_each_invalidating_event_is_seen():
     base.force_checkpoint()                      # checkpoint written
     assert cost(leaf.rdd_id) == reference_cost(sc, leaf.rdd_id)
     assert cost(mid.rdd_id) == sc.rdd_stats(mid.rdd_id).max_partition_delay
+
+
+def test_every_rdd_stats_shares_one_invalidation_callable():
+    """The delay hook is one callable per context, not one bound method
+    per ``RDDStats`` (10^4 of those cost a few MB of peak RSS)."""
+    sc = StarkContext(num_workers=1, cores_per_worker=1)
+    hooks = {id(sc.rdd_stats(rdd_id)._on_delay_raised)
+             for rdd_id in range(10_000)}
+    assert hooks == {id(sc.block_manager_master.residency_listener)}
+    assert sc.block_manager_master.residency_listener is not None
+
+
+def test_a_scan_walks_lineage_once_per_rdd_then_not_at_all(monkeypatch):
+    """Scoring N resident blocks of k RDDs reads lineage k times; doing
+    it again reads none.  Counted where a walk cannot avoid being seen —
+    ``narrow_dependencies`` of each walk's root — so the same test fails
+    (N walks, then N more) against the unmemoised estimate."""
+    from repro.engine.rdd import RDD
+
+    sc = StarkContext(num_workers=4, cores_per_worker=1,
+                      memory_per_worker=1e9,
+                      config=StarkConfig(cache_broker=True))
+    k, partitions = 5, 40
+    rdds = [sc.generated(_source, partitions).map(lambda kv: kv).cache()
+            for _ in range(k)]
+    for rdd in rdds:
+        sc.rdd_stats(rdd.rdd_id).record_delay(1.0 + rdd.rdd_id)
+        for pid in range(partitions):
+            sc.block_manager_master.put(
+                pid % 4, Block((rdd.rdd_id, pid), [(0, 1)], 100.0))
+    roots = {rdd.rdd_id for rdd in rdds}
+    walks = []
+    narrow_dependencies = RDD.narrow_dependencies
+
+    def counting(self):
+        if self.rdd_id in roots:
+            walks.append(self.rdd_id)
+        return narrow_dependencies(self)
+
+    monkeypatch.setattr(RDD, "narrow_dependencies", counting)
+    broker = sc.cache_broker
+    assert len(broker.top_blocks(n=k * partitions)) == k * partitions
+    assert sorted(walks) == sorted(roots)
+    broker.top_blocks(n=k * partitions)
+    for wid in range(4):
+        broker.choose_local_victim(wid)
+        broker.worker_value_density(wid)
+    assert len(walks) == k

@@ -107,7 +107,7 @@ def query(policy):
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("name", ["lrc", "cost"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(ops=OPS, slack_min=SLACK_MIN)
 def test_standalone_heap_equals_min(name, shared, ops, slack_min):
     oracles = Oracles()
@@ -144,7 +144,7 @@ def test_standalone_heap_equals_min(name, shared, ops, slack_min):
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("name", ["lrc", "cost"])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(ops=OPS, slack_min=SLACK_MIN)
 def test_heap_equals_min_through_block_store(name, shared, ops, slack_min):
     oracles = Oracles()
@@ -255,11 +255,12 @@ def test_repeated_queries_score_one_block_each():
     for pid in range(1000):
         policy.on_insert((0, pid), 10.0)
     policy.choose_victim()
-    assert policy.calls == 1000 + 1  # the build, then the validated top
+    built = policy.calls
     for _ in range(10):
         before = policy.calls
         assert policy.choose_victim() == (0, 0)
         assert policy.calls - before == 1
+    assert built == 1000 + 1  # every block once, then the validated top
 
 
 def test_one_announced_fall_rescores_o1_blocks():
