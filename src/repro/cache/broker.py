@@ -258,10 +258,9 @@ class CacheBroker:
         cheaper than the local victim and whose eviction frees enough
         room to host it (no cascading evictions at the destination).
 
-        Each store is asked for its minimum only: at or above
-        ``local_value`` nothing there is cheaper; if it frees enough
-        room it is that store's best candidate; only a cheaper minimum
-        that is too small a slot makes the store worth scanning."""
+        Each store is asked for its minimum: at or above ``local_value``
+        nothing there is cheaper; if it frees enough room it is the
+        store's candidate; only a cheaper-but-too-small one needs a scan."""
         assert self.master is not None
         best: Optional[Tuple[Row, int]] = None
         for wid in sorted(self._policies):
@@ -270,22 +269,17 @@ class CacheBroker:
                     or not policy.entries):
                 continue
             row: Optional[Row] = policy.min_row()
-            if row[0] >= local_value:
-                continue
             dst = self.master.stores[wid]
             headroom = dst.capacity_bytes - dst.used_bytes
-            if headroom + policy.entries[row[3]].size_bytes < needed_bytes:
-                row = None
-                for bid, entry in policy.entries.items():
-                    if headroom + entry.size_bytes < needed_bytes:
-                        continue
-                    value = self.block_value(wid, bid, entry.size_bytes)
-                    if value >= local_value:
-                        continue
-                    candidate = (value, entry.last_access, entry.seq, bid)
-                    if row is None or candidate < row:
-                        row = candidate
-            if row is not None and (best is None or row < best[0]):
+            if (row[0] < local_value and headroom
+                    + policy.entries[row[3]].size_bytes < needed_bytes):
+                row = min(((self.block_value(wid, bid, entry.size_bytes),
+                            entry.last_access, entry.seq, bid)
+                           for bid, entry in policy.entries.items()
+                           if headroom + entry.size_bytes >= needed_bytes),
+                          default=None)  # the cheapest block that fits
+            if (row is not None and row[0] < local_value
+                    and (best is None or row < best[0])):
                 best = (row, wid)
         if best is None:
             return None

@@ -19,9 +19,8 @@ the per-RDD transformation delays the cost model has observed
 (:class:`~repro.engine.compute.RDDStats`), and stops at barriers —
 checkpointed RDDs, shuffle inputs, or cached ancestors that still hold
 blocks.  It is the same quantity the CheckpointOptimizer reasons about
-(§III-D1), reused as an eviction weight.  Victim choice compares it far
-more often than it changes, so it is memoised per RDD and dropped by the
-four events that can move it (:meth:`CacheManager.invalidate_cost`).
+(§III-D1), reused as an eviction weight — memoised per RDD, since victim
+choice compares it far more often than it changes.
 """
 
 from __future__ import annotations
@@ -170,20 +169,16 @@ class CacheManager:
         return total
 
     def invalidate_cost(self, rdd_id: int) -> None:
-        """Forget every memoised estimate whose walk read ``rdd_id``.
-
-        Called by exactly the events that can move one: ``rdd_id``'s
-        ``max_partition_delay`` rose, its resident set went empty <->
-        non-empty, it was checkpointed, or its ``cached`` flag flipped.
-        """
+        """Forget every memoised estimate whose walk read ``rdd_id`` —
+        its delay estimate rose, its resident set went empty <->
+        non-empty, it was checkpointed, or its ``cached`` flag flipped."""
         for root in self._cost_roots.pop(rdd_id, ()):
             if self._cost_memo.pop(root, None) is not None:
                 self.announce_fall(root)
 
     def announce_fall(self, rdd_id: int) -> None:
         """Tell every store holding a block of ``rdd_id`` that its score
-        may have fallen (the scored policies' ``mark_dirty`` contract) —
-        a reference drained, a pin was released, or its cost moved."""
+        may have fallen: a reference or pin drained, or its cost moved."""
         master = self.context.block_manager_master
         for worker_id, block_id in master.blocks_of(rdd_id):
             master.stores[worker_id].policy.mark_dirty(block_id)

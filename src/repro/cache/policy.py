@@ -28,13 +28,6 @@ Four policies are provided:
 All policies are deterministic: given identical insert/access/remove
 traces (and, for the scored policies, identical reference/cost
 functions) they evict identical sequences.
-
-The scored policies keep their victim order in a lazy min-heap under one
-contract — **rises are discovered, falls are announced**: a block whose
-score (or recency) rose since it was last ranked is re-ranked when it
-reaches the top, so nobody has to report it; whoever *lowers* a score —
-the owner of a ``ref_fn`` / ``cost_fn`` — must call
-:meth:`CachePolicy.mark_dirty` for the blocks concerned.
 """
 
 from __future__ import annotations
@@ -46,8 +39,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
-#: One ranked block: ``(score, last_access, seq, block_id)``.
-Row = Tuple[float, int, int, BlockId]
+Row = Tuple[float, int, int, BlockId]  # (score, last_access, seq, block_id)
 
 #: Remaining-reference oracle: block id -> pending + declared references.
 RefCountFn = Callable[[BlockId], int]
@@ -151,26 +143,25 @@ class _ScoredPolicy(CachePolicy):
     are drawn from; policies sharing one (the cache broker's stores)
     keep that order total *across* stores.
 
-    The order is held in a min-heap of :data:`Row` beside ``entries``.
-    Every resident block has one live row (``entry.row``) whose key is
-    at most the block's true key, or sits in the dirty set: an access or
-    a rising score leaves the row stale-low and :meth:`min_row` repairs
-    it on meeting it at the top; a falling score must be announced with
-    :meth:`mark_dirty`.  Rows of removed, re-inserted or re-ranked
-    blocks are skipped when popped.
+    The order is held in a min-heap of :data:`Row` beside ``entries``
+    under one contract — *rises are discovered, falls are announced*.
+    Every resident block has one live row (``entry.row``) keyed at most
+    its true key, or sits in the dirty set: an access or a rising score
+    leaves the row stale-low and :meth:`min_row` re-ranks it on meeting
+    it at the top; whoever *lowers* a score (the owner of the ``ref_fn``
+    / ``cost_fn``) must announce it with :meth:`mark_dirty`.  Rows of
+    removed, re-inserted or re-ranked blocks are skipped when popped.
     """
 
-    #: The heap is dropped (and rebuilt from ``entries`` by the next
-    #: query) once rows + marks exceed ``_SLACK * resident + _SLACK_MIN``,
-    #: so a store that stops evicting stops growing.
+    #: Past ``_SLACK * resident + _SLACK_MIN`` rows + marks the heap is
+    #: dropped for the next query to rebuild: idle stores stop growing.
     _SLACK, _SLACK_MIN = 2, 32
 
     def __init__(self, clock: Optional[Iterator[int]] = None) -> None:
         #: block_id -> entry, insertion-ordered like the store's blocks.
         self.entries: Dict[BlockId, _ScoredEntry] = {}
         self._seq = clock if clock is not None else itertools.count()
-        #: ``None`` until the first query (and after a drop).
-        self._heap: Optional[List[Row]] = None
+        self._heap: Optional[List[Row]] = None  # built by the next query
         #: Blocks inserted, or announced as fallen, since the last query.
         self._dirty: Set[BlockId] = set()
 
@@ -210,19 +201,14 @@ class _ScoredPolicy(CachePolicy):
         return (score, entry.last_access, entry.seq, block_id)
 
     def min_row(self) -> Row:
-        """The resident block with the least ``(score, last_access,
-        seq)``, scored now."""
+        """The resident block least by ``(score, last_access, seq)``."""
         entries = self.entries
-        if not entries:
-            raise ValueError("no resident block")
         heap = self._heap
         if heap is None:
-            heap = []
-            for block_id, entry in entries.items():
-                entry.row = self._rank(block_id, entry)
-                heap.append(entry.row)
+            heap = self._heap = [self._rank(*item) for item in entries.items()]
+            for row in heap:
+                entries[row[3]].row = row
             heapify(heap)
-            self._heap = heap
         for block_id in self._dirty:
             entry = entries.get(block_id)
             if entry is not None:

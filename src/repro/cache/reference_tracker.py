@@ -47,10 +47,8 @@ class ReferenceTracker:
     ) -> None:
         self.auto_unpersist = auto_unpersist
         self._unpersist_fn = unpersist_fn
-        #: ``fn(rdd_id)`` told whenever :meth:`ref_count` of an RDD falls:
-        #: scored eviction policies must hear of falling scores (they
-        #: only note the block and re-read the count at their next query).
-        self._fall_fn = fall_fn
+        #: ``fn(rdd_id)`` told whenever an RDD's :meth:`ref_count` falls.
+        self._fall_fn = fall_fn or (lambda rdd_id: None)
         #: rdd_id -> references held by stages of currently-running jobs.
         self._pending: Dict[int, int] = {}
         #: rdd_id -> declared remaining future-job uses.
@@ -129,8 +127,7 @@ class ReferenceTracker:
             if remaining is None:
                 continue
             remaining -= 1
-            if self._fall_fn is not None:
-                self._fall_fn(rdd_id)
+            self._fall_fn(rdd_id)
             if remaining > 0:
                 self._declared[rdd_id] = remaining
             else:
@@ -178,8 +175,7 @@ class ReferenceTracker:
             self._pending[rdd_id] = count
         else:
             self._pending.pop(rdd_id, None)
-        if self._fall_fn is not None:
-            self._fall_fn(rdd_id)
+        self._fall_fn(rdd_id)
 
     @staticmethod
     def _narrow_closure(rdd: "RDD") -> List["RDD"]:

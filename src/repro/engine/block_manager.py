@@ -192,8 +192,7 @@ class BlockManagerMaster:
         self._block_event_listeners: List[BlockEventListener] = []
         self._insert_listeners: List[InsertListener] = []
         #: ``fn(rdd_id)`` fired when an RDD's resident set goes empty <->
-        #: non-empty: the one block-store event that moves a
-        #: recompute-cost estimate (``CacheManager.invalidate_cost``).
+        #: non-empty (``CacheManager.invalidate_cost`` listens).
         self.residency_listener: Optional[Callable[[int], None]] = None
 
     # ---- listeners --------------------------------------------------------
@@ -257,8 +256,7 @@ class BlockManagerMaster:
         return rdd_id in self._rdd_index
 
     def blocks_of(self, rdd_id: int) -> Iterator[Tuple[int, BlockId]]:
-        """Every resident replica of ``rdd_id`` as ``(worker_id,
-        block_id)``."""
+        """Resident replicas of ``rdd_id`` as ``(worker_id, block_id)``."""
         for pid in self._rdd_index.get(rdd_id, ()):
             block_id = (rdd_id, pid)
             for worker_id in self._locations[block_id]:
@@ -369,12 +367,9 @@ class BlockManagerMaster:
 
     def _add_location(self, block_id: BlockId, worker_id: int) -> None:
         self._locations.setdefault(block_id, set()).add(worker_id)
-        pids = self._rdd_index.get(block_id[0])
-        if pids is not None:
-            pids.add(block_id[1])
-            return
-        self._rdd_index[block_id[0]] = {block_id[1]}
-        if self.residency_listener is not None:
+        first = block_id[0] not in self._rdd_index
+        self._rdd_index.setdefault(block_id[0], set()).add(block_id[1])
+        if first and self.residency_listener is not None:
             self.residency_listener(block_id[0])
 
     def _drop_location(self, block_id: BlockId, worker_id: int) -> None:

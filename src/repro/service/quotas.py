@@ -62,9 +62,9 @@ class TenantCacheQuotas:
         #: wires :meth:`repro.cache.broker.CacheBroker.block_value`),
         #: :meth:`admit` displaces the owning tenant's *lowest-value*
         #: block cluster-wide instead of its oldest.  Either way only
-        #: the owning tenant's own blocks are candidates.  It must be a
-        #: per-RDD weight over ``max(size_bytes, 1.0)``: the displacement
-        #: scan asks once per RDD at size 1 and does the division itself.
+        #: the owning tenant's own blocks are candidates.  Must be a
+        #: per-RDD weight over ``max(size_bytes, 1.0)``: the scan asks
+        #: once per RDD at size 1 and divides by size itself.
         self.value_fn = None
         master.add_insert_listener(self._on_insert)
         master.add_block_event_listener(self._on_removed)

@@ -190,12 +190,6 @@ def test_nan_score_raises_instead_of_spinning():
         policy.choose_victim()
 
 
-def test_empty_policy_has_no_victim():
-    policy = make_policy("lrc", ref_fn=lambda block_id: 0)
-    with pytest.raises(ValueError):
-        policy.choose_victim()
-
-
 # ---- memory bound ----------------------------------------------------------
 
 
