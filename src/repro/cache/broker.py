@@ -258,9 +258,8 @@ class CacheBroker:
         cheaper than the local victim and whose eviction frees enough
         room to host it (no cascading evictions at the destination).
 
-        Each store is asked for its minimum: at or above ``local_value``
-        nothing there is cheaper; if it frees enough room it is the
-        store's candidate; only a cheaper-but-too-small one needs a scan."""
+        A store's minimum at or above ``local_value`` rules it out; one
+        that frees enough room is its candidate; else the store is scanned."""
         assert self.master is not None
         best: Optional[Tuple[Row, int]] = None
         for wid in sorted(self._policies):

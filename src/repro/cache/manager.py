@@ -29,7 +29,8 @@ from typing import Dict, Iterable, Set, TYPE_CHECKING
 
 from .admission import AdmissionController
 from .broker import CacheBroker
-from .policy import CachePolicy, QuotaAwarePolicy, make_policy
+from .policy import (CachePolicy, FIFOPolicy, LRUPolicy, QuotaAwarePolicy,
+                     make_policy)
 from .reference_tracker import ReferenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,10 +50,13 @@ class CacheManager:
         self.admission = AdmissionController(
             min_cost_seconds=config.cache_admission_min_cost
         )
+        # The recency policies have no score: nobody to tell of a fall.
+        scored = (getattr(config, "cache_broker", False) or self.policy_name
+                  not in (LRUPolicy.name, FIFOPolicy.name))
         self.tracker = ReferenceTracker(
             auto_unpersist=config.cache_auto_unpersist,
             unpersist_fn=self._auto_unpersist,
-            fall_fn=self.announce_fall,
+            fall_fn=self.announce_fall if scored else None,
         )
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` keeps classic per-executor eviction.  The broker

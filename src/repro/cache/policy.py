@@ -75,8 +75,7 @@ class CachePolicy:
         raise NotImplementedError
 
     def mark_dirty(self, block_id: BlockId) -> None:
-        """Announce that ``block_id``'s score may have *fallen*.  The
-        recency policies have no score and ignore it."""
+        """Announce that ``block_id``'s score may have *fallen*."""
 
     def clear(self) -> None:
         raise NotImplementedError
@@ -162,8 +161,7 @@ class _ScoredPolicy(CachePolicy):
         self.entries: Dict[BlockId, _ScoredEntry] = {}
         self._seq = clock if clock is not None else itertools.count()
         self._heap: Optional[List[Row]] = None  # built by the next query
-        #: Blocks inserted, or announced as fallen, since the last query.
-        self._dirty: Set[BlockId] = set()
+        self._dirty: Set[BlockId] = set()  # inserted or fallen since the last
 
     def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
         raise NotImplementedError

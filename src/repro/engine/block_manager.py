@@ -191,8 +191,7 @@ class BlockManagerMaster:
         self._rdd_index: Dict[int, Set[int]] = {}
         self._block_event_listeners: List[BlockEventListener] = []
         self._insert_listeners: List[InsertListener] = []
-        #: ``fn(rdd_id)`` fired when an RDD's resident set goes empty <->
-        #: non-empty (``CacheManager.invalidate_cost`` listens).
+        #: ``fn(rdd_id)``: that RDD's resident set went empty <-> non-empty.
         self.residency_listener: Optional[Callable[[int], None]] = None
 
     # ---- listeners --------------------------------------------------------

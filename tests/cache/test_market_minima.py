@@ -251,6 +251,27 @@ def test_every_kind_of_falling_reference_reaches_the_heap():
     assert policy.choose_victim() == (hot.rdd_id, 0)
 
 
+def test_recency_policies_are_told_of_no_falls(monkeypatch):
+    """``lru`` / ``fifo`` stores have no score, so reference traffic must
+    not fan out over their blocks (``stream_taxi`` releases ~10^4
+    references a pass); a scored configuration must."""
+    from repro.engine.block_manager import BlockManagerMaster
+
+    fanouts = []
+    blocks_of = BlockManagerMaster.blocks_of
+    monkeypatch.setattr(
+        BlockManagerMaster, "blocks_of",
+        lambda self, rdd_id: fanouts.append(rdd_id) or blocks_of(self, rdd_id))
+    for policy, told in (("lru", False), ("fifo", False), ("lrc", True),
+                         ("cost", True)):
+        del fanouts[:]
+        sc = StarkContext(num_workers=2, cores_per_worker=1,
+                          config=StarkConfig(cache_policy=policy))
+        rdd = sc.generated(_source, 2).map(_triple).cache()
+        rdd.count(), rdd.count()
+        assert bool(fanouts) == told, policy
+
+
 def _source(pid):
     return [(pid, 1)]
 
