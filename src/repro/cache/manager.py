@@ -50,14 +50,6 @@ class CacheManager:
         self.admission = AdmissionController(
             min_cost_seconds=config.cache_admission_min_cost
         )
-        # The recency policies have no score: nobody to tell of a fall.
-        scored = (getattr(config, "cache_broker", False) or self.policy_name
-                  not in (LRUPolicy.name, FIFOPolicy.name))
-        self.tracker = ReferenceTracker(
-            auto_unpersist=config.cache_auto_unpersist,
-            unpersist_fn=self._auto_unpersist,
-            fall_fn=self.announce_fall if scored else None,
-        )
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` keeps classic per-executor eviction.  The broker
         #: supplies every store's policy, so ``cache_policy`` is not
@@ -65,6 +57,14 @@ class CacheManager:
         self.broker: "CacheBroker | None" = (
             CacheBroker(self) if getattr(config, "cache_broker", False)
             else None)
+        # The recency policies have no score: nobody to tell of a fall.
+        scored = self.broker is not None or self.policy_name not in (
+            LRUPolicy.name, FIFOPolicy.name)
+        self.tracker = ReferenceTracker(
+            auto_unpersist=config.cache_auto_unpersist,
+            unpersist_fn=self._auto_unpersist,
+            fall_fn=self.announce_fall if scored else None,
+        )
         if self.broker is not None:
             self.tracker.set_external_pin_fn(self.broker.pin_count)
         self._quotas: "TenantCacheQuotas | None" = None
