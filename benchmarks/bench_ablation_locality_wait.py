@@ -16,6 +16,7 @@ import statistics
 
 from repro import StarkConfig, StarkContext
 from repro.bench.reporting import print_table
+from repro.bench.results import write_bench_json
 from repro.cluster.cost_model import CostModel, SimStr
 from repro.engine.partitioner import StaticRangePartitioner
 from repro.workloads.distributions import seeded_rng
@@ -82,6 +83,17 @@ def test_ablation_locality_wait(run_once):
          "PROCESS_LOCAL frac"],
         rows,
     )
+    write_bench_json("ablation_locality_wait", {
+        "config": {"waits": [row[0] for row in rows]},
+        "waits": {
+            f"wait_{round(wait * 1000)}ms": {
+                "mean_delay": mean_ms / 1000,
+                "max_delay": max_ms / 1000,
+                "process_local_fraction": local,
+            }
+            for wait, mean_ms, max_ms, local in rows
+        },
+    })
     by_wait = {row[0]: row for row in rows}
     # Huge wait = Fig 9(a): near-perfect locality...
     assert by_wait[5.0][3] >= by_wait[0.0][3]

@@ -10,6 +10,7 @@ import statistics
 
 from repro import StarkConfig, StarkContext
 from repro.bench.reporting import print_table
+from repro.bench.results import write_bench_json
 from repro.engine.partitioner import HashPartitioner
 from repro.workloads.distributions import seeded_rng
 
@@ -57,6 +58,17 @@ def test_ablation_mcf(run_once):
         ["policy", "max unique cps/worker", "mean", "mean delay (ms)"],
         rows,
     )
+    write_bench_json("ablation_mcf", {
+        "config": {"policies": [row[0] for row in rows]},
+        "policies": {
+            policy: {
+                "max_unique_cps_per_worker": max_cps,
+                "mean_unique_cps_per_worker": mean_cps,
+                "mean_delay": mean_ms / 1000,
+            }
+            for policy, max_cps, mean_cps, mean_ms in rows
+        },
+    })
     default_max = rows[0][1]
     mcf_max = rows[1][1]
     # MCF must not concentrate more unique collection partitions onto a
