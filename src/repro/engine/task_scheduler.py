@@ -20,6 +20,22 @@ what (if anything) to launch on it.
 Slot free-times persist across jobs, so open-loop arrival drivers get
 queueing behaviour (Figs 19/20) for free.
 
+One launch costs O(log) in the pending and running sets, because the
+loop reads indexes instead of re-deriving them from the pending list:
+
+* **Alive membership is fixed for a task set.**  Kill, restart and
+  decommission reach the cluster as kernel events, and the kernel is
+  pumped only at ``run_job`` boundaries, so they land between task sets:
+  each task's alive preferred workers are computed once per task set.
+* **Pending tasks sit in per-worker buckets** (:class:`_Pending`),
+  retries in a ``not_before`` heap, running attempts in a ``(finish,
+  task_id)`` heap.
+* **Workers sit in a table** ordered ``(max(free, idle bump), wid,
+  slot)`` — the kernel's free-slot heap order — refreshed only for the
+  worker a launch, an idle bump, a bump pop or a speculation truncate
+  touched.  Falls are announced: ``truncate`` lowers a slot's free time,
+  so it refreshes its worker like every other writer.
+
 On top of delay scheduling sits the straggler/fault layer
 (``docs/FAULT_TOLERANCE.md``):
 
@@ -48,32 +64,21 @@ delay-scheduling behaviour above, launch for launch.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import statistics
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import (Collection, Dict, List, Optional, Protocol, Sequence, Set,
+                    Tuple, TYPE_CHECKING)
 
-from ..obs.events import (
-    Event,
-    ExecutorBlacklisted,
-    FetchFailed,
-    TaskRetried,
-    TaskSpeculated,
-    task_events_from_metrics,
-)
+from ..obs.events import (Event, ExecutorBlacklisted, FetchFailed, TaskRetried,
+                          TaskSpeculated, task_events_from_metrics)
 from ..cluster.events import TIME_EPS
 from .fault_tolerance import BlacklistTracker, FetchFailedError, retry_backoff
 from .metrics import TaskMetrics
 from .task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.worker import Worker
     from .context import StarkContext
 
 PROCESS_LOCAL = "PROCESS_LOCAL"
@@ -103,30 +108,29 @@ class DefaultRemotePolicy:
         self, context: "StarkContext", task: Task, offers: Sequence[int], now: float
     ) -> int:
         cluster = context.cluster
+        free = [(w, cluster.get_worker(w).earliest_free_time()) for w in offers]
         # Workers idle *right now* are interchangeable: whichever executor's
         # offer reaches the driver first wins, and that ordering carries no
         # information.  Picking by historical free time instead would replay
         # the same placement for every identically-shaped job, fabricating
         # co-locality across a dataset collection.
-        idle = [w for w in offers if cluster.get_worker(w).has_idle_slot(now)]
+        idle = [w for w, t in free if t <= now + TIME_EPS]
         if idle:
             return cluster.rng.choice(idle)
-        earliest = min(cluster.get_worker(w).earliest_free_time() for w in offers)
-        tied = [
-            w for w in offers
-            if cluster.get_worker(w).earliest_free_time() <= earliest + TIME_EPS
-        ]
-        return cluster.rng.choice(tied)
+        earliest = min(t for _, t in free)
+        return cluster.rng.choice(
+            [w for w, t in free if t <= earliest + TIME_EPS])
 
 
 class _TaskState:
     """Per logical task bookkeeping across its attempts."""
 
-    __slots__ = ("task", "attempts", "failures", "finished", "speculated",
-                 "failed_workers", "live")
+    __slots__ = ("task", "prefs", "attempts", "failures", "finished",
+                 "speculated", "failed_workers", "live")
 
-    def __init__(self, task: Task) -> None:
+    def __init__(self, task: Task, prefs: List[int]) -> None:
         self.task = task
+        self.prefs = prefs       # alive preferred workers (fixed per task set)
         self.attempts = 0        # attempts launched so far
         self.failures = 0        # failed attempts so far
         self.finished = False    # some attempt succeeded
@@ -144,34 +148,124 @@ class _Attempt:
     def __init__(self, state: _TaskState, metrics: TaskMetrics,
                  worker_id: int, slot: int, start: float, finish: float,
                  speculative: bool) -> None:
-        self.state = state
-        self.metrics = metrics
-        self.worker_id = worker_id
-        self.slot = slot
-        self.start = start
-        self.finish = finish
-        self.speculative = speculative
+        self.state, self.metrics, self.speculative = state, metrics, speculative
+        self.worker_id, self.slot = worker_id, slot
+        self.start, self.finish = start, finish
 
 
 class _PendingEntry:
     """A task (attempt) waiting to launch, not before ``not_before``."""
 
-    __slots__ = ("state", "not_before")
+    __slots__ = ("state", "not_before", "seq", "ready")
 
     def __init__(self, state: _TaskState, not_before: float) -> None:
         self.state = state
         self.not_before = not_before
+        self.seq = 0         # arrival order in the pending list
+        self.ready = False   # indexed in the ready buckets right now
+
+
+class _Pending:
+    """The pending list of one task set, indexed for delay scheduling.
+
+    ``entries`` holds every entry in arrival order (``seq``).  The ones
+    *ready* at the offered time are also rows of lazy heaps (rows of
+    launched or demoted entries drop out when they surface): ``local[w]``
+    per alive preferred worker keyed ``(len(prefs), partition, seq)``, most
+    constrained first, and ``anywhere`` keyed ``(has prefs, partition,
+    seq)``, tasks that gain nothing from waiting first.  ``seq`` makes each
+    key total, so ties resolve as a scan of the list would.  Retries wait
+    in ``backoff``; offered times are not monotone (popping an idle bump
+    can bring an earlier slot back), so a promoted retry is demoted when a
+    later offer comes before its ``not_before``."""
+
+    def __init__(self) -> None:
+        self.entries: Dict[int, _PendingEntry] = {}
+        self.local: Dict[int, List[tuple]] = {}
+        self.local_count: Dict[int, int] = {}
+        self.anywhere: List[tuple] = []
+        self.ready_count = 0
+        self.preferred_count = 0
+        self.backoff: List[Tuple[float, int, _PendingEntry]] = []
+        self.promoted: List[Tuple[float, int, _PendingEntry]] = []
+        self._seq = 0
+
+    def add(self, entry: _PendingEntry, ready: bool) -> None:
+        self._seq += 1
+        entry.seq = self._seq
+        self.entries[entry.seq] = entry
+        if ready:
+            self._index(entry)
+        else:
+            heapq.heappush(self.backoff, (entry.not_before, entry.seq, entry))
+
+    def remove(self, entry: _PendingEntry) -> None:
+        self._unindex(entry)
+        del self.entries[entry.seq]
+
+    def promote(self, now: float) -> None:
+        """Make the ready buckets hold exactly the entries ready at ``now``."""
+        limit = now + TIME_EPS
+        promoted, backoff = self.promoted, self.backoff
+        while promoted and -promoted[0][0] > limit:
+            _, seq, entry = heapq.heappop(promoted)
+            if entry.ready:
+                self._unindex(entry)
+                heapq.heappush(backoff, (entry.not_before, seq, entry))
+        while backoff and backoff[0][0] <= limit:
+            not_before, seq, entry = heapq.heappop(backoff)
+            self._index(entry)
+            heapq.heappush(promoted, (-not_before, seq, entry))
+
+    def pick_local(self, worker_id: int) -> Optional[_PendingEntry]:
+        """The ready entry preferring ``worker_id`` with the fewest
+        alternatives, skipping tasks that already failed there."""
+        if not self.local_count.get(worker_id):
+            return None
+        heap = self.local[worker_id]
+        entry = _top(heap)
+        if worker_id not in entry.state.failed_workers:
+            return entry
+        rows = [r for r in heap
+                if r[-1].ready and worker_id not in r[-1].state.failed_workers]
+        return min(rows)[-1] if rows else None
+
+    def _index(self, entry: _PendingEntry) -> None:
+        entry.ready = True
+        self.ready_count += 1
+        prefs = entry.state.prefs
+        partition = entry.state.task.partition
+        heapq.heappush(self.anywhere,
+                       (bool(prefs), partition, entry.seq, entry))
+        if prefs:
+            self.preferred_count += 1
+            row = (len(prefs), partition, entry.seq, entry)
+            for w in dict.fromkeys(prefs):
+                heapq.heappush(self.local.setdefault(w, []), row)
+                self.local_count[w] = self.local_count.get(w, 0) + 1
+
+    def _unindex(self, entry: _PendingEntry) -> None:
+        entry.ready = False
+        self.ready_count -= 1
+        prefs = entry.state.prefs
+        if prefs:
+            self.preferred_count -= 1
+            for w in dict.fromkeys(prefs):
+                self.local_count[w] -= 1
+
+
+def _top(heap: List[tuple]) -> _PendingEntry:
+    """The smallest row's entry, dropping rows of unindexed entries."""
+    while not heap[0][-1].ready:
+        heapq.heappop(heap)
+    return heap[0][-1]
 
 
 class TaskScheduler:
     """Assigns tasksets to executor slots under delay scheduling."""
 
-    def __init__(
-        self,
-        context: "StarkContext",
-        locality_wait: float = 0.1,
-        remote_policy: Optional[RemotePolicy] = None,
-    ) -> None:
+    def __init__(self, context: "StarkContext", locality_wait: float = 0.1,
+                 remote_policy: Optional[RemotePolicy] = None) -> None:
         if locality_wait < 0:
             raise ValueError(f"locality_wait must be non-negative: {locality_wait}")
         self.context = context
@@ -185,11 +279,9 @@ class TaskScheduler:
         if self._blacklist_tracker is None:
             config = self.context.config
             self._blacklist_tracker = BlacklistTracker(
-                max_failures_per_executor_stage=(
-                    config.max_failures_per_executor_stage),
+                max_failures_per_executor_stage=config.max_failures_per_executor_stage,
                 max_failures_per_executor=config.max_failures_per_executor,
-                blacklist_timeout=config.blacklist_timeout,
-            )
+                blacklist_timeout=config.blacklist_timeout)
         return self._blacklist_tracker
 
     # ---- public API ----------------------------------------------------------
@@ -208,454 +300,399 @@ class TaskScheduler:
         """
         if not tasks:
             return submit_time
-        context = self.context
-        cluster = context.cluster
-        kernel = cluster.kernel
-        config = context.config
-        stage_id = tasks[0].stage.stage_id
-        total = len(tasks)
+        return _TaskSetRun(self, tasks, submit_time).run()
 
-        states = [_TaskState(t) for t in tasks]
-        by_task: Dict[int, _TaskState] = {id(s.task): s for s in states}
-        pending: List[_PendingEntry] = [
-            _PendingEntry(s, submit_time) for s in states]
-        running: List[_Attempt] = []
-        attempts_log: List[_Attempt] = []
-        completed_durations: List[float] = []
-        finished_count = 0
+    def _alive_preferred(self, task: Task, alive: Collection[int]) -> List[int]:
+        return [w for w in task.preferred_workers if w in alive]
+
+
+class _TaskSetRun:
+    """The state of one ``run_taskset`` call and the delay-scheduling loop
+    over it.  Speculation, retry and blacklist handling are methods the
+    loop reaches only when those features are on."""
+
+    def __init__(self, scheduler: TaskScheduler, tasks: Sequence[Task],
+                 submit_time: float) -> None:
+        self.scheduler = scheduler
+        self.context = context = scheduler.context
+        self.cluster = context.cluster
+        self.kernel = self.cluster.kernel
+        self.config = context.config
+        self.stage_id = tasks[0].stage.stage_id
+        self.submit_time = submit_time
+        self.total = len(tasks)
+        # Fixed for the task set (module docstring): kills, restarts and
+        # decommissions land between task sets, never inside one.
+        self.alive = self.cluster.alive_worker_ids()
+        alive = set(self.alive)
+        self.pending = _Pending()
+        for task in tasks:
+            state = _TaskState(task, scheduler._alive_preferred(task, alive))
+            self.pending.add(_PendingEntry(state, submit_time), ready=True)
+        #: task_id -> attempt in launch order, and the completion heap over
+        #: them (a row a truncate superseded no longer matches its finish).
+        self.running: Dict[int, _Attempt] = {}
+        self.finishes: List[Tuple[float, int, _Attempt]] = []
+        self.attempts_log: List[_Attempt] = []
+        self.completed_durations: List[float] = []
+        self.finished_count = 0
         # Aux events (speculation/retry/blacklist) buffered alongside the
         # task pairs and flushed in one time-sorted stream at the end —
         # out-of-order attempt completions would otherwise violate the
         # per-stage launch-monotonicity invariant of the event log.
-        aux_events: List[Tuple[float, int, Event]] = []
-        seq_counter = [0]
-
-        def next_seq() -> int:
-            seq_counter[0] += 1
-            return seq_counter[0]
-
+        self.aux_events: List[Tuple[float, int, Event]] = []
+        self.next_seq = itertools.count(1).__next__
         # Driver dispatch is serial: each launched task costs the driver a
         # slice of time before it can hit an executor (right side of Fig 7).
-        driver_free = submit_time
-        last_launch = submit_time
-        idle_bumps: Dict[int, float] = {}
+        self.driver_free = self.last_launch = submit_time
+        # The worker table: each alive worker's earliest-free slot, and the
+        # offer heap of ``(max(free, bump), wid, slot)`` rows, ``offer_key``
+        # naming each worker's current one.
+        self.bumps: Dict[int, float] = {}
+        self.free: Dict[int, Tuple[float, int]] = {}
+        self.offer_key: Dict[int, Tuple[float, int, int]] = {}
+        self.offers: List[Tuple[float, int, int]] = []
+        for wid in self.alive:
+            self.refresh(wid)
 
-        def flush_events() -> None:
-            bus = context.event_bus
-            if not bus.active:
-                return
-            stream: List[Tuple[float, int, Event]] = list(aux_events)
-            for a in sorted(attempts_log,
-                            key=lambda a: (a.metrics.start_time,
-                                           a.metrics.task_id)):
-                start_event, end_event = task_events_from_metrics(a.metrics)
-                seq = next_seq()
-                stream.append((a.metrics.start_time, seq, start_event))
-                stream.append((a.metrics.start_time, seq, end_event))
-            stream.sort(key=lambda item: (item[0], item[1]))
-            for _, _, event in stream:
-                bus.post(event)
+    # ---- the delay-scheduling loop -----------------------------------------
 
-        def abort(error: Exception) -> None:
-            """Discard never-launched tasks' metrics (they emitted no
-            events) and flush what did run, then re-raise."""
-            for entry in pending:
-                if entry.state.attempts == 0:
-                    context.metrics.discard_task_metrics(
-                        entry.state.task.metrics)
-            flush_events()
-            raise error
-
-        def failure_prob(worker_id: int) -> float:
-            worker = cluster.get_worker(worker_id)
-            if worker.failure_prob is not None:
-                return worker.failure_prob
-            return config.task_failure_prob
-
-        def launch_attempt(
-            state: _TaskState, worker_id: int, start: float, locality: str,
-            speculative: bool = False,
-        ) -> _Attempt:
-            """Execute one attempt of ``state.task`` on ``worker_id``."""
-            task = state.task
-            attempt_no = state.attempts
-            state.attempts += 1
-            if attempt_no == 0 and not speculative:
-                tm = task.metrics
-            else:
-                tm = context.metrics.new_attempt_metrics(
-                    task.metrics, attempt_no, speculative=speculative)
-            p = failure_prob(worker_id)
-            will_fail = p > 0 and cluster.rng.random() < p
-            worker = cluster.get_worker(worker_id)
-            try:
-                work = task.run(context, worker_id, metrics=tm,
-                                commit_effects=not will_fail)
-            except FetchFailedError as exc:
-                # The attempt died mid-fetch: charge what it did so far,
-                # emit its events, and escalate to the DAG scheduler.
-                partial = tm.work_time()
-                slot, free = worker.earliest_free_slot()
-                begin = max(start, free)
-                wall = worker.wall_duration(begin, partial)
-                tm.straggler_time += wall - partial
-                finish = kernel.occupy_slot(worker, slot, begin, wall)
-                tm.locality = locality
-                tm.start_time, tm.finish_time = begin, finish
-                tm.status = "fetch_failed"
-                attempts_log.append(_Attempt(
-                    state, tm, worker_id, slot, begin, finish, speculative))
-                exc.failed_at = finish
-                aux_events.append((finish, next_seq(), FetchFailed(
-                    time=finish, job_id=tm.job_id, stage_id=tm.stage_id,
-                    task_id=tm.task_id, shuffle_id=exc.shuffle_id,
-                    map_partition=exc.map_partition,
-                    worker_id=exc.worker_id, reason=exc.reason)))
-                abort(exc)
-            if will_fail:
-                # The attempt dies partway through: charge a fraction of
-                # the full run (nothing durable was committed).
-                fraction = 0.25 + 0.5 * cluster.rng.random()
-                tm.scale_charges(fraction)
-                work = tm.work_time()
-                tm.status = "failed"
-            slot, free = worker.earliest_free_slot()
-            begin = max(start, free)
-            wall = worker.wall_duration(begin, work)
-            tm.straggler_time += wall - work
-            finish = kernel.occupy_slot(worker, slot, begin, wall)
-            tm.locality = locality
-            tm.start_time, tm.finish_time = begin, finish
-            attempt = _Attempt(state, tm, worker_id, slot, begin, finish,
-                               speculative)
-            state.live += 1
-            running.append(attempt)
-            attempts_log.append(attempt)
-            # Signal the replication manager (§III-C3): a remote launch
-            # means a hotspot collection partition or executor contention.
-            if locality == ANY:
-                context.on_remote_launch(task, worker_id, begin)
-            return attempt
-
-        def truncate(loser: _Attempt, at: float) -> None:
-            """Cancel ``loser`` at time ``at``: reclaim its slot beyond
-            the cancellation point and scale its charges down to it."""
-            new_finish = max(loser.start, at)
-            if new_finish < loser.finish - TIME_EPS:
-                worker = cluster.get_worker(loser.worker_id)
-                # Only reclaim (and rescale the charges) if nothing was
-                # scheduled after it on the same slot — the free time
-                # still matches our finish.  Otherwise the slot stays
-                # occupied to the original finish, so the charges must
-                # too: scaling them down would make charged work_time
-                # diverge from slot occupancy.
-                if abs(kernel.slot_free_time(worker, loser.slot)
-                       - loser.finish) <= 1e-6:
-                    kernel.set_slot_free_time(worker, loser.slot, new_finish)
-                    span = loser.finish - loser.start
-                    fraction = (new_finish - loser.start) / span \
-                        if span > 0 else 0.0
-                    loser.metrics.scale_charges(fraction)
-                    loser.finish = new_finish
-                    loser.metrics.finish_time = new_finish
-            loser.metrics.status = "killed"
-
-        def process_completions(up_to: float) -> bool:
-            """Resolve attempts finishing by ``up_to``; True if the
-            scheduling state changed (retries queued, blacklist trips)."""
-            nonlocal finished_count
-            due = sorted(
-                (a for a in running if a.finish <= up_to + TIME_EPS),
-                key=lambda a: (a.finish, a.metrics.task_id))
-            changed = False
-            for a in due:
-                running.remove(a)
-                state = a.state
-                state.live -= 1
-                status = a.metrics.status
-                if status == "success":
-                    if not state.finished:
-                        state.finished = True
-                        finished_count += 1
-                        completed_durations.append(a.metrics.duration)
-                    continue
-                if status != "failed":  # "killed" loser: nothing to do
-                    continue
-                state.failures += 1
-                state.failed_workers.add(a.worker_id)
-                for wid, scope, failures, until in self.blacklist \
-                        .record_failure(a.worker_id, stage_id, a.finish):
-                    aux_events.append((a.finish, next_seq(),
-                                       ExecutorBlacklisted(
-                                           time=a.finish, worker_id=wid,
-                                           stage_id=scope,
-                                           failures=failures, until=until)))
-                    changed = True
-                if state.finished or state.live > 0:
-                    # Another attempt already covers this task.
-                    continue
-                if state.failures >= config.max_task_failures:
-                    abort(RuntimeError(
-                        f"task {a.metrics.task_id} (stage {stage_id}, "
-                        f"partition {a.metrics.partition}) failed "
-                        f"{state.failures} times; aborting job"))
-                jitter_rand = cluster.rng.random() \
-                    if config.task_retry_jitter > 0 else 0.0
-                backoff = retry_backoff(
-                    config.task_retry_backoff, state.failures,
-                    config.task_retry_jitter, jitter_rand)
-                pending.append(_PendingEntry(state, a.finish + backoff))
-                aux_events.append((a.finish, next_seq(), TaskRetried(
-                    time=a.finish, job_id=a.metrics.job_id,
-                    stage_id=stage_id, task_id=a.metrics.task_id,
-                    partition=a.metrics.partition, worker_id=a.worker_id,
-                    attempt=a.metrics.attempt, backoff=backoff,
-                    reason="task attempt failed")))
-                changed = True
-            return changed
-
-        def try_speculate() -> bool:
-            """Launch at most one due speculative copy; True if launched."""
-            nonlocal driver_free, last_launch
-            if finished_count + TIME_EPS < config.speculation_quantile * total:
-                return False
-            if not completed_durations:
-                return False
-            alive = cluster.alive_worker_ids()
-            median = statistics.median(completed_durations)
-            threshold = config.speculation_multiplier * median
-            next_finish = min(a.finish for a in running)
-            best: Optional[Tuple[float, int, _Attempt, int]] = None
-            for a in running:
-                if a.speculative or a.state.speculated or a.state.finished:
-                    continue
-                eligible_at = a.start + threshold
-                if eligible_at >= a.finish - TIME_EPS:
-                    continue  # finishes before it ever looks slow
-                candidates = [
-                    w for w in alive
-                    if w != a.worker_id
-                    and w not in a.state.failed_workers
-                    and not self.blacklist.is_blacklisted(
-                        w, stage_id, eligible_at)
-                ]
-                if not candidates:
-                    continue
-                wid = min(candidates, key=lambda w: (
-                    max(cluster.get_worker(w).earliest_free_time(),
-                        eligible_at), w))
-                launch_time = max(
-                    eligible_at,
-                    cluster.get_worker(wid).earliest_free_time(),
-                    driver_free)
-                if launch_time >= a.finish - TIME_EPS:
-                    continue  # the original wins before the clone starts
-                if launch_time > next_finish + TIME_EPS:
-                    continue  # a completion lands first: re-evaluate then
-                key = (launch_time, a.metrics.task_id)
-                if best is None or key < (best[0], best[1]):
-                    best = (launch_time, a.metrics.task_id, a, wid)
-            if best is None:
-                return False
-            launch_time, _, original, worker_id = best
-            state = original.state
-            state.speculated = True
-            launch_at = max(launch_time, driver_free)
-            driver_free = launch_at + context.cost_model \
-                .driver_overhead_per_task
-            locality = PROCESS_LOCAL \
-                if worker_id in self._alive_preferred(state.task) else ANY
-            aux_events.append((launch_at, next_seq(), TaskSpeculated(
-                time=launch_at, job_id=original.metrics.job_id,
-                stage_id=stage_id, task_id=original.metrics.task_id,
-                partition=original.metrics.partition,
-                original_worker_id=original.worker_id,
-                speculative_worker_id=worker_id,
-                running_for=launch_at - original.start,
-                median_duration=median)))
-            clone = launch_attempt(state, worker_id, launch_at, locality,
-                                   speculative=True)
-            last_launch = launch_at
-            # Resolve the race now (virtual time: both finishes are
-            # known): when *both* copies will succeed, the first to
-            # finish wins and the other is cancelled.  An attempt that
-            # is going to fail is never truncated — marking it "killed"
-            # would skip its failure path (retry/blacklist accounting)
-            # and, worse, truncating a successful clone against a doomed
-            # original would leave the task with no successful attempt.
-            if clone.metrics.status == "success" \
-                    and original.metrics.status == "success":
-                if clone.finish < original.finish:
-                    truncate(original, clone.finish)
-                else:
-                    truncate(clone, original.finish)
-            return True
-
-        while True:
-            if not pending and not running:
-                break
-            if not pending:
+    def run(self) -> float:
+        if not self.alive:
+            self.abort(RuntimeError("no alive workers; cannot run taskset"))
+        scheduler = self.scheduler
+        pending = self.pending
+        while pending.entries or self.running:
+            if not pending.entries:
                 # Everything launched: speculate on stragglers, otherwise
                 # drain the next completion.
-                if config.speculation and try_speculate():
-                    continue
-                process_completions(min(a.finish for a in running))
+                if not (self.config.speculation and self.speculate()):
+                    self.complete(self.next_finish())
                 continue
 
-            alive = cluster.alive_worker_ids()
-            if not alive:
-                abort(RuntimeError("no alive workers; cannot run taskset"))
-            worker_id, slot, free = self._earliest_slot(alive, idle_bumps)
-            now = max(free, submit_time, idle_bumps.get(worker_id, 0.0))
-            if process_completions(now):
+            offers = self.offers
+            while offers[0] != self.offer_key[offers[0][1]]:
+                heapq.heappop(offers)
+            free, worker_id, _ = offers[0]
+            now = max(free, self.submit_time, self.bumps.get(worker_id, 0.0))
+            if self.complete(now):
                 continue  # retries/blacklist changed the picture: re-pick
-
-            ready = [e for e in pending if e.not_before <= now + TIME_EPS]
-            if not ready:
+            pending.promote(now)
+            if not pending.ready_count:
                 # Every pending task is backing off: idle this slot until
                 # the earliest retry becomes eligible.
-                wake = min(e.not_before for e in pending)
-                idle_bumps[worker_id] = max(
-                    idle_bumps.get(worker_id, 0.0), max(wake, now + 1e-6))
+                self.bump(worker_id, max(pending.backoff[0][0], now + 1e-6))
                 continue
-            blacklisted_until = self.blacklist.blacklisted_until(
-                worker_id, stage_id, now) \
-                if self._blacklist_tracker is not None else 0.0
+            blacklisted_until = scheduler.blacklist.blacklisted_until(
+                worker_id, self.stage_id, now) \
+                if scheduler._blacklist_tracker is not None else 0.0
             if blacklisted_until > now:
                 # This executor is excluded from offers: idle its slot
                 # past the blacklist expiry.
-                idle_bumps[worker_id] = max(
-                    idle_bumps.get(worker_id, 0.0),
-                    max(blacklisted_until, now + 1e-6))
+                self.bump(worker_id, max(blacklisted_until, now + 1e-6))
                 continue
 
-            entry_by_task = {id(e.state.task): e for e in ready}
-            local_pool = [
-                e.state.task for e in ready
-                if worker_id not in e.state.failed_workers
-            ]
-            task = self._pick_local_task(local_pool, worker_id)
-            locality = PROCESS_LOCAL
-            chosen_worker = worker_id
-            if task is None:
-                ready_tasks = [e.state.task for e in ready]
-                allowed_any = (now - last_launch) >= self.locality_wait - TIME_EPS
-                if not allowed_any and all(
-                    not self._alive_preferred(t) for t in ready_tasks
-                ):
-                    allowed_any = True
-                if allowed_any:
-                    task = self._pick_any_task(ready_tasks)
-                    state = by_task[id(task)]
-                    offers = self._offers(alive, now)
-                    eligible = [
-                        w for w in offers
-                        if w not in state.failed_workers
-                        and not self.blacklist.is_blacklisted(
-                            w, stage_id, now)
-                    ] if (state.failed_workers
-                          or self._blacklist_tracker is not None) else offers
-                    # Last-resort fallback (documented in
-                    # docs/FAULT_TOLERANCE.md): when *every* offered
-                    # worker is excluded — the task failed on all of
-                    # them, or all are blacklisted — launch anyway
-                    # rather than deadlock; max_task_failures still
-                    # bounds the damage.
-                    chosen_worker = self.remote_policy.choose_worker(
-                        self.context, task, eligible or offers, now
-                    )
-                    locality = ANY
-                    if chosen_worker in self._alive_preferred(task):
-                        locality = PROCESS_LOCAL
-                else:
+            entry = pending.pick_local(worker_id)
+            locality, chosen_worker = PROCESS_LOCAL, worker_id
+            if entry is None:
+                if (now - self.last_launch < scheduler.locality_wait - TIME_EPS
+                        and pending.preferred_count):
                     # Idle this slot until something can change: the wait
                     # expiring, or a preferred worker freeing up.
-                    wake = last_launch + self.locality_wait
-                    pref_free = self._earliest_preferred_free(ready_tasks)
-                    if pref_free is not None:
-                        wake = min(wake, pref_free)
-                    idle_bumps[worker_id] = max(
-                        idle_bumps.get(worker_id, 0.0), max(wake, now + 1e-6)
-                    )
+                    wake = min(self.last_launch + scheduler.locality_wait, min(
+                        self.free[w][0] for w, n in pending.local_count.items() if n))
+                    self.bump(worker_id, max(wake, now + 1e-6))
                     continue
+                entry = _top(pending.anywhere)
+                chosen_worker = self.choose_remote(entry.state, now)
+                if chosen_worker not in entry.state.prefs:
+                    locality = ANY
 
-            entry = entry_by_task[id(task)]
             pending.remove(entry)
-            launch_at = max(now, driver_free)
-            driver_free = launch_at + self.context.cost_model.driver_overhead_per_task
-            launch_attempt(entry.state, chosen_worker, launch_at, locality)
-            last_launch = launch_at
-            idle_bumps.pop(chosen_worker, None)
+            launch_at = max(now, self.driver_free)
+            self.driver_free = launch_at + self.context.cost_model.driver_overhead_per_task
+            self.bumps.pop(chosen_worker, None)
+            self.launch(entry.state, chosen_worker, launch_at, locality)
+            self.last_launch = launch_at
 
-        flush_events()
-        return max(
-            [submit_time]
-            + [a.finish for a in attempts_log
-               if a.metrics.status == "success"]
-        )
+        self.flush_events()
+        return max([self.submit_time] + [
+            a.finish for a in self.attempts_log if a.metrics.status == "success"])
 
-    # ---- internals ----------------------------------------------------------------
+    def refresh(self, worker_id: int) -> None:
+        """Re-read ``worker_id``'s earliest-free slot into the table."""
+        slot, free = self.cluster.get_worker(worker_id).earliest_free_slot()
+        self.free[worker_id] = (free, slot)
+        self.rekey(worker_id)
 
-    def _earliest_slot(
-        self, alive: Sequence[int], idle_bumps: Dict[int, float]
-    ) -> Tuple[int, int, float]:
-        cluster = self.context.cluster
-        if not idle_bumps:
-            # Common case (no backoff idling in force): the kernel's
-            # inter-worker free heap answers in O(log workers) with the
-            # identical (free, wid, slot) ordering as the scan below —
-            # ``alive`` is always the full alive membership here.
-            found = cluster.kernel.earliest_free_worker()
-            if found is not None:
-                wid, slot, free = found
-                return wid, slot, free
-        best: Optional[Tuple[float, int, int]] = None
-        for wid in alive:
-            worker = cluster.get_worker(wid)
-            slot, free = worker.earliest_free_slot()
-            free = max(free, idle_bumps.get(wid, 0.0))
-            key = (free, wid, slot)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        free, wid, slot = best
-        return wid, slot, free
+    def rekey(self, worker_id: int) -> None:
+        free, slot = self.free[worker_id]
+        key = (max(free, self.bumps.get(worker_id, 0.0)), worker_id, slot)
+        self.offer_key[worker_id] = key
+        heapq.heappush(self.offers, key)
 
-    def _alive_preferred(self, task: Task) -> List[int]:
-        cluster = self.context.cluster
-        return [
-            w for w in task.preferred_workers
-            if w in cluster.workers and cluster.get_worker(w).alive
-        ]
+    def bump(self, worker_id: int, until: float) -> None:
+        """Idle ``worker_id`` until ``until`` (bumps only ever rise)."""
+        self.bumps[worker_id] = max(self.bumps.get(worker_id, 0.0), until)
+        self.rekey(worker_id)
 
-    def _pick_local_task(self, pending: Sequence[Task], worker_id: int) -> Optional[Task]:
-        """Among tasks preferring ``worker_id``, pick the one with fewest
-        alternatives (most constrained first)."""
-        candidates = [t for t in pending if worker_id in self._alive_preferred(t)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda t: (len(self._alive_preferred(t)),
-                                              t.partition))
+    def choose_remote(self, state: _TaskState, now: float) -> int:
+        """The executor for an ANY launch at ``now``: offers are the workers
+        with an idle slot (all alive ones when every worker is busy),
+        minus those the task failed on and blacklisted ones."""
+        scheduler = self.scheduler
+        offers = [w for w in self.alive
+                  if self.free[w][0] <= now + TIME_EPS] or list(self.alive)
+        eligible = [
+            w for w in offers
+            if w not in state.failed_workers
+            and not scheduler.blacklist.is_blacklisted(w, self.stage_id, now)
+        ] if state.failed_workers or scheduler._blacklist_tracker is not None \
+            else offers
+        # Last-resort fallback (documented in docs/FAULT_TOLERANCE.md):
+        # when *every* offered worker is excluded — the task failed on all
+        # of them, or all are blacklisted — launch anyway rather than
+        # deadlock; max_task_failures still bounds the damage.
+        return scheduler.remote_policy.choose_worker(
+            self.context, state.task, eligible or offers, now)
 
-    def _pick_any_task(self, pending: Sequence[Task]) -> Task:
-        """Prefer launching tasks with no live preference (they gain
-        nothing from waiting), then FIFO by partition."""
-        unpreferred = [t for t in pending if not self._alive_preferred(t)]
-        pool = unpreferred or list(pending)
-        return min(pool, key=lambda t: t.partition)
+    # ---- attempts ----------------------------------------------------------
 
-    def _earliest_preferred_free(self, pending: Sequence[Task]) -> Optional[float]:
-        cluster = self.context.cluster
-        times = [
-            cluster.get_worker(w).earliest_free_time()
-            for t in pending
-            for w in self._alive_preferred(t)
-        ]
-        return min(times) if times else None
+    def launch(self, state: _TaskState, worker_id: int, start: float,
+               locality: str, speculative: bool = False) -> _Attempt:
+        """Execute one attempt of ``state.task`` on ``worker_id``."""
+        context, cluster = self.context, self.cluster
+        task = state.task
+        attempt_no = state.attempts
+        state.attempts += 1
+        if attempt_no == 0 and not speculative:
+            tm = task.metrics
+        else:
+            tm = context.metrics.new_attempt_metrics(
+                task.metrics, attempt_no, speculative=speculative)
+        worker = cluster.get_worker(worker_id)
+        p = worker.failure_prob if worker.failure_prob is not None \
+            else self.config.task_failure_prob
+        will_fail = p > 0 and cluster.rng.random() < p
+        try:
+            work = task.run(context, worker_id, metrics=tm, commit_effects=not will_fail)
+        except FetchFailedError as exc:
+            # The attempt died mid-fetch: charge what it did so far,
+            # emit its events, and escalate to the DAG scheduler.
+            tm.status = "fetch_failed"
+            attempt = self.occupy(worker, state, tm, start, tm.work_time(),
+                                  locality, speculative)
+            exc.failed_at = finish = attempt.finish
+            self.aux_events.append((finish, self.next_seq(), FetchFailed(
+                time=finish, job_id=tm.job_id, stage_id=tm.stage_id, task_id=tm.task_id,
+                shuffle_id=exc.shuffle_id, map_partition=exc.map_partition,
+                worker_id=exc.worker_id, reason=exc.reason)))
+            self.abort(exc)
+        if will_fail:
+            # The attempt dies partway through: charge a fraction of
+            # the full run (nothing durable was committed).
+            tm.scale_charges(0.25 + 0.5 * cluster.rng.random())
+            work = tm.work_time()
+            tm.status = "failed"
+        attempt = self.occupy(worker, state, tm, start, work, locality, speculative)
+        state.live += 1
+        self.running[tm.task_id] = attempt
+        heapq.heappush(self.finishes, (attempt.finish, tm.task_id, attempt))
+        # Signal the replication manager (§III-C3): a remote launch
+        # means a hotspot collection partition or executor contention.
+        if locality == ANY:
+            context.on_remote_launch(task, worker_id, attempt.start)
+        return attempt
 
-    def _offers(self, alive: Sequence[int], now: float) -> List[int]:
-        """Workers eligible for a remote launch right now: those with an
-        idle slot at ``now``; if none (everyone busy), all alive workers."""
-        cluster = self.context.cluster
-        idle = [w for w in alive if cluster.get_worker(w).has_idle_slot(now)]
-        return idle or list(alive)
+    def occupy(self, worker: "Worker", state: _TaskState, tm: TaskMetrics, start: float,
+               work: float, locality: str, speculative: bool) -> _Attempt:
+        """Charge ``work`` to ``worker``'s earliest-free slot from
+        ``start`` and log the attempt."""
+        free, slot = self.free[worker.worker_id]
+        begin = max(start, free)
+        wall = worker.wall_duration(begin, work)
+        tm.straggler_time += wall - work
+        finish = self.kernel.occupy_slot(worker, slot, begin, wall)
+        self.refresh(worker.worker_id)
+        tm.locality = locality
+        tm.start_time, tm.finish_time = begin, finish
+        attempt = _Attempt(state, tm, worker.worker_id, slot, begin, finish, speculative)
+        self.attempts_log.append(attempt)
+        return attempt
+
+    def next_finish(self) -> float:
+        finishes = self.finishes
+        while finishes[0][0] != finishes[0][2].finish:
+            heapq.heappop(finishes)
+        return finishes[0][0]
+
+    def complete(self, up_to: float) -> bool:
+        """Resolve attempts finishing by ``up_to``; True if the
+        scheduling state changed (retries queued, blacklist trips)."""
+        finishes, changed = self.finishes, False
+        while finishes and finishes[0][0] <= up_to + TIME_EPS:
+            finish, task_id, a = heapq.heappop(finishes)
+            if finish != a.finish:
+                continue  # superseded by a truncate
+            del self.running[task_id]
+            state = a.state
+            state.live -= 1
+            status = a.metrics.status
+            if status == "success":
+                if not state.finished:
+                    state.finished = True
+                    self.finished_count += 1
+                    self.completed_durations.append(a.metrics.duration)
+            elif status == "failed":  # a "killed" loser needs nothing
+                changed = self.fail(a) or changed
+        return changed
+
+    def fail(self, a: _Attempt) -> bool:
+        """Account a failed attempt; True if it tripped a blacklist or
+        queued a retry."""
+        config, stage_id, state = self.config, self.stage_id, a.state
+        state.failures += 1
+        state.failed_workers.add(a.worker_id)
+        changed = False
+        for wid, scope, failures, until in self.scheduler.blacklist \
+                .record_failure(a.worker_id, stage_id, a.finish):
+            self.aux_events.append((a.finish, self.next_seq(), ExecutorBlacklisted(
+                time=a.finish, worker_id=wid, stage_id=scope,
+                failures=failures, until=until)))
+            changed = True
+        if state.finished or state.live > 0:
+            # Another attempt already covers this task.
+            return changed
+        if state.failures >= config.max_task_failures:
+            self.abort(RuntimeError(
+                f"task {a.metrics.task_id} (stage {stage_id}, "
+                f"partition {a.metrics.partition}) failed "
+                f"{state.failures} times; aborting job"))
+        jitter_rand = self.cluster.rng.random() \
+            if config.task_retry_jitter > 0 else 0.0
+        backoff = retry_backoff(
+            config.task_retry_backoff, state.failures,
+            config.task_retry_jitter, jitter_rand)
+        self.pending.add(_PendingEntry(state, a.finish + backoff), ready=False)
+        self.aux_events.append((a.finish, self.next_seq(), TaskRetried(
+            time=a.finish, job_id=a.metrics.job_id,
+            stage_id=stage_id, task_id=a.metrics.task_id,
+            partition=a.metrics.partition, worker_id=a.worker_id,
+            attempt=a.metrics.attempt, backoff=backoff,
+            reason="task attempt failed")))
+        return True
+
+    # ---- speculation -------------------------------------------------------
+
+    def speculate(self) -> bool:
+        """Launch at most one due speculative copy; True if launched."""
+        config, stage_id = self.config, self.stage_id
+        if self.finished_count + TIME_EPS < config.speculation_quantile * self.total \
+                or not self.completed_durations:
+            return False
+        median = statistics.median(self.completed_durations)
+        threshold = config.speculation_multiplier * median
+        next_finish = self.next_finish()
+        free = self.free
+        best: Optional[Tuple[float, int, _Attempt, int]] = None
+        for a in self.running.values():
+            if a.speculative or a.state.speculated or a.state.finished:
+                continue
+            eligible_at = a.start + threshold
+            if eligible_at >= a.finish - TIME_EPS:
+                continue  # finishes before it ever looks slow
+            candidates = [
+                w for w in self.alive
+                if w != a.worker_id and w not in a.state.failed_workers
+                and not self.scheduler.blacklist.is_blacklisted(w, stage_id, eligible_at)
+            ]
+            if not candidates:
+                continue
+            wid = min(candidates, key=lambda w: (max(free[w][0], eligible_at), w))
+            launch_time = max(eligible_at, free[wid][0], self.driver_free)
+            if launch_time >= a.finish - TIME_EPS:
+                continue  # the original wins before the clone starts
+            if launch_time > next_finish + TIME_EPS:
+                continue  # a completion lands first: re-evaluate then
+            if best is None or (launch_time, a.metrics.task_id) < best[:2]:
+                best = (launch_time, a.metrics.task_id, a, wid)
+        if best is None:
+            return False
+        launch_time, _, original, worker_id = best
+        state = original.state
+        state.speculated = True
+        launch_at = max(launch_time, self.driver_free)
+        self.driver_free = launch_at + self.context.cost_model.driver_overhead_per_task
+        locality = PROCESS_LOCAL if worker_id in state.prefs else ANY
+        self.aux_events.append((launch_at, self.next_seq(), TaskSpeculated(
+            time=launch_at, job_id=original.metrics.job_id,
+            stage_id=stage_id, task_id=original.metrics.task_id,
+            partition=original.metrics.partition,
+            original_worker_id=original.worker_id,
+            speculative_worker_id=worker_id,
+            running_for=launch_at - original.start,
+            median_duration=median)))
+        clone = self.launch(state, worker_id, launch_at, locality, speculative=True)
+        self.last_launch = launch_at
+        # Resolve the race now (virtual time: both finishes are known):
+        # when *both* copies will succeed, the first to finish wins and
+        # the other is cancelled.  An attempt that is going to fail is
+        # never truncated — marking it "killed" would skip its failure
+        # path (retry/blacklist accounting) and, worse, truncating a
+        # successful clone against a doomed original would leave the task
+        # with no successful attempt.
+        if clone.metrics.status == "success" \
+                and original.metrics.status == "success":
+            if clone.finish < original.finish:
+                self.truncate(original, clone.finish)
+            else:
+                self.truncate(clone, original.finish)
+        return True
+
+    def truncate(self, loser: _Attempt, at: float) -> None:
+        """Cancel ``loser`` at time ``at``: reclaim its slot beyond the
+        cancellation point and scale its charges down to it."""
+        new_finish = max(loser.start, at)
+        if new_finish < loser.finish - TIME_EPS:
+            worker = self.cluster.get_worker(loser.worker_id)
+            # Only reclaim (and rescale the charges) if nothing was
+            # scheduled after it on the same slot — the free time still
+            # matches our finish.  Otherwise the slot stays occupied to
+            # the original finish, so the charges must too: scaling them
+            # down would make charged work_time diverge from occupancy.
+            if abs(self.kernel.slot_free_time(worker, loser.slot)
+                   - loser.finish) <= 1e-6:
+                self.kernel.set_slot_free_time(worker, loser.slot, new_finish)
+                self.refresh(loser.worker_id)  # a fall: announce it
+                span = loser.finish - loser.start
+                loser.metrics.scale_charges(
+                    (new_finish - loser.start) / span if span > 0 else 0.0)
+                loser.finish = loser.metrics.finish_time = new_finish
+                heapq.heappush(self.finishes, (new_finish, loser.metrics.task_id, loser))
+        loser.metrics.status = "killed"
+
+    # ---- leaving -----------------------------------------------------------
+
+    def flush_events(self) -> None:
+        bus = self.context.event_bus
+        if not bus.active:
+            return
+        stream: List[Tuple[float, int, Event]] = list(self.aux_events)
+        for a in sorted(self.attempts_log,
+                        key=lambda a: (a.metrics.start_time, a.metrics.task_id)):
+            start_event, end_event = task_events_from_metrics(a.metrics)
+            seq = self.next_seq()
+            stream.append((a.metrics.start_time, seq, start_event))
+            stream.append((a.metrics.start_time, seq, end_event))
+        stream.sort(key=lambda item: (item[0], item[1]))
+        for _, _, event in stream:
+            bus.post(event)
+
+    def abort(self, error: Exception) -> None:
+        """Discard never-launched tasks' metrics (they emitted no events)
+        and flush what did run, then re-raise."""
+        for entry in self.pending.entries.values():
+            if entry.state.attempts == 0:
+                self.context.metrics.discard_task_metrics(entry.state.task.metrics)
+        self.flush_events()
+        raise error
