@@ -64,15 +64,11 @@ def make_context(
     name: str,
     spec: ClusterSpec,
     stark_config: Optional[StarkConfig] = None,
-    cache_policy: Optional[str] = None,
-    cache_admission_min_cost: Optional[float] = None,
 ) -> StarkContext:
     """Build a context with the feature switches of configuration ``name``.
 
-    ``cache_policy`` / ``cache_admission_min_cost`` override the cache
-    subsystem knobs (see ``repro.cache``) so any evaluation
-    configuration can be run under any eviction policy; unset, they
-    follow ``stark_config`` (itself defaulting to the CLI-settable
+    Every other knob, the cache policy included, comes from
+    ``stark_config`` (whose cache fields default to the CLI-settable
     ``repro.cache.DEFAULTS``).
     """
     if name not in ALL_CONFIGS:
@@ -85,10 +81,6 @@ def make_context(
         mcf_enabled=is_stark,
         replication_enabled=is_stark,
     )
-    if cache_policy is not None:
-        config = replace(config, cache_policy=cache_policy)
-    if cache_admission_min_cost is not None:
-        config = replace(config, cache_admission_min_cost=cache_admission_min_cost)
     cluster = Cluster(
         num_workers=spec.num_workers,
         cores_per_worker=spec.cores_per_worker,
@@ -108,17 +100,13 @@ def make_setup(
     groups: int = 4,
     partitions_per_group: int = 4,
     stark_config: Optional[StarkConfig] = None,
-    cache_policy: Optional[str] = None,
-    cache_admission_min_cost: Optional[float] = None,
 ) -> ExperimentSetup:
     """Build the context *and* the partitioner each configuration uses.
 
     ``key_lo``/``key_hi`` bound the integer key domain for the range
     partitioners (Z-encoded keys for taxi workloads).
     """
-    context = make_context(name, spec, stark_config,
-                           cache_policy=cache_policy,
-                           cache_admission_min_cost=cache_admission_min_cost)
+    context = make_context(name, spec, stark_config)
     partitioner: Optional[Partitioner]
     partition_mode = "shared"
     if name == SPARK_R:

@@ -35,6 +35,7 @@ from ..elastic import (
     POLICY_NAMES,
     ResourceManager,
     make_scaling_policy,
+    validate_bounds,
 )
 from ..engine.context import StarkConfig, StarkContext
 from ..engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
@@ -1021,7 +1022,6 @@ def _build_stream_system(
     fine_per_group: int = 16,
     seed: int = 5,
     num_workers: Optional[int] = None,
-    stark_config: Optional[StarkConfig] = None,
 ) -> Tuple[ExperimentSetup, Dict[int, object], TaxiTrace]:
     """Ingest ``num_steps`` merged taxi+twitter timesteps under ``name``.
 
@@ -1041,8 +1041,7 @@ def _build_stream_system(
         name, spec,
         num_partitions=num_partitions, key_lo=0, key_hi=key_space,
         groups=groups, partitions_per_group=fine_per_group,
-        stark_config=stark_config
-        if stark_config is not None else _stream_stark_config(events_per_step),
+        stark_config=_stream_stark_config(events_per_step),
     )
     sc = setup.context
     steps: Dict[int, object] = {}
@@ -1096,19 +1095,20 @@ def _stream_query_fn(
     return job
 
 
-def _elastic_stream_config(
-    events_per_step: int,
+def _stream_workers(
     min_workers: Optional[int],
     max_workers: Optional[int],
     scale_policy: Optional[str],
-) -> StarkConfig:
-    """Stream StarkConfig carrying the CLI's elastic bounds (validated
-    against the initial cluster size at context construction)."""
-    return replace(
-        _stream_stark_config(events_per_step),
-        min_workers=min_workers, max_workers=max_workers,
-        scale_policy=scale_policy,
-    )
+) -> int:
+    """Initial cluster size of a Fig 19/20 run: ``min_workers`` when it
+    autoscales, the stream spec's otherwise.  The elastic bounds are
+    checked against it before any context is built, so the CLI rejects
+    a bad flag combination up front."""
+    num_workers = _stream_spec().num_workers
+    if scale_policy is not None and min_workers is not None:
+        num_workers = min_workers
+    validate_bounds(min_workers, max_workers, num_workers)
+    return num_workers
 
 
 def run_fig19(
@@ -1136,17 +1136,14 @@ def run_fig19(
     Returns the (config, rate, delay) points and, per config, the largest
     probed rate whose mean delay stayed under ``delay_cap``.
     """
+    num_workers = _stream_workers(min_workers, max_workers, scale_policy)
     points: List[ThroughputPoint] = []
     throughput: Dict[str, float] = {}
     for name in configs:
         best_rate = 0.0
         for rate in rates:
             setup, steps, taxi = _build_stream_system(
-                name, num_steps, events_per_step,
-                num_workers=min_workers if scale_policy is not None else None,
-                stark_config=_elastic_stream_config(
-                    events_per_step, min_workers, max_workers, scale_policy),
-            )
+                name, num_steps, events_per_step, num_workers=num_workers)
             manager = None
             if scale_policy is not None:
                 manager = ResourceManager(
@@ -1195,21 +1192,18 @@ def run_fig20(
     also scales: it starts at ``min_workers`` and a ResourceManager
     evaluates once per step from the step's job delays.
     """
+    num_workers = _stream_workers(min_workers, max_workers, scale_policy)
     out: List[DelayOverTimePoint] = []
     for name in configs:
         taxi = _stream_taxi(base_events_per_step, peak_to_nadir=2.5,
                             steps_per_day=hours * steps_per_hour)
         trace = MergedTaxiTwitterTrace(taxi)
         key_space = taxi.encoder.key_space()
-        spec = _stream_spec()
-        if scale_policy is not None and min_workers is not None:
-            spec = replace(spec, num_workers=min_workers)
         setup = make_setup(
-            name, spec,
+            name, replace(_stream_spec(), num_workers=num_workers),
             num_partitions=num_partitions, key_lo=0, key_hi=key_space,
             groups=groups, partitions_per_group=16,
-            stark_config=_elastic_stream_config(
-                base_events_per_step, min_workers, max_workers, scale_policy),
+            stark_config=_stream_stark_config(base_events_per_step),
         )
         sc = setup.context
         manager = None
@@ -1349,11 +1343,7 @@ def _run_diurnal_replay(
         STARK_E, spec,
         num_partitions=num_partitions, key_lo=0, key_hi=key_space,
         groups=groups, partitions_per_group=16,
-        stark_config=_elastic_stream_config(
-            base_events_per_step,
-            min_workers if scale_policy is not None else None,
-            max_workers if scale_policy is not None else None,
-            scale_policy),
+        stark_config=_stream_stark_config(base_events_per_step),
     )
     sc = setup.context
     manager = None
@@ -1451,6 +1441,7 @@ def run_elastic_diurnal(
     directory), the full comparison lands in
     ``BENCH_elastic_diurnal.json``.
     """
+    validate_bounds(min_workers, max_workers, min_workers)
     static_load, static_wh, _, _ = _run_diurnal_replay(
         None, hours, hour_seconds, base_jobs_per_hour, peak_factor,
         base_events_per_step, start_workers=max_workers,

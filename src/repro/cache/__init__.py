@@ -15,9 +15,9 @@ This package owns every caching policy decision the engine makes:
   migration, cross-job lineage-prefix sharing, and the memory-market
   scoring elastic scale-in consults.
 
-Select a policy via ``StarkConfig(cache_policy="lrc")``, the benchmark
-configs (``make_setup(..., cache_policy="cost")``), or globally via the
-CLI (``python -m repro --cache-policy lrc <figure>``).  See
+Select a policy via ``StarkConfig(cache_policy="lrc")`` (the benchmark
+configs take one as ``make_setup(..., stark_config=...)``), or globally
+via the CLI (``python -m repro --cache-policy lrc <figure>``).  See
 ``docs/CACHING.md``.
 """
 

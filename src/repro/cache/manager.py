@@ -55,8 +55,7 @@ class CacheManager:
         #: supplies every store's policy, so ``cache_policy`` is not
         #: consulted while it is on.
         self.broker: "CacheBroker | None" = (
-            CacheBroker(self) if getattr(config, "cache_broker", False)
-            else None)
+            CacheBroker(self) if config.cache_broker else None)
         # The recency policies have no score: nobody to tell of a fall.
         scored = self.broker is not None or self.policy_name not in (
             LRUPolicy.name, FIFOPolicy.name)

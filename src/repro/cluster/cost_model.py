@@ -152,11 +152,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class HeterogeneityModel:
-    """Worker heterogeneity + transient-fault distributions.
+    """Worker heterogeneity: slow hardware and transient slowdowns.
 
-    The default model is the identity: every worker runs at unit speed,
-    never slows down, and never fails — applying it changes nothing, so
-    existing experiments are bit-identical.  Non-trivial settings are
+    The default model is the identity: every worker runs at unit speed
+    and never slows down — applying it changes nothing, so existing
+    experiments are bit-identical.  Non-trivial settings are
     sampled onto a cluster via :meth:`repro.cluster.Cluster.apply_heterogeneity`
     (which draws from the cluster's seeded RNG for reproducibility):
 
@@ -167,11 +167,11 @@ class HeterogeneityModel:
       (JVM full GCs, noisy neighbours): window starts form a Poisson
       process with rate ``transient_rate`` per simulated second over
       ``[0, horizon)``, each lasting ``transient_duration`` seconds
-      during which work progresses ``transient_factor`` × slower;
-    * each task attempt fails outright with ``task_failure_prob`` and
-      each remote shuffle fetch fails with ``fetch_failure_prob``
-      (these two are consumed by the scheduler/executor via
-      ``StarkConfig``-style knobs; see ``docs/FAULT_TOLERANCE.md``).
+      during which work progresses ``transient_factor`` × slower.
+
+    Outright task and fetch failures are not part of the model: they are
+    ``StarkConfig.task_failure_prob`` / ``fetch_failure_prob`` (see
+    ``docs/FAULT_TOLERANCE.md``).
     """
 
     #: Fraction of workers sampled as uniformly slow.
@@ -186,19 +186,14 @@ class HeterogeneityModel:
     transient_factor: float = 1.0
     #: Windows are pre-sampled over ``[0, horizon)`` simulated seconds.
     horizon: float = 0.0
-    #: Per-attempt probability that a task fails mid-run.
-    task_failure_prob: float = 0.0
-    #: Per-remote-fetch probability of a shuffle fetch failure.
-    fetch_failure_prob: float = 0.0
 
     def __post_init__(self) -> None:
         if self.slow_worker_speed < 1.0 or self.transient_factor < 1.0:
             raise ValueError("slowdown multipliers must be >= 1")
-        for name in ("slow_worker_fraction", "task_failure_prob",
-                     "fetch_failure_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability: {p}")
+        if not 0.0 <= self.slow_worker_fraction <= 1.0:
+            raise ValueError(
+                "slow_worker_fraction must be a probability: "
+                f"{self.slow_worker_fraction}")
         if self.transient_rate < 0 or self.transient_duration < 0 \
                 or self.horizon < 0:
             raise ValueError("transient window parameters must be >= 0")

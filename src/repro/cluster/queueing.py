@@ -31,11 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Signature of a job thunk: (arrival_time, job_index) -> finish_time.
 JobFn = Callable[[float, int], float]
 
-#: Pluggable admission predicate: ``(arrival_time, job_index, pending)
-#: -> admit?``.  Generalizes the built-in ``max_pending_jobs`` bound —
-#: the multi-tenant service layer supplies per-tenant policies here.
-AdmissionFn = Callable[[float, int, int], bool]
-
 
 def nearest_rank(sorted_values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile of an ascending-sorted sample.
@@ -127,9 +122,6 @@ class JobDriver:
       *shed* — counted in ``LoadResult.shed_jobs`` and announced as a
       :class:`~repro.obs.events.JobShed` event — so saturation degrades
       to rejected jobs instead of unbounded queueing delay.
-      ``admission_fn`` generalizes the bound to an arbitrary predicate
-      (the service layer's per-tenant admission control); when both are
-      given, an arrival must pass both.
     * ``resource_manager`` is told every completion (feeding the
       latency-SLO policy's response-time window) and handed this
       driver's :meth:`pending_jobs` as its backlog source; scaling
@@ -143,7 +135,6 @@ class JobDriver:
         seed: int = 0,
         resource_manager: Optional["ResourceManager"] = None,
         max_pending_jobs: Optional[int] = None,
-        admission_fn: Optional[AdmissionFn] = None,
     ) -> None:
         if max_pending_jobs is not None and max_pending_jobs < 1:
             raise ValueError(
@@ -155,7 +146,6 @@ class JobDriver:
                                                     "bind_pending_jobs"):
             resource_manager.bind_pending_jobs(self.pending_jobs)
         self.max_pending_jobs = max_pending_jobs
-        self.admission_fn = admission_fn
         #: Finish times of submitted jobs still in the system (min-heap);
         #: survives across run_* calls so multi-window replays carry
         #: their backlog over.
@@ -194,11 +184,8 @@ class JobDriver:
         pending = self.pending_jobs(t)
         index = self._job_index
         self._job_index += 1
-        shed = (self.max_pending_jobs is not None
-                and pending >= self.max_pending_jobs)
-        if not shed and self.admission_fn is not None:
-            shed = not self.admission_fn(t, index, pending)
-        if shed:
+        if (self.max_pending_jobs is not None
+                and pending >= self.max_pending_jobs):
             out.shed_jobs += 1
             bus = self.context.event_bus
             if bus.active:

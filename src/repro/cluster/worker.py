@@ -26,7 +26,7 @@ homogeneous cluster behaves exactly as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .events import TIME_EPS
 
@@ -38,7 +38,6 @@ class Worker:
     worker_id: int
     cores: int = 4
     memory_bytes: float = 12e9
-    hostname: str = ""
     #: Constant wall-time multiplier: 1.0 is nominal, 2.0 runs everything
     #: twice as slowly.
     speed: float = 1.0
@@ -50,8 +49,6 @@ class Worker:
             raise ValueError(f"worker needs positive memory: {self.memory_bytes}")
         if self.speed < 1.0:
             raise ValueError(f"worker speed multiplier must be >= 1: {self.speed}")
-        if not self.hostname:
-            self.hostname = f"worker-{self.worker_id}"
         # Absolute simulated time at which each slot becomes idle.  This
         # declaration is the one blessed assignment outside the kernel;
         # all subsequent writes go through SimKernel APIs.
@@ -62,9 +59,6 @@ class Worker:
         self.shuffle_disk: Dict[Tuple[int, int, int], float] = {}
         # Transient slowdown windows (start, end, factor), factor >= 1.
         self.slowdowns: List[Tuple[float, float, float]] = []
-        # Per-worker task failure probability; None defers to the
-        # config-level ``task_failure_prob``.
-        self.failure_prob: Optional[float] = None
         # Set by SimKernel.register_worker; reads delegate to the
         # kernel's cached index when attached.
         self._kernel = None

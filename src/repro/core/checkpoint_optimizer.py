@@ -25,7 +25,7 @@ lineage grows (Fig 18).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Dict, List, Sequence, Set, TYPE_CHECKING
 
 from .flow import INF, FlowNetwork
 
@@ -63,18 +63,14 @@ class CheckpointOptimizer:
     def __init__(
         self,
         context: "StarkContext",
-        recovery_bound: Optional[float] = None,
-        relax_factor: Optional[float] = None,
+        recovery_bound: float,
+        relax_factor: float = 1.0,
     ) -> None:
         self.context = context
-        self.recovery_bound = (
-            recovery_bound if recovery_bound is not None
-            else context.config.recovery_delay_bound
-        )
-        self.relax_factor = (
-            relax_factor if relax_factor is not None
-            else context.config.checkpoint_relax_factor
-        )
+        #: The user's recovery delay bound ``r`` (simulated seconds).
+        self.recovery_bound = recovery_bound
+        #: Cut-relaxation factor ``f`` (§III-D2); 1.0 is exact optimality.
+        self.relax_factor = relax_factor
         if self.recovery_bound <= 0:
             raise ValueError(f"recovery bound must be positive: {self.recovery_bound}")
         if self.relax_factor < 1.0:

@@ -9,7 +9,10 @@ simulated engine:
 * :class:`ResourceManager` owns cluster membership: scale-out with a
   simulated spin-up delay, and graceful decommission that drains tasks
   and migrates cached partitions before releasing a worker (lineage
-  recovery is the fallback, not the default).
+  recovery is the fallback, not the default).  Its
+  ``min_workers``/``max_workers`` bounds are checked by
+  :func:`validate_bounds`, which the benchmark harness also calls
+  before it builds any context.
 * :mod:`~repro.elastic.policy` supplies pluggable autoscaling policies —
   backlog-based, utilization-target, and latency-SLO — selected by name
   via the CLI's ``--scale-policy`` flag.
@@ -25,7 +28,7 @@ the static peak-provisioned worker-hours.
 
 from __future__ import annotations
 
-from .manager import DecommissionReport, ResourceManager
+from .manager import DecommissionReport, ResourceManager, validate_bounds
 from .policy import (
     BacklogPolicy,
     ClusterSnapshot,
@@ -49,5 +52,6 @@ __all__ = [
     "ScalingPolicy",
     "UtilizationPolicy",
     "make_scaling_policy",
+    "validate_bounds",
     "windowed_mean",
 ]

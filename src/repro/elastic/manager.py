@@ -49,6 +49,36 @@ from .policy import ClusterSnapshot, PolicyDecision, ScalingPolicy, windowed_mea
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.context import StarkContext
 
+#: How many recent job response times feed the latency-SLO p95.
+DELAY_WINDOW = 32
+
+
+def validate_bounds(min_workers: Optional[int], max_workers: Optional[int],
+                    initial_workers: int) -> None:
+    """Check elastic membership bounds against an initial cluster size.
+
+    Requires positive bounds and ``min_workers <= initial_workers <=
+    max_workers`` (for whichever bounds are set; ``None`` leaves that
+    side unbounded); raises ``ValueError`` on nonsense so the CLI
+    rejects bad flag combinations up front.
+    """
+    lo, hi = min_workers, max_workers
+    if lo is not None and lo < 1:
+        raise ValueError(f"min_workers must be at least 1: {lo}")
+    if hi is not None and hi < 1:
+        raise ValueError(f"max_workers must be at least 1: {hi}")
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(
+            f"min_workers ({lo}) exceeds max_workers ({hi})")
+    if lo is not None and initial_workers < lo:
+        raise ValueError(
+            f"initial cluster size ({initial_workers}) is below "
+            f"min_workers ({lo})")
+    if hi is not None and initial_workers > hi:
+        raise ValueError(
+            f"initial cluster size ({initial_workers}) exceeds "
+            f"max_workers ({hi})")
+
 
 @dataclass
 class DecommissionReport:
@@ -83,15 +113,11 @@ class ResourceManager:
         scale_in_cooldown_seconds: Optional[float] = None,
         migration_budget_bytes: float = 4e9,
         slo_delay_cap: float = 0.8,
-        delay_window: int = 32,
         occupancy_window: float = 120.0,
         evaluate_interval_seconds: Optional[float] = None,
     ) -> None:
-        if min_workers < 1:
-            raise ValueError(f"min_workers must be at least 1: {min_workers}")
-        if max_workers is not None and max_workers < min_workers:
-            raise ValueError(
-                f"max_workers ({max_workers}) below min_workers ({min_workers})")
+        validate_bounds(min_workers, max_workers,
+                        len(context.cluster.alive_workers()))
         self.context = context
         self.policy = policy
         self.min_workers = min_workers
@@ -111,7 +137,7 @@ class ResourceManager:
         #: fed by the context's event bus (subscribing activates it).
         self.sampler = UtilizationSampler()
         context.event_bus.subscribe(self.sampler)
-        self._recent_delays: Deque[float] = deque(maxlen=delay_window)
+        self._recent_delays: Deque[float] = deque(maxlen=DELAY_WINDOW)
         self._last_action_time = float("-inf")
         self._worker_seconds = 0.0
         self._ws_last = context.cluster.clock.now

@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+#: Copies the reliable store keeps of every checkpointed partition
+#: (HDFS's default); each copy past the first crosses the network.
+REPLICATION = 3
+
 
 @dataclass
 class CheckpointRecord:
@@ -24,10 +28,7 @@ class CheckpointRecord:
 class CheckpointStore:
     """Reliable, replicated storage for checkpointed partitions."""
 
-    def __init__(self, replication: int = 3) -> None:
-        if replication < 1:
-            raise ValueError(f"replication must be >= 1: {replication}")
-        self.replication = replication
+    def __init__(self) -> None:
         # rdd_id -> pid -> (size_bytes, records)
         self._partitions: Dict[int, Dict[int, Tuple[float, list]]] = {}
         self.history: List[CheckpointRecord] = []

@@ -29,7 +29,7 @@ from ..obs.events import (
     task_events_from_metrics,
 )
 from .block_manager import BlockManagerMaster
-from .checkpoint import CheckpointStore
+from .checkpoint import REPLICATION, CheckpointStore
 from .compute import EvalContext, RDDStats
 from .dag_scheduler import DAGScheduler
 from .metrics import MetricsCollector
@@ -67,10 +67,6 @@ class StarkConfig:
     group_size_window: int = 6
     #: Delay-scheduling locality wait (seconds).
     locality_wait: float = 0.1
-    #: Failure-recovery delay bound r for the checkpoint optimizer (s).
-    recovery_delay_bound: float = 60.0
-    #: Cut-relaxation factor f (§III-D2); 1.0 enforces exact optimality.
-    checkpoint_relax_factor: float = 1.0
     #: Fraction of worker memory available to the block cache.
     storage_memory_fraction: float = 0.6
     #: Eviction policy of the executor block stores: one of
@@ -87,15 +83,6 @@ class StarkConfig:
     #: (``CacheManager.expect``) drains to zero.  Only RDDs with explicit
     #: declarations are ever dropped.
     cache_auto_unpersist: bool = False
-    #: Elastic sizing bounds (``repro.elastic``): the autoscaler never
-    #: shrinks the cluster below ``min_workers`` nor grows it beyond
-    #: ``max_workers``.  ``None`` leaves the respective side unbounded.
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
-    #: Autoscaling policy name — one of ``repro.elastic.POLICY_NAMES``
-    #: ("backlog", "utilization", "latency") — or ``None`` for a static
-    #: cluster.  Benchmarks use this to build a ``ResourceManager``.
-    scale_policy: Optional[str] = None
 
     # -- straggler mitigation / task-level fault tolerance (see
     #    docs/FAULT_TOLERANCE.md) ------------------------------------------
@@ -163,10 +150,6 @@ class StarkConfig:
     #: Default per-tenant cache quota in megabytes; 0 disables quota
     #: enforcement (tenants may override per-tenant at creation).
     tenant_quota_mb: float = 0.0
-    #: How many service jobs may run concurrently (dispatcher width).
-    #: The simulated driver executes jobs one at a time, so widths > 1
-    #: only overlap queueing accounting, not task execution.
-    max_concurrent_jobs: int = 1
 
     def validate_service(self) -> None:
         """Reject nonsense service-layer knobs up front (CLI guard)."""
@@ -178,10 +161,6 @@ class StarkConfig:
         if self.tenant_quota_mb < 0:
             raise ValueError(
                 f"tenant_quota_mb must be >= 0: {self.tenant_quota_mb}")
-        if self.max_concurrent_jobs < 1:
-            raise ValueError(
-                f"max_concurrent_jobs must be at least 1: "
-                f"{self.max_concurrent_jobs}")
 
     def validate_fault_tolerance(self) -> None:
         """Reject nonsense fault-tolerance knobs up front (CLI guard)."""
@@ -203,6 +182,13 @@ class StarkConfig:
                 f"{self.max_stage_attempts}")
         if self.task_retry_backoff < 0 or self.task_retry_jitter < 0:
             raise ValueError("retry backoff/jitter must be >= 0")
+        # BlacklistTracker trips when a count *reaches* its threshold
+        # right after an increment, so a threshold of 0 never trips.
+        for name in ("max_failures_per_executor_stage",
+                     "max_failures_per_executor"):
+            threshold = getattr(self, name)
+            if threshold < 1:
+                raise ValueError(f"{name} must be at least 1: {threshold}")
         if self.blacklist_timeout < 0:
             raise ValueError(
                 f"blacklist_timeout must be >= 0: {self.blacklist_timeout}")
@@ -210,31 +196,6 @@ class StarkConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability: {p}")
-
-    def validate_elastic(self, initial_workers: int) -> None:
-        """Check the elastic bounds against an initial cluster size.
-
-        Requires ``min_workers <= initial_workers <= max_workers`` (for
-        whichever bounds are set) and positive bounds; raises
-        ``ValueError`` on nonsense so the CLI rejects bad flag
-        combinations up front.
-        """
-        lo, hi = self.min_workers, self.max_workers
-        if lo is not None and lo < 1:
-            raise ValueError(f"min_workers must be at least 1: {lo}")
-        if hi is not None and hi < 1:
-            raise ValueError(f"max_workers must be at least 1: {hi}")
-        if lo is not None and hi is not None and lo > hi:
-            raise ValueError(
-                f"min_workers ({lo}) exceeds max_workers ({hi})")
-        if lo is not None and initial_workers < lo:
-            raise ValueError(
-                f"initial cluster size ({initial_workers}) is below "
-                f"min_workers ({lo})")
-        if hi is not None and initial_workers > hi:
-            raise ValueError(
-                f"initial cluster size ({initial_workers}) exceeds "
-                f"max_workers ({hi})")
 
 
 class StarkContext:
@@ -251,8 +212,6 @@ class StarkContext:
     ) -> None:
         self.config = config or StarkConfig()
         self.config.validate_fault_tolerance()
-        self.config.validate_elastic(
-            len(cluster) if cluster is not None else num_workers)
         self.cluster = cluster or Cluster(
             num_workers=num_workers,
             cores_per_worker=cores_per_worker,
@@ -442,9 +401,7 @@ class StarkContext:
             write_cost = (
                 self.cost_model.serde_cost(size)
                 + self.cost_model.disk_write_cost(size)
-                + self.cost_model.network_cost(
-                    size * (self.checkpoint_store.replication - 1)
-                )
+                + self.cost_model.network_cost(size * (REPLICATION - 1))
             )
             tm.shuffle_write_time += write_cost
             worker = self.cluster.get_worker(worker_id)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster.queueing import nearest_rank
-from ..obs.registry import MetricsRegistry
 
 
 @dataclass
@@ -154,28 +153,12 @@ class MetricsCollector:
         self.jobs: List[JobMetrics] = []
         self._task_ids = itertools.count()
         self._job_ids = itertools.count()
-        #: Registry backing the collector's counters; also holds any
-        #: metrics other components register (``repro.obs.registry``).
-        self.registry = MetricsRegistry()
-        self._evictions = self.registry.counter(
-            "stark_cache_evictions_total",
-            "Capacity evictions across all executor block stores",
-        )
-        self._jobs_total = self.registry.counter(
-            "stark_jobs_total", "Jobs submitted to the DAG scheduler",
-        )
-        self._tasks_total = self.registry.counter(
-            "stark_tasks_total", "Task attempts created",
-        )
+        #: Capacity evictions across all executor block stores so far.
+        self.evictions = 0
 
-    @property
-    def evictions(self) -> int:
-        """Capacity evictions so far (registry-backed)."""
-        return int(self._evictions.value)
-
-    def record_eviction(self, count: int = 1) -> None:
+    def record_eviction(self) -> None:
         """Count a capacity eviction (fed by the block manager)."""
-        self._evictions.inc(count)
+        self.evictions += 1
 
     def new_job(self, description: str, submit_time: float) -> JobMetrics:
         job = JobMetrics(
@@ -184,7 +167,6 @@ class MetricsCollector:
             submit_time=submit_time,
         )
         self.jobs.append(job)
-        self._jobs_total.inc()
         return job
 
     def new_task_metrics(self, job: JobMetrics, stage_id: int, partition: int) -> TaskMetrics:
@@ -195,7 +177,6 @@ class MetricsCollector:
             partition=partition,
         )
         job.tasks.append(tm)
-        self._tasks_total.inc()
         return tm
 
     def new_attempt_metrics(
@@ -222,7 +203,6 @@ class MetricsCollector:
         )
         job = self._job_by_id(original.job_id)
         job.tasks.append(tm)
-        self._tasks_total.inc()
         return tm
 
     def discard_task_metrics(self, tm: TaskMetrics) -> None:

@@ -471,8 +471,7 @@ class _TaskSetRun:
             tm = context.metrics.new_attempt_metrics(
                 task.metrics, attempt_no, speculative=speculative)
         worker = cluster.get_worker(worker_id)
-        p = worker.failure_prob if worker.failure_prob is not None \
-            else self.config.task_failure_prob
+        p = self.config.task_failure_prob
         will_fail = p > 0 and cluster.rng.random() < p
         try:
             work = task.run(context, worker_id, metrics=tm, commit_effects=not will_fail)

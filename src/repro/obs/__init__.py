@@ -11,9 +11,7 @@ listeners turn the stream into artifacts:
 * :class:`ChromeTraceExporter` — Perfetto-loadable trace (one track per
   worker slot, colour-phased task spans);
 * :class:`UtilizationSampler` — slot-occupancy / cache-memory /
-  network-in-flight timelines;
-* :class:`MetricsRegistry` — labelled counters/gauges/histograms with
-  Prometheus-text export (backing ``MetricsCollector``'s totals).
+  network-in-flight timelines.
 
 With no listeners subscribed the bus is inert: emission sites check
 ``bus.active`` first, so tracing-off runs build zero events and the
@@ -100,7 +98,6 @@ from .listeners import (
     validate_event_log,
 )
 from .profiler import DispatchStat, HeapStats, SimProfiler
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .sampler import UtilizationSampler
 from .spans import JobSpan, StageSpan, TaskSpan, build_spans
 from .trace import ChromeTraceExporter, assign_slots
@@ -179,7 +176,6 @@ __all__ = [
     "CacheMiss",
     "CheckpointWritten",
     "ChromeTraceExporter",
-    "Counter",
     "CriticalPathReport",
     "DatasetBranched",
     "DatasetDropped",
@@ -193,16 +189,13 @@ __all__ = [
     "ExecutorBlacklisted",
     "FailureInjected",
     "FetchFailed",
-    "Gauge",
     "HeapStats",
-    "Histogram",
     "JobEnd",
     "JobShed",
     "JobSpan",
     "JobStart",
     "JsonlEventLog",
     "LineageRecovered",
-    "MetricsRegistry",
     "PoolWeightsUpdated",
     "QueryCompleted",
     "QueryFailed",

@@ -236,8 +236,7 @@ def assign_slots(
 class ChromeTraceExporter:
     """EventBus listener that accumulates events and renders the trace."""
 
-    def __init__(self, include_phases: bool = True) -> None:
-        self.include_phases = include_phases
+    def __init__(self) -> None:
         self._tasks: List[TaskEnd] = []
         self._instants: List[Dict[str, Any]] = []
         self._driver_spans: List[Dict[str, Any]] = []
@@ -421,8 +420,6 @@ class ChromeTraceExporter:
             "dur": max(task.duration, 0.0) * _US, "pid": pid, "tid": slot,
             "args": {f: getattr(task, f) for f in _TASK_ARGS},
         }]
-        if not self.include_phases:
-            return events
         cursor = start
         for field_name, phase in TASK_PHASES:
             seconds = getattr(task, field_name)

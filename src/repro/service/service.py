@@ -75,24 +75,15 @@ class _QueuedJob:
 class DatasetService:
     """Driver-side multi-tenant dataset service over one context."""
 
-    def __init__(
-        self,
-        context: "StarkContext",
-        scheduling_policy: Optional[str] = None,
-        default_quota_mb: Optional[float] = None,
-    ) -> None:
-        context.config.validate_service()
+    def __init__(self, context: "StarkContext") -> None:
+        config = context.config
+        config.validate_service()
         self.context = context
-        policy = (scheduling_policy if scheduling_policy is not None
-                  else context.config.scheduling_policy)
-        quota_mb = (default_quota_mb if default_quota_mb is not None
-                    else context.config.tenant_quota_mb)
-        if quota_mb < 0:
-            raise ValueError(f"tenant quota must be >= 0: {quota_mb}")
-        self.pools = PoolSet(policy, on_pool_updated=self._on_pool_updated)
+        self.pools = PoolSet(config.scheduling_policy,
+                             on_pool_updated=self._on_pool_updated)
         self.quotas = TenantCacheQuotas(
             context.block_manager_master,
-            default_quota_bytes=quota_mb * 1e6,
+            default_quota_bytes=config.tenant_quota_mb * 1e6,
         )
         context.cache_manager.quotas = self.quotas
         self.registry = DatasetRegistry(context)

@@ -4,7 +4,12 @@ bounds/cooldowns, and worker-seconds accounting."""
 import pytest
 
 from repro import StarkContext, obs
-from repro.elastic import BacklogPolicy, ResourceManager, make_scaling_policy
+from repro.elastic import (
+    BacklogPolicy,
+    ResourceManager,
+    make_scaling_policy,
+    validate_bounds,
+)
 
 from ..conftest import make_pairs
 
@@ -219,6 +224,8 @@ class TestEvaluateBounds:
             make_manager(sc, min_workers=0)
         with pytest.raises(ValueError):
             make_manager(sc, min_workers=5, max_workers=2)
+        with pytest.raises(ValueError, match="initial cluster size"):
+            make_manager(sc, max_workers=len(sc.cluster) - 1)
 
     def test_scaling_decision_event(self, sc):
         collector = obs.EventCollector()
@@ -229,6 +236,34 @@ class TestEvaluateBounds:
         assert len(decisions) == 1
         assert decisions[0].action == "scale_out"
         assert decisions[0].policy == "backlog"
+
+
+class TestValidateBounds:
+    def test_unset_bounds_accept_anything(self):
+        validate_bounds(None, None, 4)
+
+    def test_valid_window_accepts(self):
+        validate_bounds(2, 8, 4)
+
+    def test_bounds_must_be_positive(self):
+        with pytest.raises(ValueError):
+            validate_bounds(0, None, 4)
+        with pytest.raises(ValueError):
+            validate_bounds(None, 0, 4)
+
+    def test_min_above_max_rejected(self):
+        with pytest.raises(ValueError):
+            validate_bounds(5, 2, 3)
+
+    def test_initial_outside_window_rejected(self):
+        with pytest.raises(ValueError):
+            validate_bounds(4, None, 2)
+        with pytest.raises(ValueError):
+            validate_bounds(None, 4, 6)
+
+    def test_one_sided_bounds(self):
+        validate_bounds(2, None, 100)
+        validate_bounds(None, 8, 1)
 
 
 def _overloaded(sc):

@@ -184,12 +184,6 @@ class ReferenceTaskScheduler(TaskScheduler):
             flush_events()
             raise error
 
-        def failure_prob(worker_id: int) -> float:
-            worker = cluster.get_worker(worker_id)
-            if worker.failure_prob is not None:
-                return worker.failure_prob
-            return config.task_failure_prob
-
         def launch_attempt(
             state: _TaskState, worker_id: int, start: float, locality: str,
             speculative: bool = False,
@@ -203,7 +197,7 @@ class ReferenceTaskScheduler(TaskScheduler):
             else:
                 tm = context.metrics.new_attempt_metrics(
                     task.metrics, attempt_no, speculative=speculative)
-            p = failure_prob(worker_id)
+            p = config.task_failure_prob
             will_fail = p > 0 and cluster.rng.random() < p
             worker = cluster.get_worker(worker_id)
             try:

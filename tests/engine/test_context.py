@@ -121,35 +121,3 @@ class TestSimStr:
         assert sizer.in_memory_size(records) == \
             2.5 * sizer.size_of_partition(records)
 
-
-class TestElasticConfigValidation:
-    def make(self, **kwargs):
-        from repro.engine.context import StarkConfig
-
-        return StarkConfig(**kwargs)
-
-    def test_unset_bounds_accept_anything(self):
-        self.make().validate_elastic(4)
-
-    def test_valid_window_accepts(self):
-        self.make(min_workers=2, max_workers=8).validate_elastic(4)
-
-    def test_bounds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            self.make(min_workers=0).validate_elastic(4)
-        with pytest.raises(ValueError):
-            self.make(max_workers=0).validate_elastic(4)
-
-    def test_min_above_max_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(min_workers=5, max_workers=2).validate_elastic(3)
-
-    def test_initial_outside_window_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(min_workers=4).validate_elastic(2)
-        with pytest.raises(ValueError):
-            self.make(max_workers=4).validate_elastic(6)
-
-    def test_one_sided_bounds(self):
-        self.make(min_workers=2).validate_elastic(100)
-        self.make(max_workers=8).validate_elastic(1)

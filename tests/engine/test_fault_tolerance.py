@@ -149,6 +149,14 @@ class TestBlacklist:
         for e in events:
             assert e.until > e.time
 
+    @pytest.mark.parametrize("knob", ["max_failures_per_executor_stage",
+                                      "max_failures_per_executor"])
+    def test_zero_threshold_rejected(self, knob):
+        # The tracker trips when a count reaches its threshold right
+        # after an increment, so 0 would silently switch blacklisting off.
+        with pytest.raises(ValueError, match=knob):
+            make_context(**{knob: 0})
+
 
 class TestFetchFailureResubmission:
     def _shuffle_rdd(self, sc):

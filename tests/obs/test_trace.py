@@ -96,15 +96,6 @@ class TestTraceExport(object):
                   if e.get("cat") in ("job", "stage")]
         assert all(e["pid"] == 0 for e in driver)
 
-    def test_include_phases_off(self, sc, tmp_path):
-        tracer = ChromeTraceExporter(include_phases=False)
-        sc.event_bus.subscribe(tracer)
-        run_small_workload(sc)
-        trace = tracer.to_trace()
-        assert not [e for e in trace["traceEvents"]
-                    if e.get("cat") == "phase"]
-        assert [e for e in trace["traceEvents"] if e.get("cat") == "task"]
-
 
 # What one event of each type draws: (ph, pid, tid, cat, scope, sorted arg
 # keys) per non-metadata record, in trace order.  Samples come from

@@ -62,12 +62,6 @@ class TestConfig:
         assert svc.quotas.default_quota_bytes == 2e6
         assert sc.cache_manager.quotas is svc.quotas
 
-    def test_explicit_args_override_config(self):
-        svc = DatasetService(make_sc(), scheduling_policy="fair",
-                             default_quota_mb=1.0)
-        assert svc.pools.policy.name == "fair"
-        assert svc.quotas.quota_of("anyone") == 1e6
-
     def test_tenant_validation(self):
         svc = DatasetService(make_sc())
         svc.create_tenant("a")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cache import (
     DEFAULTS,
     set_default_admission_min_cost,
@@ -92,10 +93,33 @@ class TestElasticCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["fig19", "--scale-policy", "nope"])
 
-    def test_bad_bounds_exit_with_error(self, capsys):
-        code = main(["elastic", "--min-workers", "6", "--max-workers", "2"])
+    @staticmethod
+    def exits_before_any_context(argv, capsys):
+        built = []
+        observer = obs.add_context_observer(built.append)
+        try:
+            code = main(argv)
+        finally:
+            obs.remove_context_observer(observer)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not built, "the bounds are checked before any context"
+
+    def test_bad_bounds_exit_with_error(self, capsys):
+        self.exits_before_any_context(
+            ["elastic", "--min-workers", "6", "--max-workers", "2"], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["fig19", "--rates", "2", "--scale-policy", "backlog",
+         "--min-workers", "6", "--max-workers", "2"],
+        ["fig19", "--rates", "2", "--max-workers", "4"],
+        ["fig20", "--hours", "2", "--scale-policy", "latency",
+         "--min-workers", "0"],
+        ["fig20", "--hours", "2", "--min-workers", "6", "--max-workers", "2"],
+    ], ids=["fig19-min-above-max", "fig19-initial-above-max",
+            "fig20-min-zero", "fig20-min-above-max"])
+    def test_bad_figure_bounds_exit_with_error(self, argv, capsys):
+        self.exits_before_any_context(argv, capsys)
 
 
 class TestObservabilityCli:
