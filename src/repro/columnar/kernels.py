@@ -1,11 +1,12 @@
 """Vectorized kernels over :class:`~repro.columnar.batch.ColumnarBatch`.
 
 Every kernel is a pure function ``batch -> batch`` (or a small family
-thereof) built from whole-array numpy primitives; no kernel ever loops
-over rows in Python except across the *unique* key values of a
-partitioning step, which is how the columnar engine reproduces the row
-engine's exact :func:`~repro.engine.partitioner.stable_hash`
-distribution at vector speed (factorize, hash the dictionary, gather).
+thereof) built from whole-array numpy primitives.  Partitioning
+reproduces the row engine's :func:`~repro.engine.partitioner.stable_hash`
+bit for bit, a column at a time: int columns through a table-driven
+CRC32 over their fixed 16-byte encoding, with no Python call per key;
+float and str columns through one ``stable_hash`` call per *distinct*
+value of that column; composite keys through the tuple fold in numpy.
 
 Kernel contract (documented in ``docs/DATAFRAME.md``):
 
@@ -17,6 +18,7 @@ Kernel contract (documented in ``docs/DATAFRAME.md``):
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,31 +56,92 @@ def factorize(batch: ColumnarBatch,
     return codes, keys
 
 
+def _int_crc_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Byte tables for CRC32 over ``stable_hash``'s int encoding.
+
+    ``stable_hash`` encodes every int64 as 16 little-endian bytes: the
+    eight value bytes, then eight sign bytes (all 0x00 or all 0xFF).
+    CRC32 is affine over messages of one length, so for value bytes
+    ``b0..b7`` the hash is ``sign[s] ^ table[0][b0] ^ ... ^ table[7][b7]``
+    with ``table[i][b] = crc(b at offset i, zeros elsewhere) ^ crc(zeros)``
+    and ``sign[s] = crc(eight zero bytes + the eight sign bytes)``.
+    """
+    zeros = zlib.crc32(bytes(16))
+    table = np.empty((8, 256), dtype=np.uint32)
+    message = bytearray(16)
+    for i in range(8):
+        for b in range(256):
+            message[i] = b
+            table[i, b] = zlib.crc32(message) ^ zeros
+        message[i] = 0
+    sign = np.array([zeros, zlib.crc32(bytes(8) + b"\xff" * 8)],
+                    dtype=np.uint32)
+    return table, sign
+
+
+_INT_CRC_TABLE, _INT_CRC_SIGN = _int_crc_tables()
+
+
+def _column_hash(values: np.ndarray) -> np.ndarray:
+    """``stable_hash`` of every cell of one column, as ``uint64``.
+
+    int64 cells go through the CRC tables, with no per-cell Python work.
+    Floats hash their ``repr`` and strings their UTF-8 bytes, so those
+    columns call ``stable_hash`` once per distinct value and gather.
+    """
+    if values.dtype.kind == "i":
+        cells = np.ascontiguousarray(values, dtype="<i8")
+        octets = cells.view(np.uint8).reshape(-1, 8)
+        crc = np.where(cells < 0, _INT_CRC_SIGN[1], _INT_CRC_SIGN[0])
+        for i in range(8):
+            crc ^= _INT_CRC_TABLE[i].take(octets[:, i])
+        return crc.astype(np.uint64)
+    uniq, inverse = np.unique(values, return_inverse=True)
+    lut = np.fromiter((stable_hash(v) for v in uniq.tolist()),
+                      dtype=np.uint64, count=len(uniq))
+    return lut[inverse]
+
+
 def hash_partition_codes(batch: ColumnarBatch, key_columns: Sequence[str],
                          num_partitions: int) -> np.ndarray:
     """Per-row partition ids matching the row engine's HashPartitioner.
 
-    ``stable_hash`` (crc32 over a canonical encoding) is inherently
-    scalar, so we evaluate it only over the batch's *unique* keys and
-    gather back through the factorization codes — identical distribution
-    to row-mode ``partition_by``, ~unique/len(batch) of the hashing work.
+    Each key column is hashed whole (:func:`_column_hash`); a compound
+    key folds the column hashes with ``stable_hash``'s tuple rule
+    (``acc = (acc * 31 + h) & 0xFFFFFFFF`` from 17) — the same arithmetic
+    ``stable_hash`` performs on the key tuple the row engine sees.
     """
-    codes, keys = factorize(batch, key_columns)
-    lut = np.fromiter(
-        (stable_hash(k) % num_partitions for k in keys),
-        dtype=np.int64, count=len(keys))
-    return lut[codes] if len(keys) else np.zeros(batch.num_rows, np.int64)
+    if not key_columns:
+        raise ValueError("hash_partition_codes needs at least one key column")
+    hashes = [_column_hash(batch.columns[name]) for name in key_columns]
+    if len(hashes) == 1:
+        acc = hashes[0]
+    else:
+        acc = np.full(batch.num_rows, 17, dtype=np.uint64)
+        for h in hashes:
+            acc = (acc * 31 + h) & 0xFFFFFFFF
+    return (acc % num_partitions).astype(np.int64)
 
 
 def split_by_partition(batch: ColumnarBatch, part_codes: np.ndarray,
                        num_partitions: int) -> Dict[int, ColumnarBatch]:
     """Split a batch into per-partition sub-batches (empty ones omitted);
-    rows keep their relative order within each sub-batch."""
+    rows keep their relative order within each sub-batch.
+
+    One stable sort of the codes; each partition's rows are then a
+    contiguous run of that order, and every row is gathered once, with no
+    full-width pass per partition.  Gathering per run (rather than
+    slicing one sorted copy) gives every sub-batch its own arrays, so a
+    sub-batch kept alive never pins the rest of the batch.
+    """
+    order = np.argsort(part_codes, kind="stable")
+    ends = np.cumsum(np.bincount(part_codes, minlength=num_partitions))
     out: Dict[int, ColumnarBatch] = {}
-    for pid in range(num_partitions):
-        mask = part_codes == pid
-        if mask.any():
-            out[pid] = batch.take(mask)
+    start = 0
+    for pid, end in enumerate(ends.tolist()):
+        if end > start:
+            out[pid] = batch.take(order[start:end])
+        start = end
     return out
 
 

@@ -25,6 +25,7 @@ Mirrors Spark's contract: a partitioner is a deterministic pure function
 from __future__ import annotations
 
 import bisect
+import numbers
 import zlib
 from typing import Any, List, Sequence
 
@@ -35,6 +36,13 @@ def stable_hash(key: Any) -> int:
     Python's builtin ``hash`` is salted per process for str/bytes; Spark's
     partitioning must be deterministic across executors and runs, so we
     hash a canonical byte encoding with CRC32.
+
+    Numbers that compare equal hash equal within their kind: ``-0.0``
+    hashes as ``0.0``, and numeric scalars that are not ``int``/``float``
+    (numpy's ``np.int64``, ``np.float32``, ...) hash as the int or float
+    they equal, never by a ``repr`` that differs between numpy versions.
+    ``repro.columnar.kernels`` reproduces this function over whole
+    columns and must stay bit-equal to it.
     """
     if isinstance(key, bytes):
         data = key
@@ -46,12 +54,18 @@ def stable_hash(key: Any) -> int:
         length = max(16, (key.bit_length() + 8) // 8)
         data = key.to_bytes(length, "little", signed=True)
     elif isinstance(key, float):
-        data = repr(key).encode("utf-8")
+        # float(): np.float64 subclasses float but reprs as
+        # "np.float64(...)"; ``or 0.0`` turns -0.0 (falsy) into 0.0.
+        data = repr(float(key) or 0.0).encode("utf-8")
     elif isinstance(key, tuple):
         acc = 17
         for item in key:
             acc = (acc * 31 + stable_hash(item)) & 0xFFFFFFFF
         return acc
+    elif isinstance(key, numbers.Integral):
+        return stable_hash(int(key))
+    elif isinstance(key, numbers.Real):
+        return stable_hash(float(key))
     else:
         data = repr(key).encode("utf-8")
     return zlib.crc32(data) & 0xFFFFFFFF

@@ -40,6 +40,22 @@ class TestHashPartitionParity:
         expected = [row_part.get_partition(r[0]) for r in rows]
         assert pids.tolist() == expected
 
+    @pytest.mark.parametrize("keys", [
+        ["g"], ["v"], ["w"], ["k", "g"], ["v", "w", "k"]])
+    @given(rows=rows_st, n=st.integers(1, 7))
+    @settings(max_examples=30)
+    def test_every_kind_matches_row_hash_partitioner(self, keys, rows, n):
+        # int, float and compound keys too: a row RDD hashed on the same
+        # key must land where the columnar exchange put it
+        batch = batch_of(rows)
+        idx = [[name for name, _ in SCHEMA].index(k) for k in keys]
+        row_part = HashPartitioner(n)
+        pids = K.hash_partition_codes(batch, keys, n)
+        expected = [row_part.get_partition(
+            r[idx[0]] if len(idx) == 1 else tuple(r[i] for i in idx))
+            for r in rows]
+        assert pids.tolist() == expected
+
     @given(rows_st, st.integers(1, 5))
     @settings(max_examples=30)
     def test_multi_column_keys_cover_all_rows(self, rows, n):

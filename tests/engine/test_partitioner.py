@@ -1,5 +1,6 @@
 """Tests for partitioners: determinism, equality, range semantics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +39,39 @@ class TestStableHash:
     @given(st.text())
     def test_stable_across_calls(self, key):
         assert stable_hash(key) == stable_hash(key)
+
+
+class TestStableHashAgreesWithEquality:
+    # regressions: numpy scalars fell through to repr ("5" on numpy 1.x,
+    # "np.int64(5)" on 2.x), and -0.0 hashed by its own repr, so keys
+    # that compare equal could land in different partitions
+    @pytest.mark.parametrize("scalar, plain", [
+        (np.int64(5), 5), (np.int32(-7), -7), (np.uint64(2**63), 2**63),
+        (np.int64(-2**63), -2**63), (np.float64(1.5), 1.5),
+        (np.float32(0.5), 0.5), (np.float64(-0.0), 0.0),
+        ((np.int64(3), "a"), (3, "a"))])
+    def test_numpy_scalars_hash_as_the_number_they_equal(self, scalar, plain):
+        assert stable_hash(scalar) == stable_hash(plain)
+
+    def test_negative_zero_hashes_as_zero(self):
+        assert stable_hash(-0.0) == stable_hash(0.0)
+        assert stable_hash((-0.0, 1)) == stable_hash((0.0, 1))
+
+    def test_nan_hashes_alike_whatever_its_sign(self):
+        assert stable_hash(float("nan")) == stable_hash(-float("nan"))
+
+    def test_row_partition_by_co_locates_signed_zeros(self, sc):
+        parts = (sc.parallelize([(0.0, "a"), (-0.0, "b")], 2)
+                 .partition_by(HashPartitioner(2)).collect_partitions())
+        assert sorted(len(p) for p in parts) == [0, 2]
+
+    def test_cogroup_meets_signed_zeros(self, sc):
+        left = sc.parallelize([(0.0, "a")], 1)
+        right = sc.parallelize([(-0.0, "b")], 1)
+        grouped = left.cogroup(right, partitioner=HashPartitioner(2)).collect()
+        assert len(grouped) == 1
+        _, (lvals, rvals) = grouped[0]
+        assert list(lvals) == ["a"] and list(rvals) == ["b"]
 
 
 class TestHashPartitioner:
