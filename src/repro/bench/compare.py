@@ -44,13 +44,9 @@ TRACKED_LOWER_IS_BETTER = frozenset({
     "worker_hours", "recompute_time",
 })
 
-#: Metric leaf names where larger is better (savings, hit rates, and the
-#: kernel-throughput bench's calibration-normalized wall-clock rates —
-#: the raw ``events_per_sec``/``tasks_per_sec`` stay untracked because
-#: they depend on the host machine).
+#: Metric leaf names where larger is better (savings, hit rates, speedups).
 TRACKED_HIGHER_IS_BETTER = frozenset({
     "hit_rate", "p99_improvement", "worker_hours_saved",
-    "normalized_events_per_sec", "normalized_tasks_per_sec",
     "makespan_speedup", "colocated_transfer_speedup",
 })
 

@@ -25,7 +25,6 @@ from ..apps.log_mining import LogMiningApp
 from ..apps.trending import TrendingApp
 from ..cluster.cluster import Cluster
 from ..cluster.cost_model import CostModel, HeterogeneityModel, SimStr
-from ..cluster.events import SimKernel
 from ..cluster.queueing import JobDriver, LoadResult, nearest_rank
 from ..columnar.datagen import lineitem_rows, orders_rows, register_tpch_tables
 from ..core.checkpoint_optimizer import CheckpointOptimizer
@@ -39,7 +38,6 @@ from ..elastic import (
 )
 from ..engine.context import StarkConfig, StarkContext
 from ..engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from ..obs.profiler import SimProfiler
 from ..sql import SQLSession
 from ..sql.compiler import compile_plan
 from ..sql.optimizer import optimize
@@ -55,7 +53,6 @@ from .configs import (
     STARK_S,
     ClusterSpec,
     ExperimentSetup,
-    make_context,
     make_setup,
 )
 from .results import write_bench_json
@@ -1772,176 +1769,6 @@ def run_tenant_fairness(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
         write_bench_json("tenant_fairness", payload)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Kernel throughput: how fast the simulator itself runs (wall clock)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelThroughputResult:
-    """Raw simulator speed plus calibration-normalized rates.
-
-    Raw events/tasks per wall second vary with the machine; the gate
-    tracks only the ``normalized_*`` rates — raw rate divided by a fixed
-    pure-Python reference loop's ops/sec measured in the same process —
-    which cancels host speed and catches real kernel slowdowns.
-    """
-
-    kernel_events: int
-    events_per_sec: float          # pure event churn, no engine on top
-    tasks_run: int
-    tasks_per_sec: float           # full-stack workload
-    calibration_ops_per_sec: float
-    normalized_events_per_sec: float
-    normalized_tasks_per_sec: float
-    profiler_overhead_fraction: float
-    heap_peak: int
-    #: (callback label, count, total wall seconds), heaviest first.
-    hotspots: List[Tuple[str, int, float]] = field(default_factory=list)
-
-
-def _calibration_ops_per_sec(ops: int = 200_000, repeats: int = 3) -> float:
-    """Ops/sec of a fixed pure-Python loop (the normalization unit)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = perf_counter()
-        acc = 0
-        for i in range(ops):
-            acc = (acc * 31 + i) % 1000003
-        best = min(best, perf_counter() - t0)
-    return ops / best
-
-
-def _event_churn_seconds(num_events: int, width: int = 64,
-                         profiler: Optional[SimProfiler] = None) -> float:
-    """Dispatch exactly ``num_events`` near-empty events through a bare
-    SimKernel (``width`` self-rescheduling chains) and return the wall
-    seconds spent — the kernel's schedule/heap/dispatch floor."""
-    kernel = SimKernel()
-    if profiler is not None:
-        kernel.attach_profiler(profiler)
-    scheduled = [0]
-
-    def tick() -> None:
-        if scheduled[0] < num_events:
-            scheduled[0] += 1
-            kernel.schedule(kernel.now + 1e-3, tick)
-
-    t0 = perf_counter()
-    for w in range(min(width, num_events)):
-        scheduled[0] += 1
-        kernel.schedule(w * 1e-6, tick)
-    kernel.run_all()
-    return perf_counter() - t0
-
-
-def _throughput_workload(profiler: Optional[SimProfiler] = None,
-                         num_jobs: int = 60,
-                         seed: int = 5) -> Tuple[StarkContext, float]:
-    """An open-loop job stream over a cached RDD, timed end to end.
-
-    Driven through :class:`~repro.cluster.queueing.JobDriver` so the
-    work actually flows through the kernel's event loop (plain
-    synchronous jobs never touch the heap) — which is what makes the
-    profiled arm representative: each dispatched event executes a whole
-    job, the regime the ≤5% overhead contract is stated for.
-    """
-    context = make_context(
-        "Stark-H", ClusterSpec(num_workers=4, cores_per_worker=2, seed=seed))
-    if profiler is not None:
-        context.cluster.kernel.attach_profiler(profiler)
-        profiler.start()
-    t0 = perf_counter()
-    data = [(i % 64, i) for i in range(4000)]
-    rdd = context.parallelize(data, num_partitions=16,
-                              name="throughput").cache()
-    rdd.count()
-
-    def job(t: float, i: int) -> float:
-        rdd.count()
-        return context.metrics.last_job().finish_time
-
-    driver = JobDriver(context, seed=seed)
-    driver.run_constant_rate(job, rate_jobs_per_sec=20.0, num_jobs=num_jobs)
-    wall = perf_counter() - t0
-    if profiler is not None:
-        profiler.stop()
-    return context, wall
-
-
-def run_kernel_throughput(
-    num_events: int = 60_000,
-    repeats: int = 3,
-    write_json: bool = True,
-) -> KernelThroughputResult:
-    """Measure simulator wall-clock speed (ROADMAP's raw-speed axis).
-
-    Three measurements, each best-of-``repeats``:
-
-    * **event churn** — ``num_events`` near-empty events through a bare
-      kernel: the dispatch floor, reported as ``events_per_sec``;
-    * **full stack** — a cached-iteration + shuffle workload, reported
-      as ``tasks_per_sec``;
-    * **profiler overhead** — the same workload with a
-      :class:`~repro.obs.profiler.SimProfiler` attached; the fractional
-      wall-time increase must stay small (the attach contract), and the
-      profiled run doubles as the source of the hotspot table.
-    """
-    calibration = _calibration_ops_per_sec()
-    churn = min(_event_churn_seconds(num_events) for _ in range(repeats))
-    events_per_sec = num_events / churn
-
-    # Interleave the detached and profiled arms and take the best *paired*
-    # overhead ratio: under a contended host (the sharded CI job) load
-    # drifts over the measurement window, so comparing the two arms'
-    # independent minima conflates contention with profiler cost.  A
-    # back-to-back pair sees near-identical load, and noise only ever
-    # inflates the ratio, so the min over pairs is the honest bound.
-    plain = float("inf")
-    profiled = float("inf")
-    overhead = float("inf")
-    profiler = SimProfiler()
-    context: Optional[StarkContext] = None
-    for _ in range(repeats):
-        plain_wall = _throughput_workload()[1]
-        plain = min(plain, plain_wall)
-        run_profiler = SimProfiler()
-        ctx, wall = _throughput_workload(run_profiler)
-        if wall < profiled:
-            profiled, profiler, context = wall, run_profiler, ctx
-        overhead = min(overhead, max(0.0, (wall - plain_wall) / plain_wall))
-    assert context is not None
-    tasks = context.metrics.total_tasks()
-    tasks_per_sec = tasks / plain
-
-    result = KernelThroughputResult(
-        kernel_events=num_events,
-        events_per_sec=events_per_sec,
-        tasks_run=tasks,
-        tasks_per_sec=tasks_per_sec,
-        calibration_ops_per_sec=calibration,
-        normalized_events_per_sec=events_per_sec / calibration,
-        normalized_tasks_per_sec=tasks_per_sec / calibration,
-        profiler_overhead_fraction=overhead,
-        heap_peak=profiler.heap.peak_len,
-        hotspots=[(label, stat.count, stat.total_seconds)
-                  for label, stat in profiler.hotspots(top=10)],
-    )
-    if write_json:
-        write_bench_json("kernel_throughput", {
-            "config": {"num_events": num_events, "repeats": repeats},
-            "calibration_ops_per_sec": calibration,
-            "kernel_events": float(num_events),
-            "events_per_sec": events_per_sec,
-            "tasks_run": float(tasks),
-            "tasks_per_sec": tasks_per_sec,
-            "normalized_events_per_sec": result.normalized_events_per_sec,
-            "normalized_tasks_per_sec": result.normalized_tasks_per_sec,
-            "profiler_overhead_fraction": overhead,
-            "heap_peak": float(profiler.heap.peak_len),
-        })
-    return result
 
 
 # ---------------------------------------------------------------------------

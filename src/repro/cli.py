@@ -792,49 +792,6 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    profiler = obs.SimProfiler()
-
-    def attach(context: "StarkContext") -> None:
-        context.cluster.kernel.attach_profiler(profiler)
-
-    obs.add_context_observer(attach)
-    profiler.start()
-    try:
-        WORKLOADS[args.workload]()
-    finally:
-        profiler.stop()
-        obs.remove_context_observer(attach)
-
-    summary = profiler.summary()
-    print_table(
-        f"SimKernel self-profile ({args.workload} workload, wall clock)",
-        ["metric", "value"],
-        [["events dispatched", int(summary["events_dispatched"])],
-         ["events/sec", summary["events_per_sec"]],
-         ["dispatch seconds", summary["dispatch_seconds"]],
-         ["wall seconds", summary["wall_seconds"]],
-         ["heap schedules", int(summary["heap_scheduled"])],
-         ["heap peak", int(summary["heap_peak"])],
-         ["heap mean", summary["heap_mean"]]],
-        floatfmt="{:.6f}",
-    )
-    hotspots = profiler.hotspots(top=args.top)
-    if hotspots:
-        print_table(
-            "Dispatch hotspots (total wall cost per callback kind)",
-            ["callback", "count", "total (ms)", "mean (µs)", "max (µs)"],
-            [[label, stat.count, stat.total_seconds * 1e3,
-              stat.mean_seconds * 1e6, stat.max_seconds * 1e6]
-             for label, stat in hotspots],
-            floatfmt="{:.3f}",
-        )
-    else:
-        print("no kernel events dispatched (this workload never touches "
-              "the event heap)")
-    return 0
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     """Run SQL against the canned orders/lineitem tables: either one
     ad-hoc query (``--query``) or the canned workload's query set."""
@@ -896,7 +853,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "trace": _cmd_trace,
     "events": _cmd_events,
     "critical-path": _cmd_critical_path,
-    "profile": _cmd_profile,
 }
 
 
@@ -1104,15 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write a Perfetto trace with the critical path "
                         "annotated as its own driver track")
-
-    p = sub.add_parser(
-        "profile",
-        help="run a canned workload with the SimKernel self-profiler "
-             "attached; print throughput and dispatch hotspots")
-    p.add_argument("workload", nargs="?", choices=sorted(WORKLOADS),
-                   default="service")
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="hotspot rows to show")
     return parser
 
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,30 +166,9 @@ class EventQueue:
         #: True while run_until/run_all is popping events; lets
         #: :meth:`SimKernel.pump` no-op instead of re-entering the loop.
         self._running = False
-        #: Optional wall-clock self-profiler (duck-typed: on_dispatch /
-        #: on_schedule / on_sweep — see
-        #: :class:`repro.obs.profiler.SimProfiler`).  It reads only
-        #: ``perf_counter``, never simulated time, so a profiled run
-        #: replays byte-identically; detached, the cost is one ``is
-        #: None`` check per event.  Attaching takes effect at the next
-        #: entry into ``run_until``/``run_all``.
-        self._profiler: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled_in_heap
-
-    def attach_profiler(self, profiler: Any) -> Any:
-        """Attach a wall-clock self-profiler (``on_dispatch(cb, s)`` /
-        ``on_schedule(heap_len)``); returns it for chaining."""
-        self._profiler = profiler
-        return profiler
-
-    def detach_profiler(self) -> None:
-        self._profiler = None
-
-    @property
-    def profiler(self) -> Optional[Any]:
-        return self._profiler
 
     def schedule(self, time: float, callback: Callable[[], Any],
                  daemon: bool = False) -> EventHandle:
@@ -203,8 +181,6 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         if not daemon:
             self._live_regular += 1
-        if self._profiler is not None:
-            self._profiler.on_schedule(len(self._heap))
         return EventHandle(event, self)
 
     def schedule_many(
@@ -241,14 +217,6 @@ class EventQueue:
                 heapq.heappush(heap, entry)
         if not daemon:
             self._live_regular += len(entries)
-        profiler = self._profiler
-        if profiler is not None and entries:
-            on_many = getattr(profiler, "on_schedule_many", None)
-            if on_many is not None:
-                on_many(len(entries), len(heap))
-            else:
-                for _ in entries:
-                    profiler.on_schedule(len(heap))
         return [EventHandle(entry, self) for entry in entries]
 
     def schedule_in(self, delay: float, callback: Callable[[], Any],
@@ -264,32 +232,6 @@ class EventQueue:
             self._drop_cancelled()
         return self._heap[0][_TIME] if self._heap else None
 
-    def step(self) -> bool:
-        """Run the next pending event; return ``False`` if none remain."""
-        if self._cancelled_in_heap:
-            self._drop_cancelled()
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
-        event[_FIRED] = True
-        if not event[_DAEMON]:
-            self._live_regular -= 1
-        # An event may fire late when the clock was advanced past its
-        # timestamp by other components (the virtual-time task scheduler
-        # does this); never move the clock backwards.
-        clock = self.clock
-        if event[_TIME] > clock._now:
-            clock._now = event[_TIME]
-        callback = event[_CALLBACK]
-        profiler = self._profiler
-        if profiler is None:
-            callback()
-        else:
-            t0 = _perf_counter()
-            callback()
-            profiler.on_dispatch(callback, _perf_counter() - t0)
-        return True
-
     def run_until(self, end_time: float) -> int:
         """Run events with ``time <= end_time``; return how many ran.
 
@@ -298,15 +240,15 @@ class EventQueue:
         by ``end_time`` fire too — time passing is exactly their trigger.
 
         This is the simulator's hottest loop, so it pops and dispatches
-        with local bindings only; the profiler branch wraps nothing but
-        the callback, so a profiled run performs the same simulated-state
-        mutations and replays byte-identically.
+        with local bindings only.  An event may fire late when the clock
+        was advanced past its timestamp by other components (the
+        virtual-time task scheduler does this); the clock never moves
+        backwards.
         """
         count = 0
         prev, self._running = self._running, True
         clock = self.clock
         heappop = heapq.heappop
-        profiler = self._profiler
         try:
             while True:
                 if self._cancelled_in_heap:
@@ -324,13 +266,7 @@ class EventQueue:
                     self._live_regular -= 1
                 if t > clock._now:
                     clock._now = t
-                callback = event[_CALLBACK]
-                if profiler is None:
-                    callback()
-                else:
-                    t0 = _perf_counter()
-                    callback()
-                    profiler.on_dispatch(callback, _perf_counter() - t0)
+                event[_CALLBACK]()
                 count += 1
         finally:
             self._running = prev
@@ -349,7 +285,6 @@ class EventQueue:
         prev, self._running = self._running, True
         clock = self.clock
         heappop = heapq.heappop
-        profiler = self._profiler
         try:
             while self._live_regular > 0:
                 if self._cancelled_in_heap:
@@ -364,13 +299,7 @@ class EventQueue:
                 t = event[_TIME]
                 if t > clock._now:
                     clock._now = t
-                callback = event[_CALLBACK]
-                if profiler is None:
-                    callback()
-                else:
-                    t0 = _perf_counter()
-                    callback()
-                    profiler.on_dispatch(callback, _perf_counter() - t0)
+                event[_CALLBACK]()
                 count += 1
                 if count >= max_events:
                     raise RuntimeError(
@@ -383,11 +312,7 @@ class EventQueue:
         """Sweep cancelled events: pop from the top, and — once cancelled
         entries dominate the heap — rebuild it in one O(n) pass so the
         cost amortizes over the steps between sweeps instead of growing
-        with stale-entry depth.  With a profiler attached the sweep wall
-        time is attributed to the dedicated ``sweep`` kind, never to the
-        next event's dispatch."""
-        profiler = self._profiler
-        t0 = _perf_counter() if profiler is not None else 0.0
+        with stale-entry depth."""
         heap = self._heap
         dropped = 0
         while heap and heap[0][_CANCELLED]:
@@ -396,13 +321,10 @@ class EventQueue:
         remaining = self._cancelled_in_heap - dropped
         if remaining > 64 and remaining * 2 >= len(heap):
             live = [e for e in heap if not e[_CANCELLED]]
-            dropped += len(heap) - len(live)
             heapq.heapify(live)
             self._heap = live
             remaining = 0
         self._cancelled_in_heap = remaining
-        if profiler is not None and dropped:
-            profiler.on_sweep(dropped, _perf_counter() - t0)
 
 
 class TimerHandle:

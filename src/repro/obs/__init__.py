@@ -97,7 +97,6 @@ from .listeners import (
     read_event_log,
     validate_event_log,
 )
-from .profiler import DispatchStat, HeapStats, SimProfiler
 from .sampler import UtilizationSampler
 from .spans import JobSpan, StageSpan, TaskSpan, build_spans
 from .trace import ChromeTraceExporter, assign_slots
@@ -180,7 +179,6 @@ __all__ = [
     "DatasetBranched",
     "DatasetDropped",
     "DatasetRegistered",
-    "DispatchStat",
     "EVENT_SCHEMA",
     "EVENT_TYPES",
     "Event",
@@ -189,7 +187,6 @@ __all__ = [
     "ExecutorBlacklisted",
     "FailureInjected",
     "FetchFailed",
-    "HeapStats",
     "JobEnd",
     "JobShed",
     "JobSpan",
@@ -202,7 +199,6 @@ __all__ = [
     "QueryPlanned",
     "ScalingDecision",
     "ShuffleFetch",
-    "SimProfiler",
     "StageCompleted",
     "StageResubmitted",
     "StageSpan",

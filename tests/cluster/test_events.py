@@ -147,9 +147,6 @@ class TestEventQueue:
         q.run_all()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_step_returns_false_when_empty(self):
-        assert EventQueue().step() is False
-
     def test_run_all_guards_against_runaway(self):
         q = EventQueue()
 

@@ -1,10 +1,10 @@
-"""Property tests for the kernel's batched fast paths (PR 9).
+"""Property tests for the kernel's batched fast paths.
 
 Two optimizations must be *observationally invisible*:
 
 * :meth:`EventQueue.schedule_many` (one heapify for a batch) vs a loop
   of :meth:`EventQueue.schedule` calls — identical delivery order and a
-  byte-identical delivery log, with or without a profiler attached;
+  byte-identical delivery log;
 * :meth:`SimKernel.earliest_free_worker` (the lazy inter-worker
   ``(free_time, worker_id)`` heap) vs the O(workers x cores) scan it
   replaced — identical pick after any interleaving of slot mutations.
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.events import EventQueue, SimKernel
 from repro.cluster.worker import Worker
-from repro.obs.profiler import SimProfiler
 
 # Coarse time grid: plenty of exact collisions, so the (time, seq)
 # tie-break is exercised constantly rather than by luck.
@@ -83,17 +82,6 @@ class TestScheduleManyEquivalence:
         reference = _drive(EventQueue(), ops, batched=False)
         batched = _drive(EventQueue(), ops, batched=True)
         assert batched == reference
-
-    @given(ops=_ops)
-    @settings(deadline=None, max_examples=100)
-    def test_profiled_run_is_byte_identical(self, ops):
-        detached = _drive(EventQueue(), ops, batched=True)
-        queue = EventQueue()
-        profiler = queue.attach_profiler(SimProfiler())
-        profiler.start()
-        profiled = _drive(queue, ops, batched=True)
-        profiler.stop()
-        assert profiled == detached
 
     @given(delays=st.lists(_delays, min_size=1, max_size=12))
     @settings(deadline=None)

@@ -144,18 +144,6 @@ class TestObservabilityCli:
         assert main(["critical-path", "smoke", "--job", "99"]) == 2
         assert "no job 99" in capsys.readouterr().err
 
-    def test_profile_service_workload(self, capsys):
-        assert main(["profile", "service"]) == 0
-        printed = capsys.readouterr().out
-        assert "SimKernel self-profile" in printed
-        assert "Dispatch hotspots" in printed
-
-    def test_profile_smoke_workload_has_no_kernel_events(self, capsys):
-        # Plain RDD jobs never touch the event heap; the command should
-        # say so rather than print an empty hotspot table.
-        assert main(["profile", "smoke"]) == 0
-        assert "no kernel events dispatched" in capsys.readouterr().out
-
     def test_trace_service_reconciles(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         assert main(["trace", "service", "--out", str(out)]) == 0
