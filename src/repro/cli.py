@@ -17,6 +17,7 @@ import argparse
 import math
 import statistics
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -741,8 +742,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
-    import json as _json
-
     collector = obs.EventCollector()
     tracer = obs.ChromeTraceExporter()
     contexts = _run_traced_workload(args.workload, [collector, tracer])
@@ -773,18 +772,12 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
             print(f"invariant: {problem}")
 
     if args.out:
-        trace = tracer.to_trace()
-        seen_meta = False
-        for report in reports:
-            events = obs.critical_span_trace_events(report)
-            if seen_meta:
-                events = [e for e in events if e.get("ph") != "M"]
-            seen_meta = True
-            trace["traceEvents"].extend(events)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            _json.dump(trace, fh)
+        # The track's thread-name metadata comes once, with the first job.
+        annotations = [
+            event for index, report in enumerate(reports)
+            for event in obs.critical_span_trace_events(report)
+            if index == 0 or event.get("ph") != "M"]
+        out = obs.write_trace(chain(tracer.records(), annotations), args.out)
         print(f"\nannotated trace: {out} (critical-path track on the "
               f"driver process; load in https://ui.perfetto.dev)")
     if failures:

@@ -99,7 +99,7 @@ from .listeners import (
 )
 from .sampler import UtilizationSampler
 from .spans import JobSpan, StageSpan, TaskSpan, build_spans
-from .trace import ChromeTraceExporter, assign_slots
+from .trace import ChromeTraceExporter, assign_slots, write_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.context import StarkContext
@@ -233,4 +233,5 @@ __all__ = [
     "remove_context_observer",
     "validate_event_dict",
     "validate_event_log",
+    "write_trace",
 ]

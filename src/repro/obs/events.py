@@ -19,6 +19,7 @@ event-shape drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Dict, List, Tuple, Type
 
@@ -43,10 +44,18 @@ class Event:
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat JSON-serializable form: ``{"type": ..., <fields>}``."""
-        out: Dict[str, Any] = {"type": self.type}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        cls = type(self)
+        out: Dict[str, Any] = {"type": cls.__name__}
+        for name in _field_names(cls):
+            out[name] = getattr(self, name)
         return out
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: Type[Event]) -> Tuple[str, ...]:
+    """An event class's field names in declaration order, computed once
+    (``dataclasses.fields`` rebuilds its tuple on every call)."""
+    return tuple(f.name for f in fields(cls))
 
 
 # ---- job / stage / task lifecycle -----------------------------------------

@@ -92,6 +92,13 @@ class TenantStatsCollector:
         }
 
 
+#: Compact encoder for every JSONL line, built once.  ``encode`` on a
+#: default-indent encoder runs CPython's C encoder; ``json.dump`` always
+#: takes the pure-Python ``iterencode`` path, and ``json.dumps`` with
+#: non-default separators builds a new encoder per call.
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class JsonlEventLog:
     """Writes each event as one JSON line to a path or file object."""
 
@@ -108,15 +115,18 @@ class JsonlEventLog:
         self.events_written = 0
 
     def on_event(self, event: Event) -> None:
-        json.dump(event.to_dict(), self._fh, separators=(",", ":"))
-        self._fh.write("\n")
+        self._fh.write(_encode_line(event.to_dict()) + "\n")
         self.events_written += 1
 
     def flush(self) -> None:
         self._fh.flush()
 
     def close(self) -> None:
-        if self._owns_fh and not self._fh.closed:
+        """Close an owned file, flush a borrowed one; a no-op once the
+        file is closed, so closing twice is safe."""
+        if self._fh.closed:
+            return
+        if self._owns_fh:
             self._fh.close()
         else:
             self._fh.flush()

@@ -22,8 +22,9 @@ Simulated seconds map to trace microseconds (1 s -> 1e6 us).
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from ..cluster.events import TIME_EPS
 
@@ -233,6 +234,29 @@ def assign_slots(
     return assignment
 
 
+#: Default encoder for every trace record, built once: ``encode`` runs
+#: CPython's C encoder, where ``json.dump`` would take the pure-Python
+#: ``iterencode`` path.
+_encode_record = json.JSONEncoder().encode
+
+
+def write_trace(records: Iterable[Dict[str, Any]],
+                path: Union[str, Path]) -> Path:
+    """Stream ``records`` into a ``{"traceEvents": [...]}`` file at
+    ``path``, one record at a time — byte for byte what ``json.dump`` of
+    the whole container writes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"traceEvents": [')
+        separator = ""
+        for record in records:
+            fh.write(separator + _encode_record(record))
+            separator = ", "
+        fh.write('], "displayTimeUnit": "ms"}')
+    return path
+
+
 class ChromeTraceExporter:
     """EventBus listener that accumulates events and renders the trace."""
 
@@ -348,48 +372,45 @@ class ChromeTraceExporter:
 
     # ---- rendering ---------------------------------------------------------
 
-    def to_trace(self) -> Dict[str, Any]:
-        """Build the Trace Event Format container: metadata, driver
-        spans, tasks by worker, instants, then the counter tracks."""
+    def records(self) -> Iterator[Dict[str, Any]]:
+        """The trace records in order — metadata, driver spans, tasks by
+        worker, instants, then the counter tracks — built one at a time
+        (the one renderer :meth:`to_trace` and :meth:`export` share)."""
         lanes = self.slot_assignment()
         drawn = {record["tid"]
-                 for record in self._driver_spans + self._instants
+                 for record in chain(self._driver_spans, self._instants)
                  if record["pid"] == DRIVER_PID} | {1, 2}
-        trace_events: List[Dict[str, Any]] = [
-            {"name": "process_name", "ph": "M", "pid": DRIVER_PID,
-             "args": {"name": "driver"}}]
+        yield {"name": "process_name", "ph": "M", "pid": DRIVER_PID,
+               "args": {"name": "driver"}}
         for tid, name in _DRIVER_TRACKS.items():
             if tid in drawn:
-                trace_events.append({
-                    "name": "thread_name", "ph": "M", "pid": DRIVER_PID,
-                    "tid": tid, "args": {"name": name}})
+                yield {"name": "thread_name", "ph": "M", "pid": DRIVER_PID,
+                       "tid": tid, "args": {"name": name}}
         for worker_id, assigned in lanes.items():
             pid = worker_id + 1
-            trace_events.append({
-                "name": "process_name", "ph": "M", "pid": pid,
-                "args": {"name": f"worker {worker_id}"}})
+            yield {"name": "process_name", "ph": "M", "pid": pid,
+                   "args": {"name": f"worker {worker_id}"}}
             for slot in range(max(slot for _, slot in assigned) + 1):
-                trace_events.append({
-                    "name": "thread_name", "ph": "M", "pid": pid,
-                    "tid": slot, "args": {"name": f"slot {slot}"}})
-        trace_events.extend(self._driver_spans)
+                yield {"name": "thread_name", "ph": "M", "pid": pid,
+                       "tid": slot, "args": {"name": f"slot {slot}"}}
+        yield from self._driver_spans
         for assigned in lanes.values():
             for task, slot in assigned:
-                trace_events.extend(self._task_events(task, slot))
-        trace_events.extend(dict(instant) for instant in self._instants)
+                yield from self._task_events(task, slot)
+        for instant in self._instants:
+            yield dict(instant)
         for track, key in _COUNTERS.items():
             for time, value in self._counters[track]:
-                trace_events.append({
-                    "name": track, "ph": "C", "ts": time * _US,
-                    "pid": DRIVER_PID, "args": {key: value}})
-        return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+                yield {"name": track, "ph": "C", "ts": time * _US,
+                       "pid": DRIVER_PID, "args": {key: value}}
+
+    def to_trace(self) -> Dict[str, Any]:
+        """The whole Trace Event Format container, materialized."""
+        return {"traceEvents": list(self.records()), "displayTimeUnit": "ms"}
 
     def export(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_trace(), fh)
-        return path
+        """Stream the trace to ``path`` (never held whole in memory)."""
+        return write_trace(self.records(), path)
 
     def slot_assignment(self) -> Dict[int, List[Tuple[TaskEnd, int]]]:
         """Per worker, ascending: ``(task, slot)`` pairs in start order —

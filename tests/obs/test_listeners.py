@@ -59,6 +59,16 @@ class TestJsonlEventLog:
         assert len(lines) == 1
         assert json.loads(lines[0])["type"] == "CacheHit"
 
+    def test_close_is_idempotent(self, tmp_path):
+        log = JsonlEventLog(tmp_path / "events.jsonl")
+        log.on_event(hit())
+        log.close()
+        log.close()
+        with JsonlEventLog(tmp_path / "again.jsonl") as log:
+            log.on_event(hit())
+        log.close()
+        assert read_event_log(tmp_path / "again.jsonl") == [hit()]
+
     def test_validate_reports_line_numbers(self, tmp_path):
         path = tmp_path / "events.jsonl"
         good = json.dumps(hit().to_dict())
