@@ -47,7 +47,7 @@ TRACKED_LOWER_IS_BETTER = frozenset({
 #: Metric leaf names where larger is better (savings, hit rates, speedups).
 TRACKED_HIGHER_IS_BETTER = frozenset({
     "hit_rate", "p99_improvement", "worker_hours_saved",
-    "makespan_speedup", "colocated_transfer_speedup",
+    "makespan_speedup",
 })
 
 _TINY = 1e-12

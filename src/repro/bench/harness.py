@@ -1772,128 +1772,6 @@ def run_tenant_fairness(
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy co-located shuffle handoff (Sparkle's shared-memory shuffle)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZeroCopyArm:
-    """One arm (knob off/on) of the zero-copy shuffle comparison."""
-
-    arm: str
-    makespan_total: float          # summed job makespans (simulated s)
-    local_fetch_seconds: float     # disk-read charges for local buckets
-    handoff_seconds: float         # intra-worker handoff charges
-    remote_fetch_seconds: float
-    handoff_bytes: float
-    result_digest: str             # digest of job results (arms must agree)
-    wall_seconds: float = field(compare=False, default=0.0)
-
-
-@dataclass(frozen=True)
-class ZeroCopyShuffleResult:
-    baseline: ZeroCopyArm
-    zero_copy: ZeroCopyArm
-
-    @property
-    def makespan_speedup(self) -> float:
-        """Simulated end-to-end win of the shared-memory handoff."""
-        return self.baseline.makespan_total / self.zero_copy.makespan_total
-
-    @property
-    def colocated_transfer_speedup(self) -> float:
-        """Per-byte win on the co-located portion of the fetches."""
-        if self.zero_copy.handoff_seconds <= 0:
-            return 1.0
-        return self.baseline.local_fetch_seconds / self.zero_copy.handoff_seconds
-
-
-def run_zero_copy_shuffle(
-    num_workers: int = 2,
-    cores_per_worker: int = 2,
-    records_per_partition: int = 40,
-    payload_bytes: int = 2_000_000,
-    num_partitions: int = 8,
-    rounds: int = 6,
-    write_json: bool = True,
-) -> ZeroCopyShuffleResult:
-    """Shuffle-heavy aggregation with and without zero-copy handoff.
-
-    A wide ``reduce_by_key`` over fat payloads on a *small* cluster: with
-    ``num_workers`` executors, ~1/num_workers of every reduce input is a
-    bucket that already lives on the reducer's worker.  The baseline arm
-    (paper semantics, knob off) pays a local disk read for those
-    buckets; the zero-copy arm hands them over by reference at the cost
-    model's intra-worker rate.  Both arms run the identical workload and
-    must produce identical job results — only the co-located transfer
-    charges (and hence makespans) may differ.
-    """
-    def run_arm(zero_copy: bool) -> ZeroCopyArm:
-        t0 = perf_counter()
-        config = StarkConfig(zero_copy_handoff=zero_copy)
-        sc = StarkContext(
-            num_workers=num_workers, cores_per_worker=cores_per_worker,
-            config=config,
-        )
-        payload = SimStr("x" * 8, sim_size=payload_bytes)
-        data = [(i % 16, payload)
-                for i in range(records_per_partition * num_partitions)]
-        rdd = sc.parallelize(data, num_partitions=num_partitions,
-                             name="zero_copy_src")
-        # One shuffle write, ``rounds`` re-fetches: the DAG scheduler
-        # skips the completed map stage on repeat counts, so the steady
-        # state is exactly the path zero-copy optimizes — reducers
-        # pulling already-committed co-located buckets.
-        reduced = rdd.reduce_by_key(
-            lambda a, b: a,
-            partitioner=HashPartitioner(num_partitions),
-            name="zero_copy_reduce")
-        digest = hashlib.sha256()
-        makespan_total = 0.0
-        for _ in range(rounds):
-            digest.update(str(reduced.count()).encode())
-            makespan_total += sc.metrics.last_job().makespan
-        local = sum(t.shuffle_fetch_local_time
-                    for j in sc.metrics.jobs for t in j.tasks)
-        handoff = sum(t.shuffle_handoff_time
-                      for j in sc.metrics.jobs for t in j.tasks)
-        remote = sum(t.shuffle_fetch_remote_time
-                     for j in sc.metrics.jobs for t in j.tasks)
-        handoff_bytes = handoff * sc.cost_model.intra_worker_bytes_per_sec
-        return ZeroCopyArm(
-            arm="zero_copy" if zero_copy else "baseline",
-            makespan_total=makespan_total,
-            local_fetch_seconds=local,
-            handoff_seconds=handoff,
-            remote_fetch_seconds=remote,
-            handoff_bytes=handoff_bytes,
-            result_digest=digest.hexdigest(),
-            wall_seconds=perf_counter() - t0,
-        )
-
-    baseline = run_arm(False)
-    zero_copy = run_arm(True)
-    result = ZeroCopyShuffleResult(baseline=baseline, zero_copy=zero_copy)
-    if write_json:
-        write_bench_json("zero_copy_shuffle", {
-            "config": {
-                "num_workers": num_workers,
-                "cores_per_worker": cores_per_worker,
-                "records_per_partition": records_per_partition,
-                "payload_bytes": payload_bytes,
-                "num_partitions": num_partitions,
-                "rounds": rounds,
-            },
-            "baseline_makespan_total": baseline.makespan_total,
-            "zero_copy_makespan_total": zero_copy.makespan_total,
-            "makespan_speedup": result.makespan_speedup,
-            "colocated_transfer_speedup": result.colocated_transfer_speedup,
-            "baseline_local_fetch_seconds": baseline.local_fetch_seconds,
-            "zero_copy_handoff_seconds": zero_copy.handoff_seconds,
-        })
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Columnar TPC-H: vectorized DataFrame/SQL engine vs a row-at-a-time pipeline
 # ---------------------------------------------------------------------------
 

@@ -59,15 +59,6 @@ class CostModel:
     serde_bytes_per_sec: float = 400e6
     #: Reading a cached block from local RAM (bytes/s).
     memory_bytes_per_sec: float = 8e9
-    #: Zero-copy handoff between co-located executors (bytes/s): when a
-    #: shuffle fetch's source and destination share a worker and
-    #: ``StarkConfig.zero_copy_handoff`` is on, the block *reference* is
-    #: handed over through shared memory (Sparkle's shared-memory
-    #: shuffle) instead of being read back from local disk — no disk
-    #: pass, no serialization.  Page-remap plus a metadata exchange is
-    #: cheaper than a full RAM scan of the payload, hence faster than
-    #: ``memory_bytes_per_sec``.
-    intra_worker_bytes_per_sec: float = 24e9
     #: Fixed per-task launch cost (scheduling, serialization of the task
     #: closure, executor dispatch).  Drives the right side of Fig 7.
     task_launch_overhead: float = 8.0e-3
@@ -126,11 +117,6 @@ class CostModel:
     def memory_read_cost(self, size_bytes: float) -> float:
         """Seconds to scan a cached block of ``size_bytes`` from RAM."""
         return size_bytes / self.memory_bytes_per_sec
-
-    def intra_worker_cost(self, size_bytes: float) -> float:
-        """Seconds to hand ``size_bytes`` between co-located executors by
-        reference (zero-copy shared-memory transfer)."""
-        return size_bytes / self.intra_worker_bytes_per_sec
 
     def gc_cost(self, compute_seconds: float, heap_utilisation: float) -> float:
         """GC seconds charged on top of ``compute_seconds``.

@@ -252,29 +252,17 @@ class EvalContext:
         model = ctx.cost_model
         config = ctx.config
         rng = ctx.cluster.rng
-        zero_copy = config.zero_copy_handoff
         outputs = ctx.map_output_tracker.outputs_for_reduce(dep.shuffle_id, pid)
-        parts: list = []
-        local_bytes = remote_bytes = handoff_bytes = 0.0
-        local_seconds = remote_seconds = handoff_seconds = 0.0
+        records: list = []
+        local_bytes = remote_bytes = 0.0
+        local_seconds = remote_seconds = 0.0
         for out in outputs:
+            disk = model.disk_read_cost(out.size_bytes)
             if out.worker_id == self.worker_id:
-                if zero_copy:
-                    # Source and destination share the worker: hand the
-                    # bucket over by reference through shared memory
-                    # (Sparkle's shared-memory shuffle) — no disk pass,
-                    # no serde, at the intra-worker rate.
-                    cost = model.intra_worker_cost(out.size_bytes)
-                    self.metrics.shuffle_handoff_time += cost
-                    handoff_bytes += out.size_bytes
-                    handoff_seconds += cost
-                else:
-                    disk = model.disk_read_cost(out.size_bytes)
-                    self.metrics.shuffle_fetch_local_time += disk
-                    local_bytes += out.size_bytes
-                    local_seconds += disk
+                self.metrics.shuffle_fetch_local_time += disk
+                local_bytes += out.size_bytes
+                local_seconds += disk
             else:
-                disk = model.disk_read_cost(out.size_bytes)
                 # Without an external shuffle service a dead (or removed)
                 # executor's local disk is unreachable: stale map outputs
                 # surface as fetch failures, not silent successes.
@@ -294,25 +282,14 @@ class EvalContext:
                 remote_bytes += out.size_bytes
                 remote_seconds += remote
             self.metrics.shuffle_bytes_fetched += out.size_bytes
-            parts.append(out.records)
-        if len(parts) == 1 and zero_copy and handoff_bytes > 0:
-            # The whole reduce input is one co-located bucket: the task
-            # consumes the map output's record list by reference — the
-            # zero-copy half of the handoff (no per-record append pass).
-            records = parts[0]
-        else:
-            records = []
-            for part in parts:
-                records.extend(part)
+            records.extend(out.records)
         bus = ctx.event_bus
         if bus.active and outputs:
             bus.post(ShuffleFetch(
                 time=ctx.cluster.clock.now, worker_id=self.worker_id,
                 shuffle_id=dep.shuffle_id, reduce_id=pid,
                 local_bytes=local_bytes, remote_bytes=remote_bytes,
-                local_seconds=local_seconds, remote_seconds=remote_seconds,
-                handoff_bytes=handoff_bytes,
-                handoff_seconds=handoff_seconds))
+                local_seconds=local_seconds, remote_seconds=remote_seconds))
         reduce_cost = model.shuffle_reduce_cost(len(records))
         self.metrics.compute_time += reduce_cost
         ctx.rdd_stats(child.rdd_id).record_delay(reduce_cost)

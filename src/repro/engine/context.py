@@ -118,15 +118,6 @@ class StarkConfig:
     #: When False, fetching from a dead/removed executor raises a
     #: FetchFailed and the DAG scheduler regenerates the outputs.
     external_shuffle_service: bool = True
-    #: Zero-copy block handoff between co-located executors (Sparkle's
-    #: shared-memory shuffle): when a shuffle fetch's source bucket
-    #: lives on the destination worker, the block reference is handed
-    #: over at the cost model's intra-worker rate — no local disk read,
-    #: no payload copy — and the time lands in the dedicated
-    #: ``shuffle_handoff_time`` metric / ``handoff`` blame category.
-    #: Off by default: the paper's baseline fetches local buckets from
-    #: disk, and every committed benchmark baseline assumes that.
-    zero_copy_handoff: bool = False
     #: Cluster-wide cache broker (``repro.cache.broker``): eviction
     #: victims are chosen by a driver-side value ranking over *every*
     #: live block (``recompute_cost × cross_job_refcount / size``), a

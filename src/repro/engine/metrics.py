@@ -41,11 +41,6 @@ class TaskMetrics:
     compute_time: float = 0.0
     shuffle_fetch_local_time: float = 0.0
     shuffle_fetch_remote_time: float = 0.0
-    #: Zero-copy handoff of co-located map outputs (shared-memory
-    #: reference transfer; ``StarkConfig.zero_copy_handoff``).  Replaces
-    #: the local disk read + serde charge for those buckets, so with the
-    #: knob off this is always 0.
-    shuffle_handoff_time: float = 0.0
     shuffle_write_time: float = 0.0
     checkpoint_read_time: float = 0.0
     source_read_time: float = 0.0
@@ -74,9 +69,7 @@ class TaskMetrics:
 
     @property
     def shuffle_fetch_time(self) -> float:
-        return (self.shuffle_fetch_local_time
-                + self.shuffle_fetch_remote_time
-                + self.shuffle_handoff_time)
+        return self.shuffle_fetch_local_time + self.shuffle_fetch_remote_time
 
     def work_time(self) -> float:
         """Total charged work, which is also the slot occupancy time."""
@@ -102,7 +95,7 @@ class TaskMetrics:
         for name in (
             "launch_overhead", "cache_read_time", "compute_time",
             "shuffle_fetch_local_time", "shuffle_fetch_remote_time",
-            "shuffle_handoff_time", "shuffle_write_time", "checkpoint_read_time",
+            "shuffle_write_time", "checkpoint_read_time",
             "source_read_time", "gc_time", "recompute_time",
             "straggler_time",
         ):

@@ -44,7 +44,7 @@ from .spans import JobSpan, TaskSpan, build_spans
 #: missing block was last evicted by the cluster-wide cache broker
 #: (reason ``"broker"``) — the cost side of the broker's memory market.
 CATEGORIES: Tuple[str, ...] = (
-    "compute", "recompute", "broker_recompute", "read", "fetch", "handoff",
+    "compute", "recompute", "broker_recompute", "read", "fetch",
     "shuffle_write", "launch", "gc", "straggler", "sched_wait",
     "locality_wait", "retry", "speculation", "other",
 )
@@ -60,7 +60,6 @@ CATEGORY_COLORS: Dict[str, str] = {
     "broker_recompute": "terrible",
     "read": "good",
     "fetch": "thread_state_iowait",
-    "handoff": "thread_state_runnable",
     "shuffle_write": "rail_animation",
     "launch": "grey",
     "gc": "terrible",

@@ -124,8 +124,6 @@ class TaskEnd(Event):
     checkpoint_read_time: float
     source_read_time: float
     gc_time: float
-    #: Zero-copy co-located handoff seconds (its own blame category).
-    shuffle_handoff_time: float = 0.0
     #: Wall seconds lost to worker slowness / transient slowdown windows.
     straggler_time: float = 0.0
     attempt: int = 0
@@ -144,7 +142,6 @@ TASK_PHASE_TABLE: Tuple[Tuple[str, str, str], ...] = (
     ("checkpoint_read_time", "checkpoint_read", "read"),
     ("shuffle_fetch_local_time", "shuffle_fetch", "fetch"),
     ("shuffle_fetch_remote_time", "shuffle_fetch", "fetch"),
-    ("shuffle_handoff_time", "handoff", "handoff"),
     ("compute_time", "compute", "compute"),
     ("shuffle_write_time", "shuffle_write", "shuffle_write"),
     ("gc_time", "gc", "gc"),
@@ -251,10 +248,6 @@ class ShuffleFetch(Event):
     remote_bytes: float
     local_seconds: float
     remote_seconds: float
-    #: Bytes handed over zero-copy between co-located executors
-    #: (``StarkConfig.zero_copy_handoff``); 0 with the knob off.
-    handoff_bytes: float = 0.0
-    handoff_seconds: float = 0.0
 
 
 @dataclass(frozen=True)

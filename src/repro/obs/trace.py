@@ -104,7 +104,6 @@ PHASE_COLORS = {
     "cache_read": "good",
     "compute": "thread_state_running",
     "shuffle_fetch": "thread_state_iowait",
-    "handoff": "thread_state_runnable",
     "shuffle_write": "rail_animation",
     "checkpoint_read": "rail_idle",
     "source_read": "rail_load",

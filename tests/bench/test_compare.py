@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -203,3 +204,24 @@ class TestMain:
         assert lines[0].startswith("| benchmark |")
         assert set(lines[1]) <= {"|", "-"}
         assert all(line.startswith("|") for line in lines)
+
+
+class TestCommittedBaselines:
+    """The committed baselines, the names the benchmarks write and the
+    names CI's perf gate compares are one set: a deleted benchmark leaves
+    no orphan baseline or gate entry, and a new baseline is gated."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def test_gate_baselines_and_writers_agree(self):
+        committed = {path.stem.removeprefix("BENCH_") for path in
+                     (self.ROOT / "benchmarks" / "baselines").glob("BENCH_*.json")}
+        sources = [*(self.ROOT / "src" / "repro" / "bench").glob("*.py"),
+                   *(self.ROOT / "benchmarks").glob("bench_*.py")]
+        written = {name for path in sources for name in re.findall(
+            r'write_bench_json\(\s*"(\w+)"', path.read_text(encoding="utf-8"))}
+        workflow = (self.ROOT / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8")
+        gated = {name for names in re.findall(r"--only (\S+)", workflow)
+                 for name in names.split(",")}
+        assert committed == written == gated

@@ -69,8 +69,7 @@ class Scenario:
 SCALED_COSTS = ("cpu_per_record", "shuffle_cpu_per_record", "network_latency",
                 "task_launch_overhead", "driver_overhead_per_task",
                 "disk_bytes_per_sec", "network_bytes_per_sec",
-                "serde_bytes_per_sec", "memory_bytes_per_sec",
-                "intra_worker_bytes_per_sec")
+                "serde_bytes_per_sec", "memory_bytes_per_sec")
 
 
 def cost_model(scale: float) -> CostModel:

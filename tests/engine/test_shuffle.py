@@ -1,8 +1,13 @@
-"""Tests for the map-output tracker."""
+"""Tests for the map-output tracker and the reduce-side fetch."""
 
 import pytest
 
+from repro import StarkContext
+from repro.cluster import Cluster
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import MapOutputTracker
+from repro.obs import EventCollector
+from repro.obs.events import ShuffleFetch, TaskEnd
 
 
 def buckets(*sizes_and_records):
@@ -104,3 +109,47 @@ class TestMapOutputTracker:
         tracker.register_map_output(0, 0, 1, buckets((0, 7, [])))
         tracker.register_map_output(1, 0, 1, buckets((0, 3, [])))
         assert tracker.total_shuffle_bytes() == 10
+
+
+class TestFetchShuffle:
+    """The one reduce-side read path: a bucket on the reducer's own
+    worker is read back from local disk, any other bucket pays the remote
+    disk read plus the network, and the records arrive in map order."""
+
+    def run(self, seed=3):
+        cluster = Cluster(num_workers=2, cores_per_worker=2,
+                          memory_per_worker=1e9, seed=seed)
+        sc = StarkContext(cluster=cluster)
+        collector = EventCollector()
+        sc.event_bus.subscribe(collector)
+        data = [(i % 8, i) for i in range(400)]
+        pairs = sc.parallelize(data, num_partitions=4)
+        grouped = pairs.group_by_key(partitioner=HashPartitioner(4))
+        result = dict(grouped.collect())
+        return sc, collector, data, result
+
+    def test_values_arrive_in_map_order(self):
+        _, _, data, result = self.run()
+        for key, values in result.items():
+            assert list(values) == [v for k, v in data if k == key]
+
+    def test_charges_match_the_fetch_events(self):
+        sc, collector, _, _ = self.run()
+        model = sc.cost_model
+        fetches = {e.reduce_id: e for e in collector.of_type(ShuffleFetch)}
+        reduce_stage = max(e.stage_id for e in collector.of_type(TaskEnd))
+        ends = {e.partition: e for e in collector.of_type(TaskEnd)
+                if e.stage_id == reduce_stage}
+        assert sorted(fetches) == sorted(ends) == [0, 1, 2, 3]
+        for pid, fetch in fetches.items():
+            end = ends[pid]
+            assert end.worker_id == fetch.worker_id
+            assert end.shuffle_fetch_local_time == fetch.local_seconds
+            assert end.shuffle_fetch_remote_time == fetch.remote_seconds
+            assert fetch.local_seconds == pytest.approx(
+                model.disk_read_cost(fetch.local_bytes))
+            assert fetch.remote_seconds > model.disk_read_cost(
+                fetch.remote_bytes)
+        # Two workers: every reducer finds part of its input at home.
+        assert all(f.local_bytes > 0 and f.remote_bytes > 0
+                   for f in fetches.values())
