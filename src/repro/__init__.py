@@ -32,7 +32,6 @@ Quickstart::
 """
 
 from .cache import (
-    AdmissionController,
     CacheManager,
     CachePolicy,
     CostAwarePolicy,
@@ -77,7 +76,6 @@ from .engine import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdmissionController",
     "CacheManager",
     "CachePolicy",
     "CheckpointOptimizer",

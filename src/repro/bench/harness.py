@@ -534,7 +534,6 @@ class CachePolicyResult:
     evictions: int
     recomputed_partitions: int
     recompute_time: float       # total seconds rebuilding missed blocks
-    admission_rejected: int
     #: the raw MetricsCollector.cache_stats() dict of the run.
     cache_stats: Dict[str, float] = field(default_factory=dict)
 
@@ -550,8 +549,6 @@ def run_cache_policies(
     num_workers: int = 4,
     cores_per_worker: int = 2,
     memory_per_worker: float = 3.7e8,
-    admission_min_cost: float = 0.0,
-    auto_unpersist: bool = False,
 ) -> List[CachePolicyResult]:
     """Iterative multi-job workload under memory pressure, per policy.
 
@@ -576,11 +573,7 @@ def run_cache_policies(
     results: List[CachePolicyResult] = []
     group_of = lambda i: i % 2  # noqa: E731  (hot-group active at iteration i)
     for policy in policies:
-        config = StarkConfig(
-            cache_policy=policy,
-            cache_admission_min_cost=admission_min_cost,
-            cache_auto_unpersist=auto_unpersist,
-        )
+        config = StarkConfig(cache_policy=policy)
         sc = StarkContext(
             num_workers=num_workers, cores_per_worker=cores_per_worker,
             memory_per_worker=memory_per_worker, config=config,
@@ -625,7 +618,6 @@ def run_cache_policies(
             evictions=int(stats["evictions"]),
             recomputed_partitions=int(stats["recomputed_partitions"]),
             recompute_time=stats["recompute_time"],
-            admission_rejected=sc.cache_manager.admission.rejected,
             cache_stats=stats,
         ))
     if len(results) > 1:

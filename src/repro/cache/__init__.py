@@ -6,8 +6,6 @@ This package owns every caching policy decision the engine makes:
   interface and its four implementations (LRU, FIFO, LRC, cost-aware);
 * :mod:`~repro.cache.reference_tracker` — driver-side reference counts
   over the lineage DAG, fed by DAGScheduler stage-completion hooks;
-* :mod:`~repro.cache.admission` — refuses blocks cheaper to recompute
-  than a configurable threshold;
 * :mod:`~repro.cache.manager` — the per-context coordinator wiring the
   above into the block manager and the schedulers;
 * :mod:`~repro.cache.broker` — the cluster-wide cache broker
@@ -21,7 +19,6 @@ via the CLI (``python -m repro --cache-policy lrc <figure>``).  See
 ``docs/CACHING.md``.
 """
 
-from .admission import AdmissionController
 from .broker import CacheBroker
 from .manager import CacheManager
 from .policy import (
@@ -34,14 +31,12 @@ from .policy import (
     LRCPolicy,
     LRUPolicy,
     make_policy,
-    set_default_admission_min_cost,
     set_default_policy,
     value_score,
 )
 from .reference_tracker import ReferenceTracker
 
 __all__ = [
-    "AdmissionController",
     "CacheBroker",
     "CacheDefaults",
     "CacheManager",
@@ -54,7 +49,6 @@ __all__ = [
     "POLICY_NAMES",
     "ReferenceTracker",
     "make_policy",
-    "set_default_admission_min_cost",
     "set_default_policy",
     "value_score",
 ]

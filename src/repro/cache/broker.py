@@ -42,8 +42,9 @@ locally, the evaluator asks :meth:`equivalent_for` and serves the
 partition from the provider's cached block (free locally, serde +
 network cost remotely) instead of recomputing — tenant B's scan runs
 off tenant A's cached subgraph even though their RDD ids differ.  A
-running job *pins* the providers it may read; the reference tracker
-defers auto-unpersist while a pin is live (:meth:`pin_count`).
+running job *pins* the providers it may read; each live pin counts as
+one cross-job reference (:meth:`pin_count`) until the job completes
+or aborts.
 
 **Memory-market scale-in.**  The elastic
 :class:`~repro.elastic.manager.ResourceManager` consults
@@ -311,8 +312,7 @@ class CacheBroker:
         self._job_pins[job_id] = pinned
 
     def on_job_complete(self, job_id: int) -> None:
-        """Release the job's pins, then let the tracker run any
-        auto-unpersists it deferred on them."""
+        """Release the job's pins (on completion or abort)."""
         for provider in self._job_pins.pop(job_id, []):
             jobs = self._pins.get(provider)
             if jobs is not None:
@@ -320,11 +320,9 @@ class CacheBroker:
                 if not jobs:
                     self._pins.pop(provider, None)
                 self.manager.announce_fall(provider)
-        self.manager.tracker.flush_deferred()
 
     def pin_count(self, rdd_id: int) -> int:
-        """Running jobs whose lineage prefix-matches ``rdd_id`` (the
-        tracker defers auto-unpersist while this is non-zero)."""
+        """Running jobs whose lineage prefix-matches ``rdd_id``."""
         return len(self._pins.get(rdd_id, ()))
 
     def equivalent_for(self, rdd_id: int) -> Optional[int]:

@@ -9,10 +9,10 @@ and ties the subsystem together:
   wiring the lineage-aware policies to the shared
   :class:`~repro.cache.reference_tracker.ReferenceTracker` and to the
   recompute-cost estimator;
-* gates every insert through the
-  :class:`~repro.cache.admission.AdmissionController`;
+* gates every insert through the tenant quotas, when a service layer
+  attached them, counting what it admits in :attr:`admission`;
 * receives the DAGScheduler's job/stage lifecycle hooks and forwards
-  them to the tracker (which may auto-unpersist drained RDDs).
+  them to the tracker and the broker.
 
 The recompute-cost estimate walks the narrow chain above an RDD, summing
 the per-RDD transformation delays the cost model has observed
@@ -25,9 +25,9 @@ choice compares it far more often than it changes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Set, TYPE_CHECKING
 
-from .admission import AdmissionController
 from .broker import CacheBroker
 from .policy import (CachePolicy, FIFOPolicy, LRUPolicy, QuotaAwarePolicy,
                      make_policy)
@@ -40,6 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..service.quotas import TenantCacheQuotas
 
 
+@dataclass
+class AdmissionCounts:
+    """Inserts :meth:`CacheManager.should_admit` let through.  The gate
+    refuses only on a tenant quota, which the quotas count themselves
+    (``TenantCacheQuotas.quota_rejections``), so ``rejected`` stays 0."""
+
+    accepted: int = 0
+    rejected: int = 0
+
+
 class CacheManager:
     """Central cache-policy coordinator of one context."""
 
@@ -47,9 +57,7 @@ class CacheManager:
         self.context = context
         config = context.config
         self.policy_name: str = config.cache_policy
-        self.admission = AdmissionController(
-            min_cost_seconds=config.cache_admission_min_cost
-        )
+        self.admission = AdmissionCounts()
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
         #: ``None`` keeps classic per-executor eviction.  The broker
         #: supplies every store's policy, so ``cache_policy`` is not
@@ -60,12 +68,7 @@ class CacheManager:
         scored = self.broker is not None or self.policy_name not in (
             LRUPolicy.name, FIFOPolicy.name)
         self.tracker = ReferenceTracker(
-            auto_unpersist=config.cache_auto_unpersist,
-            unpersist_fn=self._auto_unpersist,
-            fall_fn=self.announce_fall if scored else None,
-        )
-        if self.broker is not None:
-            self.tracker.set_external_pin_fn(self.broker.pin_count)
+            fall_fn=self.announce_fall if scored else None)
         self._quotas: "TenantCacheQuotas | None" = None
         #: rdd_id -> memoised :meth:`estimate_recompute_cost`.
         self._cost_memo: Dict[int, float] = {}
@@ -113,7 +116,7 @@ class CacheManager:
 
     def expect(self, rdd: "RDD", uses: int = 1) -> None:
         """Declare that ``uses`` more jobs will read ``rdd`` — the
-        knowledge LRC/cost eviction and auto-unpersist act on."""
+        knowledge LRC and cost eviction act on."""
         self.tracker.expect(rdd.rdd_id, uses)
 
     # ---- admission ----------------------------------------------------------
@@ -121,12 +124,8 @@ class CacheManager:
     def should_admit(self, rdd_id: int, size_bytes: float) -> bool:
         if self.quotas is not None and not self.quotas.admit(rdd_id, size_bytes):
             return False
-        if self.admission.min_cost_seconds <= 0:
-            self.admission.accepted += 1
-            return True
-        return self.admission.should_admit(
-            self.estimate_recompute_cost(rdd_id)
-        )
+        self.admission.accepted += 1
+        return True
 
     # ---- recompute-cost estimation ------------------------------------------
 
@@ -134,9 +133,7 @@ class CacheManager:
         """Seconds to rebuild one partition of ``rdd_id`` from the
         nearest barrier, per the delays observed so far.
 
-        Unobserved RDDs (never materialized) estimate zero — the
-        admission controller then refuses them only under a positive
-        threshold, which is the conservative direction.
+        Unobserved RDDs (never materialized) estimate zero.
         """
         cost = self._cost_memo.get(rdd_id)
         if cost is None:
@@ -198,19 +195,13 @@ class CacheManager:
         self.tracker.on_stage_complete(job_id, stage_id)
 
     def on_job_complete(self, job_id: int) -> None:
-        # Tracker first (it may defer an auto-unpersist on a broker
-        # pin), then the broker releases this job's pins and flushes
-        # any deferrals that just became safe.
         self.tracker.on_job_complete(job_id)
         if self.broker is not None:
             self.broker.on_job_complete(job_id)
 
-    # ---- internals -----------------------------------------------------------
-
-    def _auto_unpersist(self, rdd_id: int) -> None:
-        """Drop a fully-drained RDD cluster-wide (declared uses hit 0)."""
-        try:
-            self.context.get_rdd(rdd_id).cached = False
-        except KeyError:
-            pass
-        self.context.block_manager_master.remove_rdd(rdd_id)
+    def on_job_abort(self, job_id: int) -> None:
+        """Drop what an aborted job held — its pending references and
+        prefix pins — without draining its declared uses."""
+        self.tracker.on_job_abort(job_id)
+        if self.broker is not None:
+            self.broker.on_job_complete(job_id)

@@ -380,13 +380,11 @@ def make_policy(
 class CacheDefaults:
     """Process-wide defaults consumed by new :class:`StarkConfig` objects.
 
-    The CLI sets these (``--cache-policy`` / ``--cache-admission-min-cost``)
-    so every experiment driver — none of which thread cache options —
-    runs under the selected policy.
+    The CLI sets these (``--cache-policy``) so every experiment driver —
+    none of which thread cache options — runs under the selected policy.
     """
 
     policy: str = LRUPolicy.name
-    admission_min_cost: float = 0.0
 
 
 DEFAULTS = CacheDefaults()
@@ -397,8 +395,3 @@ def set_default_policy(name: str) -> None:
         raise ValueError(f"unknown cache policy {name!r}; pick from {POLICY_NAMES}")
     DEFAULTS.policy = name
 
-
-def set_default_admission_min_cost(seconds: float) -> None:
-    if seconds < 0:
-        raise ValueError(f"admission threshold must be non-negative: {seconds}")
-    DEFAULTS.admission_min_cost = seconds

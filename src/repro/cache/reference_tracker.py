@@ -16,13 +16,13 @@ Two kinds of references:
 * **declared** — across jobs: the driver announces future use with
   :meth:`expect` (``tracker.expect(rdd_id, uses=3)`` = "three more jobs
   will read this RDD").  Each completed job that referenced the RDD
-  consumes one declared use.  When the last declared use is consumed and
-  auto-unpersist is enabled, the RDD is dropped cluster-wide — the
+  consumes one declared use; a job that aborts consumes none — the
   paper's dynamic-collection setting, where the driver knows the window
   of datasets the next queries span.
 
-Auto-unpersist only ever fires for RDDs with explicit declarations, so
-applications that never call :meth:`expect` keep exact Spark semantics.
+A drained RDD is never dropped here: its blocks stay resident and merely
+rank as dead weight, so LRC and cost eviction take them first.
+Applications that never call :meth:`expect` keep exact Spark semantics.
 """
 
 from __future__ import annotations
@@ -39,14 +39,7 @@ BlockId = Tuple[int, int]
 class ReferenceTracker:
     """Counts remaining readers of every cached RDD."""
 
-    def __init__(
-        self,
-        auto_unpersist: bool = False,
-        unpersist_fn: Optional[Callable[[int], None]] = None,
-        fall_fn: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        self.auto_unpersist = auto_unpersist
-        self._unpersist_fn = unpersist_fn
+    def __init__(self, fall_fn: Optional[Callable[[int], None]] = None) -> None:
         #: ``fn(rdd_id)`` told whenever an RDD's :meth:`ref_count` falls.
         self._fall_fn = fall_fn or (lambda rdd_id: None)
         #: rdd_id -> references held by stages of currently-running jobs.
@@ -57,15 +50,6 @@ class ReferenceTracker:
         self._releases: Dict[Tuple[int, int], List[int]] = {}
         #: job_id -> cached rdd_ids this job references (declared drain).
         self._touched: Dict[int, Set[int]] = {}
-        #: External pin lookup (the cache broker's lineage-prefix pins):
-        #: auto-unpersist is *deferred* while this reports a live pin,
-        #: so a job finishing cannot drop a block a concurrent job's
-        #: prefix match was counting on re-reading.
-        self._pin_fn: Optional[Callable[[int], int]] = None
-        #: rdd_ids whose auto-unpersist was deferred on a live pin.
-        self._deferred: Set[int] = set()
-        self.auto_unpersisted: int = 0
-        self.deferred_unpersists: int = 0
 
     # ---- queries -----------------------------------------------------------
 
@@ -118,10 +102,7 @@ class ReferenceTracker:
 
     def on_job_complete(self, job_id: int) -> None:
         """Release any leftover pending refs and drain declared uses."""
-        leftovers = [key for key in self._releases if key[0] == job_id]
-        for key in leftovers:
-            for rdd_id in self._releases.pop(key):
-                self._release_pending(rdd_id)
+        self._release_job(job_id)
         for rdd_id in sorted(self._touched.pop(job_id, ())):
             remaining = self._declared.get(rdd_id)
             if remaining is None:
@@ -132,42 +113,20 @@ class ReferenceTracker:
                 self._declared[rdd_id] = remaining
             else:
                 self._declared.pop(rdd_id, None)
-                if (self.auto_unpersist and self._unpersist_fn is not None
-                        and self._pending.get(rdd_id, 0) == 0):
-                    self._unpersist_or_defer(rdd_id)
 
-    # ---- external pins (cross-job prefix sharing) --------------------------
-
-    def set_external_pin_fn(self, pin_fn: Callable[[int], int]) -> None:
-        """Install a pin lookup (``rdd_id -> live pin count``) that
-        vetoes auto-unpersist until :meth:`flush_deferred` runs with the
-        pin released."""
-        self._pin_fn = pin_fn
-
-    def flush_deferred(self) -> None:
-        """Run deferred auto-unpersists whose external pins are gone
-        (called whenever a pin holder releases, e.g. job completion)."""
-        if not self._deferred:
-            return
-        for rdd_id in sorted(self._deferred):
-            if self._pin_fn is not None and self._pin_fn(rdd_id) > 0:
-                continue
-            self._deferred.discard(rdd_id)
-            if self._pending.get(rdd_id, 0) == 0 \
-                    and self._unpersist_fn is not None:
-                self.auto_unpersisted += 1
-                self._unpersist_fn(rdd_id)
+    def on_job_abort(self, job_id: int) -> None:
+        """Release an aborted job's pending refs; an aborted job read
+        nothing to completion, so its declared uses stay owed."""
+        self._release_job(job_id)
+        self._touched.pop(job_id, None)
 
     # ---- internals ---------------------------------------------------------
 
-    def _unpersist_or_defer(self, rdd_id: int) -> None:
-        if self._pin_fn is not None and self._pin_fn(rdd_id) > 0:
-            self.deferred_unpersists += 1
-            self._deferred.add(rdd_id)
-            return
-        self.auto_unpersisted += 1
-        assert self._unpersist_fn is not None
-        self._unpersist_fn(rdd_id)
+    def _release_job(self, job_id: int) -> None:
+        leftovers = [key for key in self._releases if key[0] == job_id]
+        for key in leftovers:
+            for rdd_id in self._releases.pop(key):
+                self._release_pending(rdd_id)
 
     def _release_pending(self, rdd_id: int) -> None:
         count = self._pending.get(rdd_id, 0) - 1

@@ -25,11 +25,7 @@ from . import obs
 from .bench import harness
 from .bench.ascii_charts import timeline_chart, utilization_chart
 from .bench.reporting import print_comparison, print_table
-from .cache import (
-    POLICY_NAMES,
-    set_default_admission_min_cost,
-    set_default_policy,
-)
+from .cache import POLICY_NAMES, set_default_policy
 from .elastic import POLICY_NAMES as SCALE_POLICY_NAMES
 from .obs import log as obs_log
 
@@ -195,7 +191,6 @@ def _cmd_cache_broker(args: argparse.Namespace) -> int:
          for value, wid, bid in broker.top_blocks(args.top)],
         floatfmt="{:.6f}",
     )
-    tracker = context.cache_manager.tracker
     print_table(
         "Cache broker: cross-job sharing and memory-market counters",
         ["counter", "value"],
@@ -204,7 +199,6 @@ def _cmd_cache_broker(args: argparse.Namespace) -> int:
          ["prefix misses (no live provider)", broker.prefix_misses],
          ["broker evictions (market)", broker.broker_evictions],
          ["broker migrations (market)", broker.broker_migrations],
-         ["auto-unpersists deferred on pins", tracker.deferred_unpersists],
          ["ledger bytes", broker.accounted_bytes()],
          ["resident bytes", master.total_cached_bytes()]],
     )
@@ -217,15 +211,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     results = harness.run_cache_policies(
         policies=tuple(args.policies),
         iterations=args.iterations,
-        admission_min_cost=args.admission_min_cost,
-        auto_unpersist=args.auto_unpersist,
     )
     print_table(
         "Cache policies: iterative workload under memory pressure",
         ["policy", "mean job (s)", "hit rate", "evictions",
-         "recomputed", "recompute (s)", "rejected"],
+         "recomputed", "recompute (s)"],
         [[r.policy, r.mean_makespan, f"{r.hit_rate:.2%}", r.evictions,
-          r.recomputed_partitions, r.recompute_time, r.admission_rejected]
+          r.recomputed_partitions, r.recompute_time]
          for r in results],
         floatfmt="{:.4f}",
     )
@@ -849,14 +841,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
 }
 
 
-def _nonnegative_seconds(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be non-negative seconds: {text}")
-    return value
-
-
 def _add_scaling_flags(p: argparse.ArgumentParser) -> None:
     """Elastic bounds shared by the streaming benchmarks: without
     ``--scale-policy`` the cluster stays fixed; with it, the run starts
@@ -880,12 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-policy", choices=POLICY_NAMES, default=None,
         help="block-store eviction policy every experiment runs under "
              "(default: lru)",
-    )
-    parser.add_argument(
-        "--cache-admission-min-cost", type=_nonnegative_seconds,
-        default=None, metavar="SECONDS",
-        help="never cache blocks whose estimated recompute cost is below "
-             "this many simulated seconds (default: 0, admit everything)",
     )
     parser.add_argument(
         "--log-level", choices=LOG_LEVELS, default=None,
@@ -995,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", nargs="+", choices=POLICY_NAMES,
                    default=list(POLICY_NAMES))
     p.add_argument("--iterations", type=int, default=12)
-    p.add_argument("--admission-min-cost", type=float, default=0.0)
-    p.add_argument("--auto-unpersist", action="store_true",
-                   help="drop cached RDDs whose declared uses drain to zero")
     p.add_argument("--broker", action="store_true",
                    help="run the canned broker workload and print the "
                         "cluster-wide cache broker's state instead of the "
@@ -1073,8 +1048,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cache_policy is not None:
         set_default_policy(args.cache_policy)
-    if args.cache_admission_min_cost is not None:
-        set_default_admission_min_cost(args.cache_admission_min_cost)
     if args.log_level is not None:
         obs_log.configure(args.log_level)
     if args.command in (None, "list"):

@@ -402,9 +402,7 @@ class EvalContext:
         # ``size`` is the heap footprint ``evaluate`` already computed
         # for the working-set ledger.
         if not ctx.cache_manager.should_admit(rdd.rdd_id, size):
-            # Cheaper to rebuild than the admission threshold: caching it
-            # would only displace blocks whose loss actually costs time.
-            return
+            return  # refused by the owning tenant's cache quota
         ctx.block_manager_master.put(
             self.worker_id, Block((rdd.rdd_id, pid), records, size)
         )

@@ -74,15 +74,6 @@ class StarkConfig:
     #: Defaults follow ``repro.cache.DEFAULTS`` so the CLI can select a
     #: policy globally for every experiment.
     cache_policy: str = field(default_factory=lambda: CACHE_DEFAULTS.policy)
-    #: Admission threshold (seconds): blocks whose estimated recompute
-    #: cost is below this are never cached.  0 admits everything.
-    cache_admission_min_cost: float = field(
-        default_factory=lambda: CACHE_DEFAULTS.admission_min_cost
-    )
-    #: Auto-unpersist RDDs whose declared reference count
-    #: (``CacheManager.expect``) drains to zero.  Only RDDs with explicit
-    #: declarations are ever dropped.
-    cache_auto_unpersist: bool = False
 
     # -- straggler mitigation / task-level fault tolerance (see
     #    docs/FAULT_TOLERANCE.md) ------------------------------------------

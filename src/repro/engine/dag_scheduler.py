@@ -103,30 +103,36 @@ class DAGScheduler:
 
         stage_finish: Dict[int, float] = {}
         frontier = submit_time
-        for stage in order:
-            parents_done = max(
-                (stage_finish[p.stage_id] for p in stage.parent_stages),
-                default=submit_time,
-            )
-            start = max(frontier, parents_done)
-            if stage.is_shuffle_map and self._can_skip(stage):
-                job.skipped_stages += 1
-                stage_finish[stage.stage_id] = start
-                if bus.active:
-                    bus.post(StageSubmitted(
-                        time=start, job_id=job.job_id,
-                        stage_id=stage.stage_id, num_tasks=0,
-                        is_shuffle_map=True))
-                    bus.post(StageCompleted(
-                        time=start, job_id=job.job_id,
-                        stage_id=stage.stage_id, skipped=True,
-                        duration=0.0))
+        # An aborted job (max_task_failures, max_stage_attempts, ...)
+        # releases its references and pins but drains no declared use.
+        try:
+            for stage in order:
+                parents_done = max(
+                    (stage_finish[p.stage_id] for p in stage.parent_stages),
+                    default=submit_time,
+                )
+                start = max(frontier, parents_done)
+                if stage.is_shuffle_map and self._can_skip(stage):
+                    job.skipped_stages += 1
+                    stage_finish[stage.stage_id] = start
+                    if bus.active:
+                        bus.post(StageSubmitted(
+                            time=start, job_id=job.job_id,
+                            stage_id=stage.stage_id, num_tasks=0,
+                            is_shuffle_map=True))
+                        bus.post(StageCompleted(
+                            time=start, job_id=job.job_id,
+                            stage_id=stage.stage_id, skipped=True,
+                            duration=0.0))
+                    cache_manager.on_stage_complete(job.job_id, stage.stage_id)
+                    continue
+                finish = self._run_stage(stage, job, start, action)
+                stage_finish[stage.stage_id] = finish
+                frontier = max(frontier, start)
                 cache_manager.on_stage_complete(job.job_id, stage.stage_id)
-                continue
-            finish = self._run_stage(stage, job, start, action)
-            stage_finish[stage.stage_id] = finish
-            frontier = max(frontier, start)
-            cache_manager.on_stage_complete(job.job_id, stage.stage_id)
+        except BaseException:
+            cache_manager.on_job_abort(job.job_id)
+            raise
 
         finish_time = stage_finish[final_stage.stage_id]
         kernel.advance_to(max(kernel.now, finish_time))

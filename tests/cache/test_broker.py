@@ -1,7 +1,7 @@
 """Cluster-wide cache broker: global value ranking, the eviction /
-migration memory market, cross-job lineage-prefix sharing, pin-deferred
-auto-unpersist, quota interplay, ledger accounting, and the elastic
-layer's density-driven scale-in."""
+migration memory market, cross-job lineage-prefix sharing and its pins,
+quota interplay, ledger accounting, and the elastic layer's
+density-driven scale-in."""
 
 import math
 
@@ -262,6 +262,43 @@ class TestPrefixSharing:
         assert sc.cache_broker.prefix_hits == 0
         assert got != first.collect()
 
+    def test_consumer_pins_provider_while_it_runs(self, monkeypatch):
+        sc = make_context()
+        provider = self.make_pipeline(sc)
+        provider.count()
+        fallen = []
+        monkeypatch.setattr(sc.cache_manager, "announce_fall", fallen.append)
+
+        # A job with an identical lineage prefix pins the provider for
+        # its lifetime: one more cross-job reference on its blocks.
+        consumer = self.make_pipeline(sc)
+        sc.cache_manager.on_job_submit(999, consumer, [])
+        assert sc.cache_broker.pin_count(provider.rdd_id) == 1
+        block = (provider.rdd_id, 0)
+        assert sc.cache_broker.cross_job_refcount(block) == 1
+
+        # Released at the consumer's completion: the provider's stores
+        # are told its score fell, and its blocks stay resident.
+        sc.cache_manager.on_job_complete(999)
+        assert sc.cache_broker.pin_count(provider.rdd_id) == 0
+        assert sc.cache_broker.cross_job_refcount(block) == 0
+        assert fallen == [provider.rdd_id]
+        assert sc.block_manager_master.cached_partitions_of(
+            provider.rdd_id) == set(range(provider.num_partitions))
+
+    def test_aborted_consumer_releases_its_pin(self):
+        sc = make_context(max_task_failures=1)
+        provider = self.make_pipeline(sc)
+        provider.count()
+        sc.cache_manager.expect(provider, 1)
+        sc.config.task_failure_prob = 1.0
+        consumer = self.make_pipeline(sc).map(lambda kv: kv)
+        with pytest.raises(RuntimeError, match="aborting job"):
+            consumer.count()
+        assert sc.cache_broker.pin_count(provider.rdd_id) == 0
+        # Only the still-owed declared use remains.
+        assert sc.cache_broker.cross_job_refcount((provider.rdd_id, 0)) == 1
+
     def test_dead_provider_counts_a_prefix_miss(self):
         sc = make_context()
         first = self.make_pipeline(sc)
@@ -272,59 +309,6 @@ class TestPrefixSharing:
         assert got == expected  # recomputed from lineage, not served
         assert sc.cache_broker.prefix_hits == 0
         assert sc.cache_broker.prefix_misses > 0
-
-
-class TestDeferredUnpersist:
-    """S2: auto-unpersist defers while another job's prefix match pins
-    the provider, and flushes once the pin is released."""
-
-    def make_pipeline(self, sc):
-        def source(pid):
-            return [(pid * 10 + i, i) for i in range(20)]
-
-        return (sc.generated(source, 4, read_cost="network", name="scan")
-                .map(lambda kv: (kv[0], kv[1] * 3))
-                .cache())
-
-    def test_pin_defers_then_flush_unpersists(self):
-        sc = make_context(cache_auto_unpersist=True)
-        master = sc.block_manager_master
-        tracker = sc.cache_manager.tracker
-        provider = self.make_pipeline(sc)
-        provider.count()
-        assert master.cached_partitions_of(provider.rdd_id)
-        sc.cache_manager.expect(provider, 1)
-
-        # A second job with an identical lineage prefix pins the
-        # provider for its lifetime.
-        consumer = self.make_pipeline(sc)
-        sc.cache_manager.on_job_submit(999, consumer, [])
-        assert sc.cache_broker.pin_count(provider.rdd_id) == 1
-
-        # The provider's last declared use drains — but the pin vetoes
-        # the drop, so the blocks survive for the consumer to read.
-        provider.count()
-        assert tracker.deferred_unpersists == 1
-        assert master.cached_partitions_of(provider.rdd_id)
-
-        # Pin released at the consumer's completion: the deferred
-        # unpersist flushes and the blocks go away.
-        sc.cache_manager.on_job_complete(999)
-        assert sc.cache_broker.pin_count(provider.rdd_id) == 0
-        assert tracker.auto_unpersisted == 1
-        assert master.cached_partitions_of(provider.rdd_id) == set()
-
-    def test_without_a_pin_the_drop_is_immediate(self):
-        sc = make_context(cache_auto_unpersist=True)
-        provider = self.make_pipeline(sc)
-        provider.count()
-        sc.cache_manager.expect(provider, 1)
-        provider.count()
-        tracker = sc.cache_manager.tracker
-        assert tracker.deferred_unpersists == 0
-        assert tracker.auto_unpersisted == 1
-        assert sc.block_manager_master.cached_partitions_of(
-            provider.rdd_id) == set()
 
 
 class TestQuotaBrokerInterplay:

@@ -1,15 +1,12 @@
-"""CacheManager integration: policies, admission and auto-unpersist
-wired into a real StarkContext running real jobs."""
+"""CacheManager integration: policies, the insert gate and declared
+uses wired into a real StarkContext running real jobs."""
 
 import pytest
 
-from repro.cache.admission import AdmissionController
-from repro.cache.policy import (
-    set_default_admission_min_cost,
-    set_default_policy,
-)
+from repro.cache.policy import set_default_policy
 from repro.cluster.cost_model import SimStr
 from repro.engine.context import StarkConfig, StarkContext
+from repro.service import TenantCacheQuotas
 
 
 def make_context(**config_kwargs):
@@ -27,20 +24,6 @@ def dataset(sc, payload_bytes=1000, partitions=4, read_cost="disk", name="d"):
     return sc.generated(generate, partitions, read_cost=read_cost, name=name)
 
 
-class TestAdmissionController:
-    def test_zero_threshold_admits_everything(self):
-        ctl = AdmissionController(min_cost_seconds=0.0)
-        assert ctl.should_admit(0.0)
-        assert ctl.accepted == 1 and ctl.rejected == 0
-
-    def test_threshold_splits(self):
-        ctl = AdmissionController(min_cost_seconds=0.5)
-        assert not ctl.should_admit(0.4)
-        assert ctl.should_admit(0.5)
-        assert ctl.stats() == {"accepted": 1, "rejected": 1,
-                               "min_cost_seconds": 0.5}
-
-
 class TestPolicySelection:
     def test_config_selects_store_policies(self):
         sc = make_context(cache_policy="lrc")
@@ -53,31 +36,40 @@ class TestPolicySelection:
 
     def test_defaults_feed_new_configs(self):
         set_default_policy("cost")
-        set_default_admission_min_cost(0.25)
         try:
-            config = StarkConfig()
-            assert config.cache_policy == "cost"
-            assert config.cache_admission_min_cost == 0.25
+            assert StarkConfig().cache_policy == "cost"
         finally:
             set_default_policy("lru")
-            set_default_admission_min_cost(0.0)
         assert StarkConfig().cache_policy == "lru"
 
 
 class TestAdmissionIntegration:
-    def test_blocks_below_threshold_never_cached(self):
-        sc = make_context(cache_admission_min_cost=1e6)
-        rdd = dataset(sc).cache()
-        rdd.count()
-        assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id) == set()
-        assert sc.cache_manager.admission.rejected > 0
+    """There is no cost threshold: every block is admitted unless its
+    tenant's quota refuses it (``perf/`` reads both counters into
+    ``cache.admit_ratio``)."""
 
     def test_zero_threshold_caches(self):
-        sc = make_context(cache_admission_min_cost=0.0)
+        sc = make_context()
         rdd = dataset(sc).cache()
         rdd.count()
         assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id) == \
             set(range(rdd.num_partitions))
+        admission = sc.cache_manager.admission
+        assert (admission.accepted, admission.rejected) == \
+            (rdd.num_partitions, 0)
+
+    def test_quota_refusal_leaves_admission_counters(self):
+        sc = make_context()
+        quotas = TenantCacheQuotas(sc.block_manager_master)
+        sc.cache_manager.quotas = quotas
+        rdd = dataset(sc).cache()
+        quotas.own(rdd.rdd_id, "a")
+        quotas.set_quota("a", 1.0)  # no block ever fits
+        rdd.count()
+        assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id) == set()
+        assert quotas.quota_rejections == rdd.num_partitions
+        admission = sc.cache_manager.admission
+        assert (admission.accepted, admission.rejected) == (0, 0)
 
 
 class TestRecomputeCostEstimate:
@@ -109,19 +101,11 @@ class TestRecomputeCostEstimate:
 
 
 class TestAutoUnpersist:
-    def test_declared_rdd_dropped_after_last_use(self):
-        sc = make_context(cache_auto_unpersist=True)
-        rdd = dataset(sc).cache()
-        sc.cache_manager.expect(rdd, uses=2)
-        rdd.count()  # materializes + first declared use
-        assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id)
-        rdd.count()  # last declared use: dropped cluster-wide
-        assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id) == set()
-        assert rdd.cached is False
-        assert sc.cache_manager.tracker.auto_unpersisted == 1
+    """Auto-unpersist is deleted: an RDD stays cached whether or not its
+    declared uses drained; only eviction or ``unpersist()`` drop it."""
 
     def test_undeclared_rdd_survives(self):
-        sc = make_context(cache_auto_unpersist=True)
+        sc = make_context()
         rdd = dataset(sc).cache()
         for _ in range(3):
             rdd.count()
@@ -129,10 +113,13 @@ class TestAutoUnpersist:
             set(range(rdd.num_partitions))
 
     def test_disabled_by_default(self):
-        sc = make_context()
+        sc = make_context(cache_policy="lrc")
         rdd = dataset(sc).cache()
-        sc.cache_manager.expect(rdd, uses=1)
-        rdd.count()
+        sc.cache_manager.expect(rdd, uses=2)
+        rdd.count()  # materializes + first declared use
+        rdd.count()  # last declared use: drained, blocks stay
+        assert sc.cache_manager.tracker.ref_count(rdd.rdd_id) == 0
+        assert rdd.cached is True
         assert sc.block_manager_master.cached_partitions_of(rdd.rdd_id) == \
             set(range(rdd.num_partitions))
 

@@ -9,6 +9,7 @@ DAGs without an engine.
 import pytest
 
 from repro.cache.reference_tracker import ReferenceTracker
+from repro.engine.context import StarkConfig, StarkContext
 
 
 class FakeDep:
@@ -41,6 +42,14 @@ def chain(*cached_flags):
         parents = [rdds[-1]] if rdds else []
         rdds.append(FakeRDD(i, parents, cached=cached))
     return rdds
+
+
+def complete_job(tracker, rdd, job_id):
+    """Run one single-stage job over ``rdd`` to completion."""
+    stage = FakeStage(rdd)
+    tracker.on_job_submit(job_id, rdd, [stage])
+    tracker.on_stage_complete(job_id, stage.stage_id)
+    tracker.on_job_complete(job_id)
 
 
 class TestPendingRefs:
@@ -121,39 +130,62 @@ class TestDeclaredRefs:
 
 
 class TestAutoUnpersist:
-    def run_job(self, tracker, rdd, job_id):
-        stage = FakeStage(rdd)
-        tracker.on_job_submit(job_id, rdd, [stage])
-        tracker.on_stage_complete(job_id, stage.stage_id)
-        tracker.on_job_complete(job_id)
-
-    def test_fires_when_declared_drains(self):
-        dropped = []
-        tracker = ReferenceTracker(auto_unpersist=True,
-                                   unpersist_fn=dropped.append)
-        rdd = FakeRDD(0, cached=True)
-        tracker.expect(0, uses=2)
-        self.run_job(tracker, rdd, 1)
-        assert dropped == []
-        self.run_job(tracker, rdd, 2)
-        assert dropped == [0]
-        assert tracker.auto_unpersisted == 1
+    """Auto-unpersist is deleted: the tracker holds no way to drop an
+    RDD.  A drained declaration only lowers the count and tells
+    ``fall_fn``, so LRC and cost eviction take the blocks first."""
 
     def test_never_fires_without_declaration(self):
-        dropped = []
-        tracker = ReferenceTracker(auto_unpersist=True,
-                                   unpersist_fn=dropped.append)
+        fallen = []
+        tracker = ReferenceTracker(fall_fn=fallen.append)
         rdd = FakeRDD(0, cached=True)
         for job_id in range(1, 5):
-            self.run_job(tracker, rdd, job_id)
-        assert dropped == []
+            complete_job(tracker, rdd, job_id)
+        assert tracker.ref_count(0) == 0
+        assert fallen == [0] * 4  # one pending release per job
 
     def test_never_fires_when_disabled(self):
-        dropped = []
-        tracker = ReferenceTracker(auto_unpersist=False,
-                                   unpersist_fn=dropped.append)
+        fallen = []
+        tracker = ReferenceTracker(fall_fn=fallen.append)
         rdd = FakeRDD(0, cached=True)
-        tracker.expect(0, uses=1)
-        self.run_job(tracker, rdd, 1)
-        assert dropped == []
+        tracker.expect(0, uses=2)
+        complete_job(tracker, rdd, 1)
+        assert tracker.ref_count(0) == 1
+        complete_job(tracker, rdd, 2)
         assert tracker.declared(0) == 0  # drained, just not dropped
+        assert tracker.ref_count(0) == 0
+        # Each job: one pending release, one declared use consumed.
+        assert fallen == [0] * 4
+
+
+class TestAbortedJob:
+    def test_abort_releases_pending_but_drains_nothing(self):
+        fallen = []
+        tracker = ReferenceTracker(fall_fn=fallen.append)
+        rdds = chain(True, True)
+        tracker.expect(0, uses=1)
+        first, second = FakeStage(rdds[0]), FakeStage(rdds[1])
+        tracker.on_job_submit(1, rdds[1], [first, second])
+        tracker.on_stage_complete(1, first.stage_id)
+        tracker.on_job_abort(1)
+        assert tracker.ref_count(1) == 0
+        assert tracker.ref_count(0) == 1  # the declared use is still owed
+        assert tracker.declared(0) == 1
+        assert fallen == [0, 1, 0]
+        # A later completed job drains it as usual.
+        complete_job(tracker, rdds[0], 2)
+        assert tracker.declared(0) == 0
+
+    @pytest.mark.parametrize("broker", [False, True])
+    def test_failed_job_leaves_no_reference(self, broker):
+        sc = StarkContext(num_workers=2, cores_per_worker=2,
+                          memory_per_worker=1e9,
+                          config=StarkConfig(task_failure_prob=1.0,
+                                             max_task_failures=3,
+                                             cache_broker=broker))
+        rdd = sc.parallelize(list(range(20)), 4).cache()
+        sc.cache_manager.expect(rdd, uses=1)
+        with pytest.raises(RuntimeError, match="aborting job"):
+            rdd.count()
+        # Nothing is running: only the declared use holds the RDD.
+        assert sc.cache_manager.tracker.ref_count(rdd.rdd_id) == 1
+        assert sc.cache_manager.tracker.declared(rdd.rdd_id) == 1

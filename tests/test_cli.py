@@ -3,11 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.cache import (
-    DEFAULTS,
-    set_default_admission_min_cost,
-    set_default_policy,
-)
+from repro.cache import DEFAULTS, set_default_policy
 from repro.cli import COMMANDS, build_parser, main
 
 
@@ -57,13 +53,10 @@ class TestMain:
 
     def test_global_cache_flags_set_defaults(self):
         try:
-            assert main(["--cache-policy", "lrc",
-                         "--cache-admission-min-cost", "0.2", "list"]) == 0
+            assert main(["--cache-policy", "lrc", "list"]) == 0
             assert DEFAULTS.policy == "lrc"
-            assert DEFAULTS.admission_min_cost == 0.2
         finally:
             set_default_policy("lru")
-            set_default_admission_min_cost(0.0)
 
     def test_unknown_cache_policy_rejected(self):
         with pytest.raises(SystemExit):

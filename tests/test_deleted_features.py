@@ -1,11 +1,29 @@
 """Deleted features stay deleted.
 
-The zero-copy shuffle handoff (``StarkConfig.zero_copy_handoff``) was a
-default-off extension that only its own benchmark turned on.  Turned on
-everywhere it left the cache, speculation, tenant and MCF baselines
-unchanged, moved the elastic decisions, and shrank the paper's Fig 11
-colocation win, so it was deleted rather than promoted.  The source scan
-below fails if any part of it comes back under its old names.
+Each feature below was a default-off switch that only its own benchmark
+turned on.  Each was measured turned on everywhere and then deleted
+rather than promoted:
+
+* **Zero-copy shuffle handoff** (``StarkConfig.zero_copy_handoff``).
+  Turned on everywhere it left the cache, speculation, tenant and MCF
+  baselines unchanged and moved the elastic decisions.  It also shrank
+  the paper's Fig 11 colocation win.
+* **Auto-unpersist** (``StarkConfig.cache_auto_unpersist``) dropped an
+  RDD once its declared uses drained.  LRC and cost eviction already
+  take drained blocks first.  At seed 11 it made every policy of the
+  ``cache_policies`` bench the same: LRU 0.0900 s -> 0.01847 s, FIFO
+  0.0614 s -> 0.01847 s, LRC and cost at 0.018468 s.  Promoting it would
+  erase the gap the bench asserts.  It left the ``cache_broker`` bench's
+  LRC arm at 0.071597 s but made the broker arm 24.7 % slower (0.017982
+  s -> 0.022421 s, cross-job hits 64 -> 56).
+* **Admission threshold** (``StarkConfig.cache_admission_min_cost``)
+  refused blocks cheaper to rebuild than a bound.  At 0.05 s it equalised
+  the ``cache_policies`` bench the same way and moved the broker arm by
+  -0.2 %.
+
+No ``perf/`` workload declared a use or set a threshold, so neither
+cache gate could fire there.  The checks below fail if any part of
+these features comes back under its old names.
 """
 
 import ast
@@ -14,13 +32,18 @@ from pathlib import Path
 import pytest
 
 from repro import StarkConfig
+from repro.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: Fragments of every name the handoff had: the config field, the cost
-#: model rate and method, the task metric, the event fields and the
-#: blame category.
-DELETED = ("zero_copy", "zerocopy", "handoff", "intra_worker")
+#: Deleted feature -> fragments of every name it had (config fields,
+#: methods, counters, CLI flags, event fields, blame categories).
+DELETED = {
+    "zero_copy_handoff": ("zero_copy", "zerocopy", "handoff", "intra_worker"),
+    "auto_unpersist": ("auto_unpersist", "flush_deferred",
+                       "deferred_unpersist", "external_pin"),
+    "admission_threshold": ("admission_min_cost", "min_cost_seconds"),
+}
 
 
 def _spellings(tree):
@@ -41,18 +64,37 @@ def _spellings(tree):
             yield node.value
 
 
-def test_no_source_names_the_handoff():
+@pytest.mark.parametrize("feature", sorted(DELETED))
+def test_no_source_names_a_deleted_feature(feature):
+    fragments = DELETED[feature]
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for spelling in _spellings(tree):
             if any(part in spelling.lower().replace("-", "_")
-                   for part in DELETED):
+                   for part in fragments):
                 found.add(f"{path.relative_to(SRC)}: {spelling[:60]!r}")
-    assert not found, f"zero-copy handoff re-introduced: {sorted(found)}"
+    assert not found, f"{feature} re-introduced: {sorted(found)}"
 
 
 def test_config_rejects_the_old_switch():
     with pytest.raises(TypeError):
         StarkConfig(zero_copy_handoff=True)
 
+
+@pytest.mark.parametrize("switch", [{"cache_auto_unpersist": True},
+                                    {"cache_admission_min_cost": 0.05}])
+def test_config_rejects_the_deleted_cache_switches(switch):
+    with pytest.raises(TypeError):
+        StarkConfig(**switch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cache-admission-min-cost", "0.05", "list"],
+    ["cache", "--admission-min-cost", "0.05"],
+    ["cache", "--auto-unpersist"],
+])
+def test_cli_rejects_the_deleted_cache_flags(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2  # argparse's usage error
