@@ -17,7 +17,7 @@ workload).  When a change intentionally moves a metric, refresh the
 committed baselines and review the diff like any other code change::
 
     STARK_BENCH_DIR=bench-results PYTHONPATH=src python -m pytest \
-        benchmarks/bench_cache_policies.py benchmarks/bench_speculation_tail.py
+        benchmarks/bench_cache_policies.py benchmarks/bench_cache_broker.py
     python -m repro.bench.compare benchmarks/baselines bench-results \
         --update-baselines
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..apps.log_mining import LogMiningApp
 from ..apps.trending import TrendingApp
 from ..cluster.cluster import Cluster
-from ..cluster.cost_model import CostModel, HeterogeneityModel, SimStr
+from ..cluster.cost_model import CostModel, SimStr
 from ..cluster.queueing import JobDriver, LoadResult, nearest_rank
 from ..columnar.datagen import lineitem_rows, orders_rows, register_tpch_tables
 from ..core.checkpoint_optimizer import CheckpointOptimizer
@@ -793,161 +793,6 @@ def run_cache_broker(
                 by["lrc"].mean_makespan
                 / max(by["broker"].mean_makespan, 1e-12))
         write_bench_json("cache_broker", payload_json)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Straggler mitigation: speculative execution on the tail
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpeculationTailResult:
-    """Tail-latency profile of one arm (speculation off or on)."""
-
-    speculation: bool
-    mean_task_delay: float      # mean logical-task delay (s)
-    p95_task_delay: float
-    p99_task_delay: float
-    mean_makespan: float        # mean job makespan (s)
-    straggler_incidence: float  # fraction of attempts hit by a slowdown
-    speculative_copies: int
-    killed_copies: int
-    #: digest of the collected job outputs — identical across arms iff
-    #: speculation changed nothing about the results.
-    results_digest: str
-
-
-def run_speculation_tail(
-    num_jobs: int = 10,
-    num_partitions: int = 32,
-    records_per_partition: int = 400,
-    num_workers: int = 8,
-    cores_per_worker: int = 2,
-    memory_per_worker: float = 2e9,
-    transient_rate: float = 3.0,
-    transient_duration: float = 0.1,
-    transient_factor: float = 8.0,
-    transient_horizon: float = 60.0,
-    speculation_multiplier: float = 1.3,
-    speculation_quantile: float = 0.5,
-    seed: int = 11,
-    write_json: bool = True,
-) -> List[SpeculationTailResult]:
-    """Tail-latency comparison: speculation off vs on, same stragglers.
-
-    Every worker draws transient slowdown windows from the *same* seeded
-    RNG in both arms, so both runs face identical stragglers.  At the
-    defaults (rate 3.0/s × duration 0.1 s) each worker sits inside a
-    window for roughly 30% of simulated time, but because tasks are
-    short only ~8% of attempts are actually caught — the table reports
-    the measured ``straggler_incidence`` per arm.  Each of ``num_jobs``
-    map jobs runs ``num_partitions`` tasks; a task caught in a window
-    crawls at ``transient_factor``x until the window closes — exactly the
-    tail speculative execution exists to cut.
-
-    The *logical task delay* is, per (job, stage, partition), the first
-    successful finish minus the first attempt's start — what a caller
-    waiting on the partition experiences, counting retries and
-    speculation against (or in favour of) the task.
-    """
-    results: List[SpeculationTailResult] = []
-    for speculation in (False, True):
-        config = StarkConfig(
-            speculation=speculation,
-            speculation_multiplier=speculation_multiplier,
-            speculation_quantile=speculation_quantile,
-        )
-        cluster = Cluster(
-            num_workers=num_workers, cores_per_worker=cores_per_worker,
-            memory_per_worker=memory_per_worker, seed=seed,
-        )
-        sc = StarkContext(cluster=cluster, config=config)
-        sc.cluster.apply_heterogeneity(HeterogeneityModel(
-            transient_rate=transient_rate,
-            transient_duration=transient_duration,
-            transient_factor=transient_factor,
-            horizon=transient_horizon,
-        ))
-
-        outputs = []
-        for j in range(num_jobs):
-            def generate(pid: int, j: int = j) -> List[Tuple[int, int]]:
-                return [(pid * 10_000 + i, (j * 7 + pid * 13 + i) % 997)
-                        for i in range(records_per_partition)]
-
-            rdd = sc.generated(generate, num_partitions, read_cost="none",
-                               name=f"tail{j}")
-            outputs.append(rdd.map(lambda kv: (kv[0], kv[1] * 2 + 1))
-                           .collect())
-        digest = hashlib.sha256(
-            json.dumps(outputs, sort_keys=True).encode()).hexdigest()
-
-        delays: List[float] = []
-        straggled = attempts = spec_copies = killed = 0
-        for job in sc.metrics.jobs:
-            by_partition: Dict[Tuple[int, int], List] = {}
-            for t in job.tasks:
-                attempts += 1
-                if t.straggler_time > 0:
-                    straggled += 1
-                if t.speculative:
-                    spec_copies += 1
-                if t.status == "killed":
-                    killed += 1
-                by_partition.setdefault(
-                    (t.stage_id, t.partition), []).append(t)
-            for group in by_partition.values():
-                first_start = min(t.start_time for t in group)
-                done = min(t.finish_time for t in group
-                           if t.status == "success")
-                delays.append(done - first_start)
-
-        delays.sort()
-        pct = lambda q: delays[int(q * (len(delays) - 1))]  # noqa: E731
-        results.append(SpeculationTailResult(
-            speculation=speculation,
-            mean_task_delay=statistics.fmean(delays),
-            p95_task_delay=pct(0.95),
-            p99_task_delay=pct(0.99),
-            mean_makespan=statistics.fmean(sc.metrics.makespans()),
-            straggler_incidence=straggled / attempts if attempts else 0.0,
-            speculative_copies=spec_copies,
-            killed_copies=killed,
-            results_digest=digest,
-        ))
-    if write_json:
-        off, on = results
-        write_bench_json("speculation_tail", {
-            "config": {
-                "num_jobs": num_jobs, "num_partitions": num_partitions,
-                "num_workers": num_workers,
-                "transient_rate": transient_rate,
-                "transient_duration": transient_duration,
-                "transient_factor": transient_factor,
-                "speculation_multiplier": speculation_multiplier,
-                "speculation_quantile": speculation_quantile,
-                "seed": seed,
-            },
-            "speculation_off": {
-                "mean_task_delay": off.mean_task_delay,
-                "p95_task_delay": off.p95_task_delay,
-                "p99_task_delay": off.p99_task_delay,
-                "mean_makespan": off.mean_makespan,
-                "straggler_incidence": off.straggler_incidence,
-            },
-            "speculation_on": {
-                "mean_task_delay": on.mean_task_delay,
-                "p95_task_delay": on.p95_task_delay,
-                "p99_task_delay": on.p99_task_delay,
-                "mean_makespan": on.mean_makespan,
-                "straggler_incidence": on.straggler_incidence,
-                "speculative_copies": on.speculative_copies,
-                "killed_copies": on.killed_copies,
-            },
-            "p99_improvement": 1.0 - (on.p99_task_delay
-                                      / off.p99_task_delay)
-            if off.p99_task_delay > 0 else 0.0,
-        })
     return results
 
 

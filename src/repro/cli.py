@@ -319,38 +319,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_speculation(args: argparse.Namespace) -> int:
-    off, on = harness.run_speculation_tail(
-        num_jobs=args.jobs,
-        num_partitions=args.partitions,
-        transient_rate=args.straggler_rate,
-        transient_duration=args.straggler_duration,
-        transient_factor=args.straggler_factor,
-        speculation_multiplier=args.multiplier,
-        speculation_quantile=args.quantile,
-        seed=args.seed,
-    )
-    print_table(
-        "Speculative execution vs straggler tail (identical slowdowns)",
-        ["speculation", "mean (ms)", "p95 (ms)", "p99 (ms)",
-         "mean job (ms)", "straggled", "copies", "killed"],
-        [[str(r.speculation), r.mean_task_delay * 1000,
-          r.p95_task_delay * 1000, r.p99_task_delay * 1000,
-          r.mean_makespan * 1000, f"{r.straggler_incidence:.1%}",
-          r.speculative_copies, r.killed_copies]
-         for r in (off, on)],
-        floatfmt="{:.3f}",
-    )
-    print_comparison("p99 task delay", "spec off", off.p99_task_delay,
-                     "spec on", on.p99_task_delay)
-    if on.results_digest != off.results_digest:
-        print("RESULT MISMATCH: speculation changed job outputs")
-        return 1
-    print("job results identical across both arms "
-          f"(sha256 {on.results_digest[:12]}…)")
-    return 0
-
-
 # ---- canned traceable workloads ------------------------------------------------
 
 
@@ -833,7 +801,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "cache": _cmd_cache,
     "elastic": _cmd_elastic,
     "service": _cmd_service,
-    "speculation": _cmd_speculation,
     "sql": _cmd_sql,
     "trace": _cmd_trace,
     "events": _cmd_events,
@@ -947,27 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst-jobs", type=int, default=400,
                    help="size of the abuser's instantaneous burst")
     p.add_argument("--seed", type=int, default=23)
-
-    p = sub.add_parser(
-        "speculation",
-        help="straggler tail with speculative execution off vs on")
-    p.add_argument("--jobs", type=int, default=10)
-    p.add_argument("--partitions", type=int, default=32)
-    p.add_argument("--straggler-rate", type=float, default=3.0,
-                   help="transient slowdown windows per worker per "
-                        "simulated second")
-    p.add_argument("--straggler-duration", type=float, default=0.1,
-                   help="length of each slowdown window (simulated s)")
-    p.add_argument("--straggler-factor", type=float, default=8.0,
-                   help="how many times slower work progresses inside a "
-                        "window")
-    p.add_argument("--multiplier", type=float, default=1.3,
-                   help="speculate when running time exceeds this "
-                        "multiple of the median task duration")
-    p.add_argument("--quantile", type=float, default=0.5,
-                   help="fraction of the taskset that must finish before "
-                        "speculation may fire")
-    p.add_argument("--seed", type=int, default=11)
 
     p = sub.add_parser("cache", help="compare block-store eviction policies")
     p.add_argument("--policies", nargs="+", choices=POLICY_NAMES,

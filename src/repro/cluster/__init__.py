@@ -1,7 +1,7 @@
 """Simulated cluster substrate: workers, kernel, cost model, queueing."""
 
 from .cluster import Cluster
-from .cost_model import CostModel, HeterogeneityModel, RecordSizer
+from .cost_model import CostModel, RecordSizer
 from .events import (
     EventHandle,
     EventQueue,
@@ -15,7 +15,6 @@ from .worker import Worker
 __all__ = [
     "Cluster",
     "CostModel",
-    "HeterogeneityModel",
     "RecordSizer",
     "EventHandle",
     "EventQueue",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from .cost_model import CostModel, HeterogeneityModel, RecordSizer
+from .cost_model import CostModel, RecordSizer
 from .events import SimKernel
 from .worker import Worker
 
@@ -126,21 +126,6 @@ class Cluster:
         worker = self.get_worker(worker_id)
         self.kernel.deregister_worker(worker)
         return self.workers.pop(worker_id)
-
-    # ---- heterogeneity ------------------------------------------------------
-
-    def apply_heterogeneity(self, model: HeterogeneityModel) -> None:
-        """Sample per-worker speeds and transient slowdown windows from
-        ``model`` using the cluster's seeded RNG.
-
-        Idempotent in distribution (each call resamples); call once after
-        construction, before running workloads.  The identity model leaves
-        every worker untouched.
-        """
-        for wid in sorted(self.workers):
-            worker = self.workers[wid]
-            worker.speed = model.sample_speed(self.rng)
-            worker.slowdowns = model.sample_slowdowns(self.rng)
 
     # ---- failure injection --------------------------------------------------
 

@@ -136,76 +136,6 @@ class CostModel:
         return compute_seconds * fraction
 
 
-@dataclass(frozen=True)
-class HeterogeneityModel:
-    """Worker heterogeneity: slow hardware and transient slowdowns.
-
-    The default model is the identity: every worker runs at unit speed
-    and never slows down — applying it changes nothing, so existing
-    experiments are bit-identical.  Non-trivial settings are
-    sampled onto a cluster via :meth:`repro.cluster.Cluster.apply_heterogeneity`
-    (which draws from the cluster's seeded RNG for reproducibility):
-
-    * a ``slow_worker_fraction`` of workers runs *all* tasks at
-      ``slow_worker_speed`` × their nominal duration (old hardware,
-      degraded disks);
-    * every worker independently suffers transient slowdown *windows*
-      (JVM full GCs, noisy neighbours): window starts form a Poisson
-      process with rate ``transient_rate`` per simulated second over
-      ``[0, horizon)``, each lasting ``transient_duration`` seconds
-      during which work progresses ``transient_factor`` × slower.
-
-    Outright task and fetch failures are not part of the model: they are
-    ``StarkConfig.task_failure_prob`` / ``fetch_failure_prob`` (see
-    ``docs/FAULT_TOLERANCE.md``).
-    """
-
-    #: Fraction of workers sampled as uniformly slow.
-    slow_worker_fraction: float = 0.0
-    #: Wall-time multiplier (>= 1) for slow workers.
-    slow_worker_speed: float = 1.0
-    #: Transient slowdown windows per worker per simulated second.
-    transient_rate: float = 0.0
-    #: Length of one transient slowdown window, seconds.
-    transient_duration: float = 0.0
-    #: Wall-time multiplier (>= 1) while inside a window.
-    transient_factor: float = 1.0
-    #: Windows are pre-sampled over ``[0, horizon)`` simulated seconds.
-    horizon: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.slow_worker_speed < 1.0 or self.transient_factor < 1.0:
-            raise ValueError("slowdown multipliers must be >= 1")
-        if not 0.0 <= self.slow_worker_fraction <= 1.0:
-            raise ValueError(
-                "slow_worker_fraction must be a probability: "
-                f"{self.slow_worker_fraction}")
-        if self.transient_rate < 0 or self.transient_duration < 0 \
-                or self.horizon < 0:
-            raise ValueError("transient window parameters must be >= 0")
-
-    def sample_speed(self, rng) -> float:
-        """Draw one worker's constant speed multiplier."""
-        if self.slow_worker_fraction > 0 \
-                and rng.random() < self.slow_worker_fraction:
-            return self.slow_worker_speed
-        return 1.0
-
-    def sample_slowdowns(self, rng):
-        """Draw one worker's transient windows: ``[(start, end, factor)]``."""
-        windows = []
-        if self.transient_rate <= 0 or self.transient_duration <= 0 \
-                or self.transient_factor <= 1.0:
-            return windows
-        t = rng.expovariate(self.transient_rate)
-        while t < self.horizon:
-            windows.append((t, t + self.transient_duration,
-                            self.transient_factor))
-            t += self.transient_duration
-            t += rng.expovariate(self.transient_rate)
-        return windows
-
-
 class SimStr(str):
     """A string carrying a *simulated* byte size.
 

@@ -362,7 +362,7 @@ class SimKernel(EventQueue):
       more than one interval ahead, missed ticks are coalesced (the
       timer skips forward on its nominal grid) unless ``catch_up=True``.
     * **The worker slot ledger** — every mutation of
-      ``Worker.slot_free_times`` (occupy, truncate, kill, restart,
+      ``Worker.slot_free_times`` (occupy, overwrite, kill, restart,
       provision) is a kernel transaction, which lets the kernel keep a
       cached ``(free_time, slot)`` minimum per worker.  The cache turns
       the scheduler's hot earliest-free-slot query from O(cores) into
@@ -514,12 +514,9 @@ class SimKernel(EventQueue):
         begin = max(not_before, free)
         return begin, self.occupy_slot(worker, slot, begin, duration)
 
-    def slot_free_time(self, worker: "Worker", slot: int) -> float:
-        return worker.slot_free_times[slot]
-
     def set_slot_free_time(self, worker: "Worker", slot: int, t: float) -> None:
-        """Overwrite one slot's free time (speculation truncates the
-        losing attempt; tests preload load shapes)."""
+        """Overwrite one slot's free time (tests preload load shapes
+        through it)."""
         worker.slot_free_times[slot] = t
         if worker.worker_id in self._earliest:
             self._earliest[worker.worker_id] = None

@@ -14,13 +14,6 @@ the single time authority — which also maintains the cached
 earliest-free-slot index that makes the read path O(1).  The read
 methods here delegate to the kernel when attached and fall back to a
 linear scan for bare, unregistered workers (unit-test convenience).
-
-Workers are heterogeneous: a constant ``speed`` multiplier (>= 1 means
-slower hardware) and a list of transient ``slowdowns`` windows
-``(start, end, factor)`` — GC pauses, noisy neighbours — stretch a
-task's *wall* duration beyond its nominal work
-(:meth:`Worker.wall_duration`).  Defaults are the identity, so a
-homogeneous cluster behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -38,17 +31,12 @@ class Worker:
     worker_id: int
     cores: int = 4
     memory_bytes: float = 12e9
-    #: Constant wall-time multiplier: 1.0 is nominal, 2.0 runs everything
-    #: twice as slowly.
-    speed: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ValueError(f"worker needs at least one core: {self.cores}")
         if self.memory_bytes <= 0:
             raise ValueError(f"worker needs positive memory: {self.memory_bytes}")
-        if self.speed < 1.0:
-            raise ValueError(f"worker speed multiplier must be >= 1: {self.speed}")
         # Absolute simulated time at which each slot becomes idle.  This
         # declaration is the one blessed assignment outside the kernel;
         # all subsequent writes go through SimKernel APIs.
@@ -57,8 +45,6 @@ class Worker:
         # Shuffle map outputs persisted on this worker's local disk:
         # (shuffle_id, map_partition, reduce_partition) -> size_bytes.
         self.shuffle_disk: Dict[Tuple[int, int, int], float] = {}
-        # Transient slowdown windows (start, end, factor), factor >= 1.
-        self.slowdowns: List[Tuple[float, float, float]] = []
         # Set by SimKernel.register_worker; reads delegate to the
         # kernel's cached index when attached.
         self._kernel = None
@@ -76,48 +62,6 @@ class Worker:
         if self._kernel is not None:
             return self._kernel.earliest_free_time(self)
         return min(self.slot_free_times)
-
-    def wall_duration(self, begin: float, work_seconds: float) -> float:
-        """Wall-clock seconds to complete ``work_seconds`` of nominal work
-        starting at ``begin`` on this worker.
-
-        The constant ``speed`` multiplier stretches all work; transient
-        ``slowdowns`` windows stretch whatever portion of the run overlaps
-        them by their factor (piecewise integration, so a task that
-        straddles a window pays the slowdown only for the overlap).  On a
-        nominal worker with no windows this is the identity.
-        """
-        if work_seconds <= 0:
-            return 0.0
-        wall = work_seconds * self.speed
-        if not self.slowdowns:
-            return wall
-        t = begin
-        remaining = wall
-        for start, end, factor in sorted(self.slowdowns):
-            if remaining <= 0 or end <= t:
-                continue
-            if start > t:
-                gap = start - t
-                if remaining <= gap:
-                    t += remaining
-                    remaining = 0.0
-                    break
-                t = start
-                remaining -= gap
-            # Inside the window work progresses ``factor`` times slower.
-            progress = (end - t) / factor
-            if remaining <= progress:
-                t += remaining * factor
-                remaining = 0.0
-                break
-            t = end
-            remaining -= progress
-        result = (t + remaining) - begin
-        # Tasks that never touched a window must pay exactly ``wall`` —
-        # the piecewise walk above leaves float residue that would
-        # otherwise masquerade as straggler time.
-        return wall if abs(result - wall) < TIME_EPS else result
 
     def pending_work_until(self, now: float) -> float:
         """Total queued seconds of slot occupancy beyond ``now``."""

@@ -6,7 +6,7 @@ blocks — one numpy array per column under a typed schema — and
 transformations run as whole-array kernels instead of per-row Python
 closures.  The :mod:`~repro.columnar.rdd` family plugs those kernels
 into the existing lineage/stage/shuffle machinery, so columnar datasets
-cache, checkpoint, speculate, and fingerprint-dedup exactly like row
+cache, checkpoint, retry, and fingerprint-dedup exactly like row
 RDDs while paying the cost model's vectorized rates
 (``columnar_cpu_per_record``).
 

@@ -245,12 +245,8 @@ class CheckpointOptimizer:
         else:
             cut_edges = network.min_cut_edges(source)
         chosen = sorted({e.src // 2 for e in cut_edges if e.capacity < INF})
-        return [c for c in chosen if not nodes[c].barrier or
-                self._barrier_needs_checkpoint(nodes[c])]
-
-    def _barrier_needs_checkpoint(self, node: LineageNode) -> bool:
-        """A barrier node never needs checkpointing (already persisted)."""
-        return False
+        # A barrier node is already persisted: it never needs a checkpoint.
+        return [c for c in chosen if not nodes[c].barrier]
 
     def _nodes_on_violating_paths(
         self, nodes: Dict[int, LineageNode], targets: Sequence[int]

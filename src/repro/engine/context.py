@@ -75,16 +75,8 @@ class StarkConfig:
     #: policy globally for every experiment.
     cache_policy: str = field(default_factory=lambda: CACHE_DEFAULTS.policy)
 
-    # -- straggler mitigation / task-level fault tolerance (see
-    #    docs/FAULT_TOLERANCE.md) ------------------------------------------
+    # -- task-level fault tolerance (see docs/FAULT_TOLERANCE.md) ---------
 
-    #: Enable speculative execution (``spark.speculation``).
-    speculation: bool = False
-    #: A running task is speculatable once its running time exceeds this
-    #: multiple of the taskset's median successful duration.
-    speculation_multiplier: float = 1.5
-    #: ... and at least this fraction of the taskset has finished.
-    speculation_quantile: float = 0.75
     #: Abort the job after this many failed attempts of one task
     #: (``spark.task.maxFailures``).
     max_task_failures: int = 4
@@ -146,14 +138,6 @@ class StarkConfig:
 
     def validate_fault_tolerance(self) -> None:
         """Reject nonsense fault-tolerance knobs up front (CLI guard)."""
-        if self.speculation_multiplier <= 1.0:
-            raise ValueError(
-                "speculation_multiplier must exceed 1: "
-                f"{self.speculation_multiplier}")
-        if not 0.0 < self.speculation_quantile <= 1.0:
-            raise ValueError(
-                f"speculation_quantile must be in (0, 1]: "
-                f"{self.speculation_quantile}")
         if self.max_task_failures < 1:
             raise ValueError(
                 f"max_task_failures must be at least 1: "

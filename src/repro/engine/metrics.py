@@ -31,9 +31,7 @@ class TaskMetrics:
     finish_time: float = 0.0
     #: 0 for the first attempt, incremented per retry of the same task.
     attempt: int = 0
-    #: True for the clone launched by speculative execution.
-    speculative: bool = False
-    #: "success" | "failed" | "killed" (speculation loser) | "fetch_failed".
+    #: "success" | "failed" | "fetch_failed".
     status: str = "success"
 
     launch_overhead: float = 0.0
@@ -57,11 +55,6 @@ class TaskMetrics:
     #: Work charged rebuilding partitions of *cached* RDDs that missed
     #: (the Spark-1.3 miss penalty); subset of the other time fields.
     recompute_time: float = 0.0
-    #: Extra wall seconds beyond the nominal work: the worker's constant
-    #: slowness plus any transient slowdown windows the run overlapped
-    #: (``Worker.wall_duration``).  Included in :meth:`work_time` so that
-    #: ``duration == work_time()`` and slot occupancy stay consistent.
-    straggler_time: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -82,22 +75,20 @@ class TaskMetrics:
             + self.checkpoint_read_time
             + self.source_read_time
             + self.gc_time
-            + self.straggler_time
         )
 
     def scale_charges(self, fraction: float) -> None:
         """Scale every charged time field by ``fraction`` in place.
 
-        Used to truncate an attempt that was cancelled (speculation loser)
-        or died mid-run: the slot is only occupied for the truncated time,
-        and ``work_time()`` remains consistent with it.
+        Used to truncate an attempt that died mid-run: the slot is only
+        occupied for the truncated time, and ``work_time()`` remains
+        consistent with it.
         """
         for name in (
             "launch_overhead", "cache_read_time", "compute_time",
             "shuffle_fetch_local_time", "shuffle_fetch_remote_time",
             "shuffle_write_time", "checkpoint_read_time",
             "source_read_time", "gc_time", "recompute_time",
-            "straggler_time",
         ):
             setattr(self, name, getattr(self, name) * fraction)
 
@@ -176,9 +167,8 @@ class MetricsCollector:
         self,
         original: TaskMetrics,
         attempt: int,
-        speculative: bool = False,
     ) -> TaskMetrics:
-        """Fresh metrics for a retry or speculative copy of a task.
+        """Fresh metrics for a retry of a task.
 
         Each attempt gets its own :class:`TaskMetrics` (a re-run must not
         double-charge the original's time fields); it joins the owning
@@ -192,7 +182,6 @@ class MetricsCollector:
             partition=original.partition,
             group_id=original.group_id,
             attempt=attempt,
-            speculative=speculative,
         )
         job = self._job_by_id(original.job_id)
         job.tasks.append(tm)

@@ -66,7 +66,7 @@ class Task:
         for slot occupancy and start/finish stamping.
 
         ``metrics`` charges a different :class:`TaskMetrics` than the
-        task's own — retries and speculative copies each get a fresh one
+        task's own — each retry gets a fresh one
         so re-execution never double-charges.  ``commit_effects=False``
         runs the task without durable side effects (no map-output
         registration, no cache inserts): the scheduler uses it for

@@ -32,19 +32,12 @@ loop reads indexes instead of re-deriving them from the pending list:
   task_id)`` heap.
 * **Workers sit in a table** ordered ``(max(free, idle bump), wid,
   slot)`` — the kernel's free-slot heap order — refreshed only for the
-  worker a launch, an idle bump, a bump pop or a speculation truncate
-  touched.  Falls are announced: ``truncate`` lowers a slot's free time,
-  so it refreshes its worker like every other writer.
+  worker a launch, an idle bump or a bump pop touched.  Slot free times
+  only rise inside a task set, so no other row goes stale.
 
-On top of delay scheduling sits the straggler/fault layer
+On top of delay scheduling sits task-level fault tolerance
 (``docs/FAULT_TOLERANCE.md``):
 
-* **Speculative execution** — once ``speculation_quantile`` of the
-  taskset has finished, a task running longer than
-  ``speculation_multiplier ×`` the median successful duration is cloned
-  onto the best non-original executor; the first copy to finish wins,
-  the loser is cancelled (its slot is reclaimed from the cancellation
-  point, but both slots' time up to it stays charged).
 * **Retry with backoff + blacklisting** — an attempt pre-sampled to fail
   charges a fraction of its work, then re-enters the queue after
   exponential backoff with jitter; executors accumulating failures trip
@@ -57,21 +50,20 @@ On top of delay scheduling sits the straggler/fault layer
   taskset and propagates to the DAG scheduler for parent-stage
   resubmission.
 
-With the default config (no speculation, zero failure probabilities,
-homogeneous workers) every code path reduces to the plain
-delay-scheduling behaviour above, launch for launch.
+With the default config (zero failure probabilities) every code path
+reduces to the plain delay-scheduling behaviour above, launch for
+launch.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import statistics
 from typing import (Collection, Dict, List, Optional, Protocol, Sequence, Set,
                     Tuple, TYPE_CHECKING)
 
 from ..obs.events import (Event, ExecutorBlacklisted, FetchFailed, TaskRetried,
-                          TaskSpeculated, task_events_from_metrics)
+                          task_events_from_metrics)
 from ..cluster.events import TIME_EPS
 from .fault_tolerance import BlacklistTracker, FetchFailedError, retry_backoff
 from .metrics import TaskMetrics
@@ -125,31 +117,24 @@ class DefaultRemotePolicy:
 class _TaskState:
     """Per logical task bookkeeping across its attempts."""
 
-    __slots__ = ("task", "prefs", "attempts", "failures", "finished",
-                 "speculated", "failed_workers", "live")
+    __slots__ = ("task", "prefs", "attempts", "failures", "failed_workers")
 
     def __init__(self, task: Task, prefs: List[int]) -> None:
         self.task = task
         self.prefs = prefs       # alive preferred workers (fixed per task set)
         self.attempts = 0        # attempts launched so far
         self.failures = 0        # failed attempts so far
-        self.finished = False    # some attempt succeeded
-        self.speculated = False  # a speculative copy was launched
         self.failed_workers: Set[int] = set()
-        self.live = 0            # attempts currently running
 
 
 class _Attempt:
     """One launched task attempt (execution already simulated)."""
 
-    __slots__ = ("state", "metrics", "worker_id", "slot", "start", "finish",
-                 "speculative")
+    __slots__ = ("state", "metrics", "worker_id", "start", "finish")
 
     def __init__(self, state: _TaskState, metrics: TaskMetrics,
-                 worker_id: int, slot: int, start: float, finish: float,
-                 speculative: bool) -> None:
-        self.state, self.metrics, self.speculative = state, metrics, speculative
-        self.worker_id, self.slot = worker_id, slot
+                 worker_id: int, start: float, finish: float) -> None:
+        self.state, self.metrics, self.worker_id = state, metrics, worker_id
         self.start, self.finish = start, finish
 
 
@@ -308,8 +293,8 @@ class TaskScheduler:
 
 class _TaskSetRun:
     """The state of one ``run_taskset`` call and the delay-scheduling loop
-    over it.  Speculation, retry and blacklist handling are methods the
-    loop reaches only when those features are on."""
+    over it.  Retry and blacklist handling are methods the loop reaches
+    only when an attempt fails."""
 
     def __init__(self, scheduler: TaskScheduler, tasks: Sequence[Task],
                  submit_time: float) -> None:
@@ -320,7 +305,6 @@ class _TaskSetRun:
         self.config = context.config
         self.stage_id = tasks[0].stage.stage_id
         self.submit_time = submit_time
-        self.total = len(tasks)
         # Fixed for the task set (module docstring): kills, restarts and
         # decommissions land between task sets, never inside one.
         self.alive = self.cluster.alive_worker_ids()
@@ -329,14 +313,10 @@ class _TaskSetRun:
         for task in tasks:
             state = _TaskState(task, scheduler._alive_preferred(task, alive))
             self.pending.add(_PendingEntry(state, submit_time), ready=True)
-        #: task_id -> attempt in launch order, and the completion heap over
-        #: them (a row a truncate superseded no longer matches its finish).
-        self.running: Dict[int, _Attempt] = {}
+        #: The completion heap over running attempts, and every attempt.
         self.finishes: List[Tuple[float, int, _Attempt]] = []
         self.attempts_log: List[_Attempt] = []
-        self.completed_durations: List[float] = []
-        self.finished_count = 0
-        # Aux events (speculation/retry/blacklist) buffered alongside the
+        # Aux events (retry/blacklist/fetch failure) buffered alongside the
         # task pairs and flushed in one time-sorted stream at the end —
         # out-of-order attempt completions would otherwise violate the
         # per-stage launch-monotonicity invariant of the event log.
@@ -362,12 +342,10 @@ class _TaskSetRun:
             self.abort(RuntimeError("no alive workers; cannot run taskset"))
         scheduler = self.scheduler
         pending = self.pending
-        while pending.entries or self.running:
+        while pending.entries or self.finishes:
             if not pending.entries:
-                # Everything launched: speculate on stragglers, otherwise
-                # drain the next completion.
-                if not (self.config.speculation and self.speculate()):
-                    self.complete(self.next_finish())
+                # Everything launched: drain the next completion.
+                self.complete(self.finishes[0][0])
                 continue
 
             offers = self.offers
@@ -459,17 +437,16 @@ class _TaskSetRun:
     # ---- attempts ----------------------------------------------------------
 
     def launch(self, state: _TaskState, worker_id: int, start: float,
-               locality: str, speculative: bool = False) -> _Attempt:
+               locality: str) -> _Attempt:
         """Execute one attempt of ``state.task`` on ``worker_id``."""
         context, cluster = self.context, self.cluster
         task = state.task
         attempt_no = state.attempts
         state.attempts += 1
-        if attempt_no == 0 and not speculative:
+        if attempt_no == 0:
             tm = task.metrics
         else:
-            tm = context.metrics.new_attempt_metrics(
-                task.metrics, attempt_no, speculative=speculative)
+            tm = context.metrics.new_attempt_metrics(task.metrics, attempt_no)
         worker = cluster.get_worker(worker_id)
         p = self.config.task_failure_prob
         will_fail = p > 0 and cluster.rng.random() < p
@@ -480,7 +457,7 @@ class _TaskSetRun:
             # emit its events, and escalate to the DAG scheduler.
             tm.status = "fetch_failed"
             attempt = self.occupy(worker, state, tm, start, tm.work_time(),
-                                  locality, speculative)
+                                  locality)
             exc.failed_at = finish = attempt.finish
             self.aux_events.append((finish, self.next_seq(), FetchFailed(
                 time=finish, job_id=tm.job_id, stage_id=tm.stage_id, task_id=tm.task_id,
@@ -493,9 +470,7 @@ class _TaskSetRun:
             tm.scale_charges(0.25 + 0.5 * cluster.rng.random())
             work = tm.work_time()
             tm.status = "failed"
-        attempt = self.occupy(worker, state, tm, start, work, locality, speculative)
-        state.live += 1
-        self.running[tm.task_id] = attempt
+        attempt = self.occupy(worker, state, tm, start, work, locality)
         heapq.heappush(self.finishes, (attempt.finish, tm.task_id, attempt))
         # Signal the replication manager (§III-C3): a remote launch
         # means a hotspot collection partition or executor contention.
@@ -504,45 +479,26 @@ class _TaskSetRun:
         return attempt
 
     def occupy(self, worker: "Worker", state: _TaskState, tm: TaskMetrics, start: float,
-               work: float, locality: str, speculative: bool) -> _Attempt:
+               work: float, locality: str) -> _Attempt:
         """Charge ``work`` to ``worker``'s earliest-free slot from
         ``start`` and log the attempt."""
         free, slot = self.free[worker.worker_id]
         begin = max(start, free)
-        wall = worker.wall_duration(begin, work)
-        tm.straggler_time += wall - work
-        finish = self.kernel.occupy_slot(worker, slot, begin, wall)
+        finish = self.kernel.occupy_slot(worker, slot, begin, work)
         self.refresh(worker.worker_id)
         tm.locality = locality
         tm.start_time, tm.finish_time = begin, finish
-        attempt = _Attempt(state, tm, worker.worker_id, slot, begin, finish, speculative)
+        attempt = _Attempt(state, tm, worker.worker_id, begin, finish)
         self.attempts_log.append(attempt)
         return attempt
-
-    def next_finish(self) -> float:
-        finishes = self.finishes
-        while finishes[0][0] != finishes[0][2].finish:
-            heapq.heappop(finishes)
-        return finishes[0][0]
 
     def complete(self, up_to: float) -> bool:
         """Resolve attempts finishing by ``up_to``; True if the
         scheduling state changed (retries queued, blacklist trips)."""
         finishes, changed = self.finishes, False
         while finishes and finishes[0][0] <= up_to + TIME_EPS:
-            finish, task_id, a = heapq.heappop(finishes)
-            if finish != a.finish:
-                continue  # superseded by a truncate
-            del self.running[task_id]
-            state = a.state
-            state.live -= 1
-            status = a.metrics.status
-            if status == "success":
-                if not state.finished:
-                    state.finished = True
-                    self.finished_count += 1
-                    self.completed_durations.append(a.metrics.duration)
-            elif status == "failed":  # a "killed" loser needs nothing
+            a = heapq.heappop(finishes)[2]
+            if a.metrics.status == "failed":
                 changed = self.fail(a) or changed
         return changed
 
@@ -559,9 +515,6 @@ class _TaskSetRun:
                 time=a.finish, worker_id=wid, stage_id=scope,
                 failures=failures, until=until)))
             changed = True
-        if state.finished or state.live > 0:
-            # Another attempt already covers this task.
-            return changed
         if state.failures >= config.max_task_failures:
             self.abort(RuntimeError(
                 f"task {a.metrics.task_id} (stage {stage_id}, "
@@ -580,95 +533,6 @@ class _TaskSetRun:
             attempt=a.metrics.attempt, backoff=backoff,
             reason="task attempt failed")))
         return True
-
-    # ---- speculation -------------------------------------------------------
-
-    def speculate(self) -> bool:
-        """Launch at most one due speculative copy; True if launched."""
-        config, stage_id = self.config, self.stage_id
-        if self.finished_count + TIME_EPS < config.speculation_quantile * self.total \
-                or not self.completed_durations:
-            return False
-        median = statistics.median(self.completed_durations)
-        threshold = config.speculation_multiplier * median
-        next_finish = self.next_finish()
-        free = self.free
-        best: Optional[Tuple[float, int, _Attempt, int]] = None
-        for a in self.running.values():
-            if a.speculative or a.state.speculated or a.state.finished:
-                continue
-            eligible_at = a.start + threshold
-            if eligible_at >= a.finish - TIME_EPS:
-                continue  # finishes before it ever looks slow
-            candidates = [
-                w for w in self.alive
-                if w != a.worker_id and w not in a.state.failed_workers
-                and not self.scheduler.blacklist.is_blacklisted(w, stage_id, eligible_at)
-            ]
-            if not candidates:
-                continue
-            wid = min(candidates, key=lambda w: (max(free[w][0], eligible_at), w))
-            launch_time = max(eligible_at, free[wid][0], self.driver_free)
-            if launch_time >= a.finish - TIME_EPS:
-                continue  # the original wins before the clone starts
-            if launch_time > next_finish + TIME_EPS:
-                continue  # a completion lands first: re-evaluate then
-            if best is None or (launch_time, a.metrics.task_id) < best[:2]:
-                best = (launch_time, a.metrics.task_id, a, wid)
-        if best is None:
-            return False
-        launch_time, _, original, worker_id = best
-        state = original.state
-        state.speculated = True
-        launch_at = max(launch_time, self.driver_free)
-        self.driver_free = launch_at + self.context.cost_model.driver_overhead_per_task
-        locality = PROCESS_LOCAL if worker_id in state.prefs else ANY
-        self.aux_events.append((launch_at, self.next_seq(), TaskSpeculated(
-            time=launch_at, job_id=original.metrics.job_id,
-            stage_id=stage_id, task_id=original.metrics.task_id,
-            partition=original.metrics.partition,
-            original_worker_id=original.worker_id,
-            speculative_worker_id=worker_id,
-            running_for=launch_at - original.start,
-            median_duration=median)))
-        clone = self.launch(state, worker_id, launch_at, locality, speculative=True)
-        self.last_launch = launch_at
-        # Resolve the race now (virtual time: both finishes are known):
-        # when *both* copies will succeed, the first to finish wins and
-        # the other is cancelled.  An attempt that is going to fail is
-        # never truncated — marking it "killed" would skip its failure
-        # path (retry/blacklist accounting) and, worse, truncating a
-        # successful clone against a doomed original would leave the task
-        # with no successful attempt.
-        if clone.metrics.status == "success" \
-                and original.metrics.status == "success":
-            if clone.finish < original.finish:
-                self.truncate(original, clone.finish)
-            else:
-                self.truncate(clone, original.finish)
-        return True
-
-    def truncate(self, loser: _Attempt, at: float) -> None:
-        """Cancel ``loser`` at time ``at``: reclaim its slot beyond the
-        cancellation point and scale its charges down to it."""
-        new_finish = max(loser.start, at)
-        if new_finish < loser.finish - TIME_EPS:
-            worker = self.cluster.get_worker(loser.worker_id)
-            # Only reclaim (and rescale the charges) if nothing was
-            # scheduled after it on the same slot — the free time still
-            # matches our finish.  Otherwise the slot stays occupied to
-            # the original finish, so the charges must too: scaling them
-            # down would make charged work_time diverge from occupancy.
-            if abs(self.kernel.slot_free_time(worker, loser.slot)
-                   - loser.finish) <= 1e-6:
-                self.kernel.set_slot_free_time(worker, loser.slot, new_finish)
-                self.refresh(loser.worker_id)  # a fall: announce it
-                span = loser.finish - loser.start
-                loser.metrics.scale_charges(
-                    (new_finish - loser.start) / span if span > 0 else 0.0)
-                loser.finish = loser.metrics.finish_time = new_finish
-                heapq.heappush(self.finishes, (new_finish, loser.metrics.task_id, loser))
-        loser.metrics.status = "killed"
 
     # ---- leaving -----------------------------------------------------------
 

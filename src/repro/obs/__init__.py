@@ -67,7 +67,6 @@ from .events import (
     StageSubmitted,
     TaskEnd,
     TaskRetried,
-    TaskSpeculated,
     TaskStart,
     TenantJobAdmitted,
     TenantJobCompleted,
@@ -206,7 +205,6 @@ __all__ = [
     "TaskEnd",
     "TaskRetried",
     "TaskSpan",
-    "TaskSpeculated",
     "TaskStart",
     "TenantJobAdmitted",
     "TenantJobCompleted",

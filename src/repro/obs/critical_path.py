@@ -4,12 +4,11 @@ Given one job's span tree (:mod:`repro.obs.spans`), walk *backwards*
 from ``JobEnd``: repeatedly pick the latest successful task attempt
 finishing at or before the cursor, split its runtime into the task-phase
 categories the cost model charged (compute, reads, shuffle fetch/write,
-GC, launch, straggler slowdown — with compute reclassified as
+GC, launch — with compute reclassified as
 **recompute** when a ``CacheMiss`` fell inside the task's window on its
 worker), then explain the gap between the task's launch and its stage's
 submission: time covered by failed prior attempts of the same logical
-task (plus their retry backoff) is **retry**, time covered by killed
-speculation losers is **speculation**, up to ``locality_wait`` seconds
+task (plus their retry backoff) is **retry**, up to ``locality_wait`` seconds
 immediately before a non-local launch is **locality_wait**, and the
 remainder is **sched_wait** (pool/queue/slot wait).  Gaps between
 stages, and between job submission and the first stage, are sched_wait
@@ -45,8 +44,8 @@ from .spans import JobSpan, TaskSpan, build_spans
 #: (reason ``"broker"``) — the cost side of the broker's memory market.
 CATEGORIES: Tuple[str, ...] = (
     "compute", "recompute", "broker_recompute", "read", "fetch",
-    "shuffle_write", "launch", "gc", "straggler", "sched_wait",
-    "locality_wait", "retry", "speculation", "other",
+    "shuffle_write", "launch", "gc", "sched_wait",
+    "locality_wait", "retry", "other",
 )
 
 #: TaskEnd phase field -> blame category (compute may become recompute).
@@ -63,11 +62,9 @@ CATEGORY_COLORS: Dict[str, str] = {
     "shuffle_write": "rail_animation",
     "launch": "grey",
     "gc": "terrible",
-    "straggler": "bad",
     "sched_wait": "white",
     "locality_wait": "yellow",
     "retry": "bad",
-    "speculation": "olive",
     "other": "grey",
 }
 
@@ -322,22 +319,15 @@ def _push_prestart_gap(walk: _Walk, job: JobSpan, task: TaskSpan,
         walk.push(lo, "sched_wait", "")
         return
 
-    # Time covered by earlier attempts of the same logical task: failed
-    # attempts (+ retry backoff) blame "retry", killed speculation
-    # losers blame "speculation".
-    covered: List[Tuple[float, float, str]] = []
-    for attempt in others:
-        if attempt.logical_key() != task.logical_key():
-            continue
-        hi = attempt.finish
-        category = "speculation"
-        if attempt.status in ("failed", "fetch_failed"):
-            category = "retry"
-            hi += backoffs.get((job.job_id, attempt.task_id), 0.0)
-        covered.append((attempt.start, hi, category))
+    # Time covered by failed earlier attempts of the same logical task
+    # (+ retry backoff) blames "retry".
+    covered = [
+        (attempt.start,
+         attempt.finish + backoffs.get((job.job_id, attempt.task_id), 0.0))
+        for attempt in others if attempt.logical_key() == task.logical_key()]
 
     boundaries = {lo, walk.cursor}
-    for s, e, _ in covered:
+    for s, e in covered:
         if e > lo and s < walk.cursor:
             boundaries.add(min(max(s, lo), walk.cursor))
             boundaries.add(min(max(e, lo), walk.cursor))
@@ -352,20 +342,11 @@ def _push_prestart_gap(walk: _Walk, job: JobSpan, task: TaskSpan,
     for left, right in zip(reversed(points[:-1]), reversed(points[1:])):
         if walk.cursor <= lo + TIME_EPS:
             break
-        category = None
-        for s, e, cat in covered:
-            if s <= left + TIME_EPS and e >= right - TIME_EPS:
-                if category is None or cat == "retry":
-                    category = cat  # "retry" outranks "speculation"
-                if category == "retry":
-                    break
-        if category is not None:
+        if any(s <= left + TIME_EPS and e >= right - TIME_EPS
+               for s, e in covered):
             locality_budget = 0.0
-            detail = (f"failed attempts of s{task.stage_id} "
-                      f"p{task.partition}" if category == "retry"
-                      else f"killed copy of s{task.stage_id} "
-                           f"p{task.partition}")
-            walk.push(left, category, detail)
+            walk.push(left, "retry", f"failed attempts of s{task.stage_id} "
+                                     f"p{task.partition}")
             continue
         if locality_budget > TIME_EPS:
             take = min(locality_budget, right - left)

@@ -99,7 +99,6 @@ class TaskStart(Event):
     worker_id: int
     locality: str
     attempt: int = 0
-    speculative: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,8 @@ class TaskEnd(Event):
     checkpoint_read_time: float
     source_read_time: float
     gc_time: float
-    #: Wall seconds lost to worker slowness / transient slowdown windows.
-    straggler_time: float = 0.0
     attempt: int = 0
-    speculative: bool = False
-    #: "success" | "failed" | "killed" | "fetch_failed".
+    #: "success" | "failed" | "fetch_failed".
     status: str = "success"
 
 
@@ -145,7 +141,6 @@ TASK_PHASE_TABLE: Tuple[Tuple[str, str, str], ...] = (
     ("compute_time", "compute", "compute"),
     ("shuffle_write_time", "shuffle_write", "shuffle_write"),
     ("gc_time", "gc", "gc"),
-    ("straggler_time", "straggler", "straggler"),
 )
 
 
@@ -273,23 +268,7 @@ class LineageRecovered(Event):
     recovery_delay: float
 
 
-# ---- straggler mitigation / task-level fault tolerance ---------------------
-
-@dataclass(frozen=True)
-class TaskSpeculated(Event):
-    """The scheduler cloned a slow-running task onto another executor:
-    the original has been running ``running_for`` seconds against a
-    taskset median of ``median_duration``."""
-
-    job_id: int
-    stage_id: int
-    task_id: int
-    partition: int
-    original_worker_id: int
-    speculative_worker_id: int
-    running_for: float
-    median_duration: float
-
+# ---- task-level fault tolerance ---------------------------------------------
 
 @dataclass(frozen=True)
 class TaskRetried(Event):

@@ -4,8 +4,8 @@ The event bus emits flat lifecycle pairs (``JobStart``/``JobEnd``,
 ``StageSubmitted``/``StageCompleted``, ``TaskStart``/``TaskEnd``).  This
 module folds one event sequence back into the causality tree the
 scheduler executed — each job owning its stage windows, each stage
-owning every task *attempt* that ran under it (successful, failed,
-killed speculation losers) — which is what the critical-path engine in
+owning every task *attempt* that ran under it (successful or failed)
+— which is what the critical-path engine in
 :mod:`repro.obs.critical_path` walks.
 
 Everything here is pure post-processing over collected events: no
@@ -31,8 +31,8 @@ from .events import (
 
 @dataclass
 class TaskSpan:
-    """One task *attempt* (retries and speculative copies are separate
-    spans sharing the same ``(job_id, stage_id, partition)``)."""
+    """One task *attempt* (retries are separate spans sharing the same
+    ``(job_id, stage_id, partition)``)."""
 
     end: TaskEnd
 
@@ -63,10 +63,6 @@ class TaskSpan:
     @property
     def duration(self) -> float:
         return self.end.duration
-
-    @property
-    def status(self) -> str:
-        return self.end.status
 
     @property
     def succeeded(self) -> bool:

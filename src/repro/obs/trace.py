@@ -59,7 +59,6 @@ from .events import (
     StageSubmitted,
     TaskEnd,
     TaskRetried,
-    TaskSpeculated,
     TenantJobShed,
     TenantSloAlert,
     WorkerDecommissioned,
@@ -108,7 +107,6 @@ PHASE_COLORS = {
     "checkpoint_read": "rail_idle",
     "source_read": "rail_load",
     "gc": "terrible",
-    "straggler": "bad",
 }
 
 #: (TaskEnd field, phase name) in the order phases occur in a task.
@@ -142,10 +140,6 @@ _INSTANTS: Dict[Type[Event], Tuple[Union[str, int], str, str,
                       ("lost_blocks", "lost_shuffle_outputs")),
     LineageRecovered: ("worker_id", "failure", "g",
                        lambda e: "lineage recovered", ("recovery_delay",)),
-    TaskSpeculated: ("speculative_worker_id", "speculation", "t",
-                     lambda e: f"speculate task {e.task_id}",
-                     ("original_worker_id", "running_for",
-                      "median_duration")),
     TaskRetried: ("worker_id", "retry", "t",
                   lambda e: f"retry task {e.task_id} (attempt {e.attempt})",
                   ("backoff", "reason")),
@@ -201,7 +195,7 @@ _INSTANTS: Dict[Type[Event], Tuple[Union[str, int], str, str,
 
 #: TaskEnd fields copied into a task span's ``args``.
 _TASK_ARGS = ("job_id", "stage_id", "task_id", "partition", "locality",
-              "gc_time", "compute_time", "attempt", "speculative", "status")
+              "gc_time", "compute_time", "attempt", "status")
 
 _SLOT_EPS = TIME_EPS
 
@@ -430,9 +424,7 @@ class ChromeTraceExporter:
     def _task_events(self, task: TaskEnd, slot: int) -> List[Dict[str, Any]]:
         pid = task.worker_id + 1
         start = task.time - task.duration
-        suffix = " [spec]" if task.speculative else ""
-        if task.status != "success":
-            suffix += f" [{task.status}]"
+        suffix = f" [{task.status}]" if task.status != "success" else ""
         events = [{
             "name": f"task {task.task_id} "
                     f"(s{task.stage_id} p{task.partition}){suffix}",

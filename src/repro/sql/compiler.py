@@ -20,7 +20,7 @@ Lowering rules (``docs/DATAFRAME.md`` walks an example):
   kernel (skipped when the input is already single-partition).
 
 The compiler is deterministic and emits plain RDDs, so every downstream
-engine feature — caching, eviction, speculation, fair-share pools,
+engine feature — caching, eviction, retries, fair-share pools,
 registry fingerprint dedup, critical-path tracing — applies to SQL jobs
 with no extra code.  :class:`CompileStats` reports elided exchanges for
 ``explain()`` and the plan events.

@@ -43,7 +43,7 @@ class TestFlatten:
 
     def test_direction_by_leaf_name(self):
         assert metric_direction("arms.on.p99_task_delay") == -1
-        assert metric_direction("speculation_on.mean_makespan") == -1
+        assert metric_direction("arms.broker.mean_makespan") == -1
         assert metric_direction("hit_rate") == +1
         assert metric_direction("p99_improvement") == +1
         assert metric_direction("evictions") == 0

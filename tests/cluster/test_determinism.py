@@ -1,7 +1,7 @@
 """Determinism: same seed + same config ⇒ byte-identical event log.
 
 The acceptance bar for the single-kernel refactor: an open-loop run with
-heterogeneity, speculation, failures, and elastic scaling all enabled —
+task failures, a worker kill and restart, and elastic scaling all enabled —
 every subsystem posting events on the one heap — must replay exactly.
 Each scenario runs twice into an in-memory JSONL event log and the two
 byte streams are compared verbatim.
@@ -11,7 +11,6 @@ import io
 
 from repro import StarkContext
 from repro.cluster.cluster import Cluster
-from repro.cluster.cost_model import HeterogeneityModel
 from repro.cluster.queueing import JobDriver
 from repro.elastic import BacklogPolicy, ResourceManager
 from repro.engine.context import StarkConfig
@@ -24,12 +23,8 @@ from ..conftest import make_pairs
 def full_stack_run(seed: int) -> str:
     """One open-loop run with everything enabled; returns the JSONL log."""
     cluster = Cluster(num_workers=4, cores_per_worker=2, seed=seed)
-    cluster.apply_heterogeneity(HeterogeneityModel(
-        slow_worker_fraction=0.25, slow_worker_speed=2.0,
-        transient_rate=0.02, transient_duration=2.0, horizon=200.0))
     sc = StarkContext(cluster=cluster, config=StarkConfig(
-        speculation=True, speculation_multiplier=1.2,
-        speculation_quantile=0.5))
+        task_failure_prob=0.1, max_task_failures=8))
 
     sink = io.StringIO()
     log = JsonlEventLog(sink)
@@ -61,12 +56,7 @@ def full_stack_run(seed: int) -> str:
 
 def simple_run(seed: int) -> str:
     """A minimal kernel-driven run (no elastic/failures) for contrast."""
-    sc = StarkContext(num_workers=2, cores_per_worker=2,
-                      config=StarkConfig(speculation=True,
-                                         speculation_multiplier=1.2,
-                                         speculation_quantile=0.5))
-    sc.cluster.apply_heterogeneity(HeterogeneityModel(
-        slow_worker_fraction=0.5, slow_worker_speed=3.0))
+    sc = StarkContext(num_workers=2, cores_per_worker=2)
     sink = io.StringIO()
     log = JsonlEventLog(sink)
     sc.event_bus.subscribe(log)

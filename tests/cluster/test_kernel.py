@@ -195,7 +195,7 @@ class TestSlotLedger:
         kernel.occupy_slot(w, 0, 0.0, 1.0)
         kernel.occupy_slot(w, 1, 0.0, 2.0)
         assert kernel.earliest_free_slot(w) == (0, 1.0)
-        kernel.set_slot_free_time(w, 1, 0.5)  # speculation truncate
+        kernel.set_slot_free_time(w, 1, 0.5)  # lowers the minimum
         assert kernel.earliest_free_slot(w) == (1, 0.5)
 
     def test_kill_and_restart_update_cache(self):

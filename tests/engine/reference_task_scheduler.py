@@ -7,14 +7,18 @@ from the whole pending list on every launch, ``_pick_local_task`` /
 ``_pick_any_task`` / ``_earliest_preferred_free`` re-deriving
 ``_alive_preferred`` per candidate, and the ``_earliest_slot`` scan.
 ``ReferenceDefaultRemotePolicy`` is the remote policy of the same
-revision.  The oracle suite (``test_scheduler_oracle.py``) runs a seeded
-job under this and under the current scheduler and requires every
-decision to match.  Not a test module: nothing here is collected.
+revision.  Since then speculative execution and the worker
+heterogeneity model were deleted from the engine; the same code was
+deleted here (``try_speculate``, ``truncate``, the clone bookkeeping on
+``_TaskState`` / ``_Attempt``, the ``wall_duration`` stretch and
+``straggler_time`` charge), and nothing else changed.  The oracle suite
+(``test_scheduler_oracle.py``) runs a seeded job under this and under
+the current scheduler and requires every decision to match.  Not a test
+module: nothing here is collected.
 """
 
 from __future__ import annotations
 
-import statistics
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.cluster.events import TIME_EPS
@@ -27,7 +31,6 @@ from repro.obs.events import (
     ExecutorBlacklisted,
     FetchFailed,
     TaskRetried,
-    TaskSpeculated,
     task_events_from_metrics,
 )
 
@@ -68,35 +71,27 @@ class ReferenceDefaultRemotePolicy:
 class _TaskState:
     """Per logical task bookkeeping across its attempts."""
 
-    __slots__ = ("task", "attempts", "failures", "finished", "speculated",
-                 "failed_workers", "live")
+    __slots__ = ("task", "attempts", "failures", "failed_workers")
 
     def __init__(self, task: Task) -> None:
         self.task = task
         self.attempts = 0        # attempts launched so far
         self.failures = 0        # failed attempts so far
-        self.finished = False    # some attempt succeeded
-        self.speculated = False  # a speculative copy was launched
         self.failed_workers: Set[int] = set()
-        self.live = 0            # attempts currently running
 
 
 class _Attempt:
     """One launched task attempt (execution already simulated)."""
 
-    __slots__ = ("state", "metrics", "worker_id", "slot", "start", "finish",
-                 "speculative")
+    __slots__ = ("state", "metrics", "worker_id", "start", "finish")
 
     def __init__(self, state: _TaskState, metrics: TaskMetrics,
-                 worker_id: int, slot: int, start: float, finish: float,
-                 speculative: bool) -> None:
+                 worker_id: int, start: float, finish: float) -> None:
         self.state = state
         self.metrics = metrics
         self.worker_id = worker_id
-        self.slot = slot
         self.start = start
         self.finish = finish
-        self.speculative = speculative
 
 
 class _PendingEntry:
@@ -131,7 +126,6 @@ class ReferenceTaskScheduler(TaskScheduler):
         kernel = cluster.kernel
         config = context.config
         stage_id = tasks[0].stage.stage_id
-        total = len(tasks)
 
         states = [_TaskState(t) for t in tasks]
         by_task: Dict[int, _TaskState] = {id(s.task): s for s in states}
@@ -139,9 +133,7 @@ class ReferenceTaskScheduler(TaskScheduler):
             _PendingEntry(s, submit_time) for s in states]
         running: List[_Attempt] = []
         attempts_log: List[_Attempt] = []
-        completed_durations: List[float] = []
-        finished_count = 0
-        # Aux events (speculation/retry/blacklist) buffered alongside the
+        # Aux events (retry/blacklist/fetch failure) buffered alongside the
         # task pairs and flushed in one time-sorted stream at the end —
         # out-of-order attempt completions would otherwise violate the
         # per-stage launch-monotonicity invariant of the event log.
@@ -186,17 +178,16 @@ class ReferenceTaskScheduler(TaskScheduler):
 
         def launch_attempt(
             state: _TaskState, worker_id: int, start: float, locality: str,
-            speculative: bool = False,
         ) -> _Attempt:
             """Execute one attempt of ``state.task`` on ``worker_id``."""
             task = state.task
             attempt_no = state.attempts
             state.attempts += 1
-            if attempt_no == 0 and not speculative:
+            if attempt_no == 0:
                 tm = task.metrics
             else:
                 tm = context.metrics.new_attempt_metrics(
-                    task.metrics, attempt_no, speculative=speculative)
+                    task.metrics, attempt_no)
             p = config.task_failure_prob
             will_fail = p > 0 and cluster.rng.random() < p
             worker = cluster.get_worker(worker_id)
@@ -209,14 +200,12 @@ class ReferenceTaskScheduler(TaskScheduler):
                 partial = tm.work_time()
                 slot, free = worker.earliest_free_slot()
                 begin = max(start, free)
-                wall = worker.wall_duration(begin, partial)
-                tm.straggler_time += wall - partial
-                finish = kernel.occupy_slot(worker, slot, begin, wall)
+                finish = kernel.occupy_slot(worker, slot, begin, partial)
                 tm.locality = locality
                 tm.start_time, tm.finish_time = begin, finish
                 tm.status = "fetch_failed"
                 attempts_log.append(_Attempt(
-                    state, tm, worker_id, slot, begin, finish, speculative))
+                    state, tm, worker_id, begin, finish))
                 exc.failed_at = finish
                 aux_events.append((finish, next_seq(), FetchFailed(
                     time=finish, job_id=tm.job_id, stage_id=tm.stage_id,
@@ -233,14 +222,10 @@ class ReferenceTaskScheduler(TaskScheduler):
                 tm.status = "failed"
             slot, free = worker.earliest_free_slot()
             begin = max(start, free)
-            wall = worker.wall_duration(begin, work)
-            tm.straggler_time += wall - work
-            finish = kernel.occupy_slot(worker, slot, begin, wall)
+            finish = kernel.occupy_slot(worker, slot, begin, work)
             tm.locality = locality
             tm.start_time, tm.finish_time = begin, finish
-            attempt = _Attempt(state, tm, worker_id, slot, begin, finish,
-                               speculative)
-            state.live += 1
+            attempt = _Attempt(state, tm, worker_id, begin, finish)
             running.append(attempt)
             attempts_log.append(attempt)
             # Signal the replication manager (§III-C3): a remote launch
@@ -249,33 +234,9 @@ class ReferenceTaskScheduler(TaskScheduler):
                 context.on_remote_launch(task, worker_id, begin)
             return attempt
 
-        def truncate(loser: _Attempt, at: float) -> None:
-            """Cancel ``loser`` at time ``at``: reclaim its slot beyond
-            the cancellation point and scale its charges down to it."""
-            new_finish = max(loser.start, at)
-            if new_finish < loser.finish - TIME_EPS:
-                worker = cluster.get_worker(loser.worker_id)
-                # Only reclaim (and rescale the charges) if nothing was
-                # scheduled after it on the same slot — the free time
-                # still matches our finish.  Otherwise the slot stays
-                # occupied to the original finish, so the charges must
-                # too: scaling them down would make charged work_time
-                # diverge from slot occupancy.
-                if abs(kernel.slot_free_time(worker, loser.slot)
-                       - loser.finish) <= 1e-6:
-                    kernel.set_slot_free_time(worker, loser.slot, new_finish)
-                    span = loser.finish - loser.start
-                    fraction = (new_finish - loser.start) / span \
-                        if span > 0 else 0.0
-                    loser.metrics.scale_charges(fraction)
-                    loser.finish = new_finish
-                    loser.metrics.finish_time = new_finish
-            loser.metrics.status = "killed"
-
         def process_completions(up_to: float) -> bool:
             """Resolve attempts finishing by ``up_to``; True if the
             scheduling state changed (retries queued, blacklist trips)."""
-            nonlocal finished_count
             due = sorted(
                 (a for a in running if a.finish <= up_to + TIME_EPS),
                 key=lambda a: (a.finish, a.metrics.task_id))
@@ -283,15 +244,7 @@ class ReferenceTaskScheduler(TaskScheduler):
             for a in due:
                 running.remove(a)
                 state = a.state
-                state.live -= 1
-                status = a.metrics.status
-                if status == "success":
-                    if not state.finished:
-                        state.finished = True
-                        finished_count += 1
-                        completed_durations.append(a.metrics.duration)
-                    continue
-                if status != "failed":  # "killed" loser: nothing to do
+                if a.metrics.status != "failed":
                     continue
                 state.failures += 1
                 state.failed_workers.add(a.worker_id)
@@ -303,9 +256,6 @@ class ReferenceTaskScheduler(TaskScheduler):
                                            stage_id=scope,
                                            failures=failures, until=until)))
                     changed = True
-                if state.finished or state.live > 0:
-                    # Another attempt already covers this task.
-                    continue
                 if state.failures >= config.max_task_failures:
                     abort(RuntimeError(
                         f"task {a.metrics.task_id} (stage {stage_id}, "
@@ -326,91 +276,11 @@ class ReferenceTaskScheduler(TaskScheduler):
                 changed = True
             return changed
 
-        def try_speculate() -> bool:
-            """Launch at most one due speculative copy; True if launched."""
-            nonlocal driver_free, last_launch
-            if finished_count + TIME_EPS < config.speculation_quantile * total:
-                return False
-            if not completed_durations:
-                return False
-            alive = cluster.alive_worker_ids()
-            median = statistics.median(completed_durations)
-            threshold = config.speculation_multiplier * median
-            next_finish = min(a.finish for a in running)
-            best: Optional[Tuple[float, int, _Attempt, int]] = None
-            for a in running:
-                if a.speculative or a.state.speculated or a.state.finished:
-                    continue
-                eligible_at = a.start + threshold
-                if eligible_at >= a.finish - TIME_EPS:
-                    continue  # finishes before it ever looks slow
-                candidates = [
-                    w for w in alive
-                    if w != a.worker_id
-                    and w not in a.state.failed_workers
-                    and not self.blacklist.is_blacklisted(
-                        w, stage_id, eligible_at)
-                ]
-                if not candidates:
-                    continue
-                wid = min(candidates, key=lambda w: (
-                    max(cluster.get_worker(w).earliest_free_time(),
-                        eligible_at), w))
-                launch_time = max(
-                    eligible_at,
-                    cluster.get_worker(wid).earliest_free_time(),
-                    driver_free)
-                if launch_time >= a.finish - TIME_EPS:
-                    continue  # the original wins before the clone starts
-                if launch_time > next_finish + TIME_EPS:
-                    continue  # a completion lands first: re-evaluate then
-                key = (launch_time, a.metrics.task_id)
-                if best is None or key < (best[0], best[1]):
-                    best = (launch_time, a.metrics.task_id, a, wid)
-            if best is None:
-                return False
-            launch_time, _, original, worker_id = best
-            state = original.state
-            state.speculated = True
-            launch_at = max(launch_time, driver_free)
-            driver_free = launch_at + context.cost_model \
-                .driver_overhead_per_task
-            locality = PROCESS_LOCAL \
-                if worker_id in self._alive_preferred(state.task) else ANY
-            aux_events.append((launch_at, next_seq(), TaskSpeculated(
-                time=launch_at, job_id=original.metrics.job_id,
-                stage_id=stage_id, task_id=original.metrics.task_id,
-                partition=original.metrics.partition,
-                original_worker_id=original.worker_id,
-                speculative_worker_id=worker_id,
-                running_for=launch_at - original.start,
-                median_duration=median)))
-            clone = launch_attempt(state, worker_id, launch_at, locality,
-                                   speculative=True)
-            last_launch = launch_at
-            # Resolve the race now (virtual time: both finishes are
-            # known): when *both* copies will succeed, the first to
-            # finish wins and the other is cancelled.  An attempt that
-            # is going to fail is never truncated — marking it "killed"
-            # would skip its failure path (retry/blacklist accounting)
-            # and, worse, truncating a successful clone against a doomed
-            # original would leave the task with no successful attempt.
-            if clone.metrics.status == "success" \
-                    and original.metrics.status == "success":
-                if clone.finish < original.finish:
-                    truncate(original, clone.finish)
-                else:
-                    truncate(clone, original.finish)
-            return True
-
         while True:
             if not pending and not running:
                 break
             if not pending:
-                # Everything launched: speculate on stragglers, otherwise
-                # drain the next completion.
-                if config.speculation and try_speculate():
-                    continue
+                # Everything launched: drain the next completion.
                 process_completions(min(a.finish for a in running))
                 continue
 

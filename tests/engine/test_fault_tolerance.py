@@ -61,6 +61,43 @@ class TestTaskRetries:
         assert len(retried) == len(failed)
         for t in failed:
             assert t.duration > 0  # partial work is still charged
+        # Every partition ends with exactly one successful attempt; every
+        # other attempt of it failed and was retried.
+        by_partition = {}
+        for t in job.tasks:
+            by_partition.setdefault(t.partition, []).append(t.status)
+        assert sorted(by_partition) == list(range(16))
+        for statuses in by_partition.values():
+            assert statuses.count("success") == 1
+            assert set(statuses) <= {"success", "failed"}
+
+    @pytest.mark.parametrize("seed", [12, 32, 49, 70])
+    def test_every_partition_succeeds_under_task_failures(self, seed):
+        config = StarkConfig(task_failure_prob=0.15)
+        cluster = Cluster(num_workers=6, cores_per_worker=2,
+                          memory_per_worker=1e9, seed=seed)
+        sc = StarkContext(cluster=cluster, config=config)
+        rdd = sc.parallelize(list(range(400)), 24).map(lambda x: x * 3)
+        assert sorted(rdd.collect()) == [x * 3 for x in range(400)]
+        job = sc.metrics.last_job()
+        by_partition = {}
+        for t in job.tasks:
+            by_partition.setdefault((t.stage_id, t.partition),
+                                    []).append(t)
+        assert len(by_partition) == 24
+        for attempts in by_partition.values():
+            assert sum(1 for t in attempts
+                       if t.status == "success") == 1
+            assert all(t.status in ("success", "failed")
+                       for t in attempts)
+
+    def test_default_config_launches_one_attempt_per_task(self):
+        sc = make_context()
+        sc.parallelize(list(range(400)), 16).map(lambda x: x * 3).collect()
+        job = sc.metrics.last_job()
+        assert all(t.attempt == 0 and t.status == "success"
+                   for t in job.tasks)
+        assert sorted(t.partition for t in job.tasks) == list(range(16))
 
     def test_retry_lands_on_different_worker_when_possible(self):
         sc = make_context(task_failure_prob=0.3)
@@ -74,7 +111,7 @@ class TestTaskRetries:
             for attempts in by_partition.values():
                 attempts.sort(key=lambda t: t.attempt)
                 for prev, cur in zip(attempts, attempts[1:]):
-                    if prev.status == "failed" and not cur.speculative:
+                    if prev.status == "failed":
                         assert cur.worker_id != prev.worker_id
 
     def test_job_aborts_at_max_task_failures(self):

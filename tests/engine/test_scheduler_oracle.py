@@ -14,9 +14,10 @@ state afterwards (so every random draw came in the same order).
 
 The scenarios cover stage sizes 1-200, forced preferences naming dead,
 unknown and duplicated workers, cached-parent and co-locality
-preferences, preloaded slot free times, ``locality_wait`` of 0, 0.1 and
-10, the default and MCF remote policies, failures with backoff and
-jitter, blacklisting, speculation on heterogeneous workers, and workers
+preferences, preloaded slot free times (up to a dozen slots, from just
+past zero to many task lengths, so workers start unevenly loaded),
+``locality_wait`` of 0, 0.1 and 10, the default and MCF remote
+policies, failures with backoff and jitter, blacklisting, and workers
 killed or restarted between task sets.
 """
 
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import StarkConfig, StarkContext
 from repro.cluster.cluster import Cluster
-from repro.cluster.cost_model import CostModel, HeterogeneityModel
+from repro.cluster.cost_model import CostModel
 from repro.engine.failure import FailureInjector
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.task_scheduler import DefaultRemotePolicy, TaskScheduler
@@ -57,11 +58,8 @@ class Scenario:
     stage_blacklist: int = 2
     executor_blacklist: int = 4
     blacklist_timeout: float = 60.0
-    speculation: bool = False
-    heterogeneity: bool = False
     external_shuffle: bool = True
-    #: Multiplies every cost (see ``cost_model``), preloaded free time
-    #: and heterogeneity window.
+    #: Multiplies every cost (see ``cost_model``) and preloaded free time.
     time_scale: float = 1.0
 
 
@@ -107,19 +105,11 @@ def run(scn: Scenario, reference: bool):
         max_failures_per_executor_stage=scn.stage_blacklist,
         max_failures_per_executor=scn.executor_blacklist,
         blacklist_timeout=scn.blacklist_timeout,
-        speculation=scn.speculation, speculation_multiplier=1.2,
-        speculation_quantile=0.5,
         external_shuffle_service=scn.external_shuffle)
     cluster = Cluster(num_workers=scn.workers, cores_per_worker=scn.cores,
                       memory_per_worker=1e9, seed=scn.seed,
                       cost_model=cost_model(scn.time_scale))
     sc = StarkContext(cluster=cluster, config=config)
-    if scn.heterogeneity:
-        scale = scn.time_scale
-        cluster.apply_heterogeneity(HeterogeneityModel(
-            slow_worker_fraction=0.3, slow_worker_speed=5.0,
-            transient_rate=2.0 / scale, transient_duration=0.05 * scale,
-            transient_factor=6.0, horizon=20.0 * scale))
     policy = sc.task_scheduler.remote_policy
     if reference and isinstance(policy, DefaultRemotePolicy):
         policy = ReferenceDefaultRemotePolicy()
@@ -202,8 +192,9 @@ def jobs(max_tasks):
 
 
 PRELOAD = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2),
-                             st.sampled_from([0.0, 0.01, 0.05, 0.3, 2.0])),
-                   max_size=6)
+                             st.sampled_from([0.0, 0.001, 0.01, 0.02, 0.05,
+                                              0.1, 0.3, 0.7, 2.0, 6.0])),
+                   max_size=12)
 
 EXAMPLES = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -244,17 +235,6 @@ def faults(draw):
     scn.executor_blacklist = draw(st.integers(1, 5))
     scn.blacklist_timeout = draw(st.sampled_from([2e-5, 1e-4, 5e-4]))
     scn.external_shuffle = draw(st.booleans())
-    scn.speculation = draw(st.booleans())
-    scn.heterogeneity = draw(st.booleans())
-    return scn
-
-
-@st.composite
-def stragglers(draw):
-    scn = base_scenario(draw)
-    scn.speculation = True
-    scn.heterogeneity = True
-    scn.workers = max(scn.workers, 2)
     return scn
 
 
@@ -267,12 +247,6 @@ def test_placement_decisions_match_reference(scn):
 @EXAMPLES
 @given(faults())
 def test_retry_and_blacklist_decisions_match_reference(scn):
-    assert_identical(scn)
-
-
-@EXAMPLES
-@given(stragglers())
-def test_speculation_decisions_match_reference(scn):
     assert_identical(scn)
 
 

@@ -119,8 +119,7 @@ EXPECTED_RECORDS = {
     "TaskEnd": [
         ("X", _WORKER, 0, "task", None, sorted(
             ["job_id", "stage_id", "task_id", "partition", "locality",
-             "gc_time", "compute_time", "attempt", "speculative",
-             "status"]))
+             "gc_time", "compute_time", "attempt", "status"]))
     ] + [("X", _WORKER, 0, "phase", None, ["task_id"])] * len(TASK_PHASES),
     # Openers draw nothing themselves; their closer's span starts at them
     # (test_openers_feed_their_closers).
@@ -150,9 +149,6 @@ EXPECTED_RECORDS = {
                                 "lost_shuffle_outputs")],
     "LineageRecovered": [_marker(_WORKER, 0, "failure", "g",
                                  "recovery_delay")],
-    "TaskSpeculated": [_marker(_WORKER, 0, "speculation", "t",
-                               "original_worker_id", "running_for",
-                               "median_duration")],
     "TaskRetried": [_marker(_WORKER, 0, "retry", "t", "backoff", "reason")],
     "ExecutorBlacklisted": [_marker(_WORKER, 0, "blacklist", "g",
                                     "stage_id", "failures", "until")],

@@ -22,10 +22,28 @@ rather than promoted:
   -0.2 %.
 
 No ``perf/`` workload declared a use or set a threshold, so neither
-cache gate could fire there.  The checks below fail if any part of
-these features comes back under its old names.
+cache gate could fire there.
+
+* **Speculative execution** (``StarkConfig.speculation``) cloned slow
+  tasks onto other executors; the worker heterogeneity model (slow
+  workers, transient slowdown windows) had no other caller and went with
+  it.  Turned on everywhere, job values stayed correct but the paper's
+  own mechanisms got worse: Fig 11's headline fell from 4.045x to 2.741x
+  (``stark_h`` mean delay at N = 6: 7.73 s -> 37.72 s), the
+  ``ablation_locality_wait`` ``wait_0ms`` mean delay rose 279 %, the
+  ``elastic_diurnal`` latency p99 rose 115 %, the ``cache_broker`` LRC
+  hit rate fell 0.1875 -> 0.1136 and the ``cache_policies`` LRU hit rate
+  0.350 -> 0.245.  On ``perf/`` it raised ``stream_taxi``
+  ``sim_delay_p50_s`` by 23 % (seed 11) and 40 % (seed 7) and
+  ``explain_service`` ``sim_delay_p95_s`` by 20 % and 28 %.  Only
+  ``sql_tpch``, ``tenant_fairness``, ``columnar_tpch`` and
+  ``ablation_mcf`` were unmoved.
+
+The checks below fail if any part of these features comes back under
+its old names.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -43,6 +61,8 @@ DELETED = {
     "auto_unpersist": ("auto_unpersist", "flush_deferred",
                        "deferred_unpersist", "external_pin"),
     "admission_threshold": ("admission_min_cost", "min_cost_seconds"),
+    "speculation": ("speculat", "straggler"),
+    "heterogeneity": ("heterogeneity", "slowdowns", "wall_duration"),
 }
 
 
@@ -82,6 +102,11 @@ def test_config_rejects_the_old_switch():
         StarkConfig(zero_copy_handoff=True)
 
 
+def test_config_rejects_the_speculation_switch():
+    with pytest.raises(TypeError):
+        StarkConfig(speculation=True)
+
+
 @pytest.mark.parametrize("switch", [{"cache_auto_unpersist": True},
                                     {"cache_admission_min_cost": 0.05}])
 def test_config_rejects_the_deleted_cache_switches(switch):
@@ -98,3 +123,10 @@ def test_cli_rejects_the_deleted_cache_flags(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2  # argparse's usage error
+
+
+def test_cli_has_no_speculation_command():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert "cache" in commands  # the lookup found the subcommand table
+    assert "speculation" not in commands
