@@ -7,7 +7,7 @@ overhead); loose bounds degenerate toward static groups.
 
 import statistics
 
-from repro import StarkConfig
+from repro import DatasetCollection, StarkConfig
 from repro.bench.configs import STARK_E, ClusterSpec, make_setup
 from repro.bench.harness import KEY_SPACE, skewed_hour_generator
 from repro.bench.reporting import print_table
@@ -38,17 +38,14 @@ def run_bounds_sweep(multipliers=(0.5, 1.0, 2.0, 4.0), records_per_hour=4_000,
             stark_config=stark_config,
         )
         sc = setup.context
-        rdds = []
+        part = setup.partitioner
+        hours = DatasetCollection(sc, part, namespace="bounds")
         for hour in range(3, 6):  # the skewed hours
-            part = setup.partitioner
             gen = skewed_hour_generator(hour, part.num_partitions, part,
                                         records_per_hour, payload)
-            rdd = sc.generated(gen, part.num_partitions, partitioner=part,
-                               read_cost="disk") \
-                .locality_partition_by(part, "bounds").cache()
-            rdd.count()
-            sc.group_manager.report_rdd(rdd)
-            rdds.append(rdd)
+            hours.add(hour, sc.generated(gen, part.num_partitions,
+                                         partitioner=part, read_cost="disk"))
+        rdds = list(hours.steps.values())
         delays = []
         for _ in range(3):
             cg = rdds[0].cogroup(*rdds[1:])

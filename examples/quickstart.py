@@ -7,29 +7,24 @@ the same comparison as the paper's Figure 2 vs Figure 3 example.
 Run:  python examples/quickstart.py
 """
 
-from repro import HashPartitioner, StarkConfig, StarkContext
+from repro import DatasetCollection, HashPartitioner, StarkConfig, StarkContext
 
 
 def build_collection(sc, locality: bool):
     """Load 3 datasets of (user, score) pairs, cached across the cluster."""
     part = HashPartitioner(8)
-    rdds = []
+    # Stark: the collection registers the shared partitioner under a
+    # namespace; the LocalityManager pins collection partitions to stable
+    # executors so all three RDDs co-locate.  Plain Spark: no namespace,
+    # so each RDD is co-partitioned at the call site but its partitions
+    # land wherever slots happened to be free.
+    hours = DatasetCollection(sc, part,
+                              namespace="hours" if locality else None)
     for hour in range(3):
         data = [(f"user{i % 500}", i * hour) for i in range(5_000)]
         base = sc.parallelize(data, 8, name=f"hour-{hour}")
-        if locality:
-            # Stark: register the shared partitioner under a namespace;
-            # the LocalityManager pins collection partitions to stable
-            # executors so all three RDDs co-locate.
-            rdd = base.locality_partition_by(part, namespace="hours")
-        else:
-            # Plain Spark: same partitioner (co-partitioned), but each
-            # RDD's partitions land wherever slots happened to be free.
-            rdd = base.partition_by(part)
-        rdd.cache()
-        rdd.count()  # materialize + cache
-        rdds.append(rdd)
-    return rdds
+        hours.add(hour, base if locality else base.partition_by(part))
+    return list(hours.steps.values())
 
 
 def run(locality: bool) -> float:

@@ -1,19 +1,19 @@
-"""Micro-batch streaming over the merged taxi + Twitter feed (§IV-E).
+"""Sliding-window queries over the merged taxi + Twitter feed (§IV-E).
 
-Stands up a StreamingContext, ingests the paper's merged stream under a
-shared co-locality namespace, maintains a running per-topic count with
-``update_state_by_key``, and answers sliding-window region queries — the
-workload behind Figs 19/20.
+Ingests the paper's merged stream step by step into a DatasetCollection
+under a shared co-locality namespace, keeps the last eight steps cached
+(older ones are unpersisted as the window slides), and answers region
+queries that cogroup the most recent steps — the workload behind
+Figs 19/20.
 
 Run:  python examples/streaming_window.py
 """
 
 import random
 
-from repro import StarkContext, StaticRangePartitioner
-from repro.streaming import StreamingContext
+from repro import DatasetCollection, StarkContext, StaticRangePartitioner
 from repro.workloads.taxi import TaxiTrace, TaxiTraceConfig
-from repro.workloads.twitter import MergedTaxiTwitterTrace, Tweet
+from repro.workloads.twitter import MergedTaxiTwitterTrace
 
 
 def main():
@@ -26,51 +26,32 @@ def main():
     )
     sc = StarkContext(num_workers=8, cores_per_worker=2,
                       memory_per_worker=3e9)
-    ssc = StreamingContext(sc, batch_seconds=300.0, retention_steps=8)
-
-    def receiver(step, num_partitions):
-        return trace.step_generator(step, num_partitions, partitioner)
-
-    stream = ssc.receiver_stream(
-        receiver, partitioner.num_partitions, partitioner=partitioner,
-        namespace="feed", name="taxi+twitter",
-    )
-
-    def update(new_values, old_count):
-        tweets = sum(1 for v in new_values if isinstance(v, Tweet))
-        return (old_count or 0) + tweets
-
-    topic_counts = ssc.update_state_by_key(
-        stream,
-        lambda new, old: (old or 0) + len(new),
-        partitioner,
-        state_name="per-cell-volume",
-    )
+    feed = DatasetCollection(sc, partitioner, namespace="feed", window=8)
 
     rng = random.Random(3)
-    print("step | window | region events | query ms | state keys")
-    print("-" * 58)
-    for step in range(8):
-        ssc.advance(1)
-        state = topic_counts.step()
-        window = stream.window(min(4, step + 1))
+    print("step | window | region events | query ms")
+    print("-" * 45)
+    for step in range(10):
+        feed.add(step, sc.generated(
+            trace.step_generator(step, partitioner.num_partitions,
+                                 partitioner),
+            partitioner.num_partitions, partitioner=partitioner,
+            read_cost="network", name=f"feed{step}",
+        ))
+        window = [feed.steps[s] for s in sorted(feed.steps)[-4:]]
         lo, hi = taxi.random_region_query(rng)
-        if len(window) == 1:
-            region = window[0].filter(lambda kv: lo <= kv[0] <= hi)
-            matches = region.count()
-        else:
-            merged = window[0].cogroup(*window[1:])
-            region = merged.filter(lambda kv: lo <= kv[0] <= hi)
-            matches = sum(
-                region.map(
-                    lambda kv: sum(len(vals) for vals in kv[1])
-                ).collect()
-            )
+        # One cogroup over the window: narrow and fully local, because
+        # every step shares the namespace's partitioner and executors.
+        merged = window[0].cogroup(*window[1:])
+        region = merged.filter(lambda kv: lo <= kv[0] <= hi)
+        matches = sum(
+            region.map(lambda kv: sum(len(vals) for vals in kv[1])).collect()
+        )
         delay = sc.metrics.last_job().makespan
         print(f"{step:4d} | {len(window):6d} | {matches:14d} "
-              f"| {delay * 1000:8.1f} | {state.count():10d}")
+              f"| {delay * 1000:8.1f}")
 
-    print("\nRetained steps:", sorted(stream.rdds))
+    print("\nRetained steps:", sorted(feed.steps))
     print("Locality of the last query:",
           sc.metrics.locality_fractions())
 

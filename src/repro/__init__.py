@@ -13,21 +13,20 @@ engine executing real data) and Stark's three contributions:
 * **bounded recovery** — ``CheckpointOptimizer`` picks the minimum-cost
   checkpoint set via min-cut (§III-D).
 
+The collection itself is ``DatasetCollection``: it co-locates, caches,
+materializes and reports each step, and slides its window.
+
 Quickstart::
 
-    from repro import StarkContext, StarkConfig, HashPartitioner
+    from repro import DatasetCollection, HashPartitioner, StarkContext
 
     sc = StarkContext(num_workers=8)
-    part = HashPartitioner(8)
-    hours = [
-        sc.parallelize([(k, 1) for k in range(1000)], 8)
-          .locality_partition_by(part, namespace="logs")
-          .cache()
-        for _ in range(3)
-    ]
-    for rdd in hours:
-        rdd.count()                       # materialize + cache co-located
-    merged = hours[0].cogroup(*hours[1:]) # narrow, fully local
+    hours = DatasetCollection(sc, HashPartitioner(8), namespace="logs",
+                              window=3)
+    for hour in range(4):                 # hour 0 slides out of the window
+        hours.add(hour, sc.parallelize([(k, hour) for k in range(1000)], 8))
+    rdds = list(hours.steps.values())
+    merged = rdds[0].cogroup(*rdds[1:])   # narrow, fully local
     print(merged.count())
 """
 
@@ -54,6 +53,7 @@ from .cluster import (
 )
 from .core import (
     CheckpointOptimizer,
+    DatasetCollection,
     EdgeCheckpointer,
     ExtendablePartitioner,
     FlowNetwork,
@@ -82,6 +82,7 @@ __all__ = [
     "Cluster",
     "CostAwarePolicy",
     "CostModel",
+    "DatasetCollection",
     "EdgeCheckpointer",
     "EventQueue",
     "ExtendablePartitioner",

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from ..core.collection import DatasetCollection
 from ..engine.partitioner import HashPartitioner, Partitioner
 from ..engine.rdd import RDD
 from ..workloads.wikipedia import WikipediaTrace
@@ -56,9 +57,18 @@ class LogMiningApp:
         self.trace = trace or WikipediaTrace()
         self.num_partitions = num_partitions
         self.mode = mode
-        self.namespace = namespace
         self.partitioner = partitioner or HashPartitioner(num_partitions)
-        self.hours: Dict[int, RDD] = {}
+        #: Spark-R and Spark-H route each hour themselves, so only Stark's
+        #: collection carries the namespace.
+        self.collection = DatasetCollection(
+            context, self.partitioner,
+            namespace=namespace if mode == "stark" else None,
+        )
+
+    @property
+    def hours(self) -> Dict[int, RDD]:
+        """Loaded hour -> its cached RDD."""
+        return self.collection.steps
 
     # ---- loading / evicting hours ---------------------------------------------------
 
@@ -82,25 +92,16 @@ class LogMiningApp:
             partitioner: Partitioner = RangePartitioner(
                 self.num_partitions, sample
             )
-            routed = pairs.partition_by(partitioner)
+            pairs = pairs.partition_by(partitioner)
         elif self.mode == "spark-h":
-            routed = pairs.partition_by(self.partitioner)
-        else:
-            routed = pairs.locality_partition_by(self.partitioner, self.namespace)
-        routed = routed.cache().set_name(f"hour-{hour}")
-        routed.count()
-        if self.mode == "stark":
-            self.context.group_manager.report_rdd(routed)
-        self.hours[hour] = routed
-        return routed
+            pairs = pairs.partition_by(self.partitioner)
+        return self.collection.add(hour, pairs, name=f"hour-{hour}")
 
     def load_hours(self, hours: Sequence[int]) -> List[RDD]:
         return [self.load_hour(h) for h in hours]
 
     def evict_hour(self, hour: int) -> None:
-        rdd = self.hours.pop(hour, None)
-        if rdd is not None:
-            rdd.unpersist()
+        self.collection.drop(hour)
 
     # ---- queries ----------------------------------------------------------------------
 

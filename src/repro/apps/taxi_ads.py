@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from ..core.collection import DatasetCollection
 from ..engine.partitioner import Partitioner
 from ..engine.rdd import RDD
 from ..workloads.taxi import TaxiTrace
@@ -60,36 +61,28 @@ class TaxiAdsApp:
         self.context = context
         self.partitioner = partitioner
         self.trace = trace or TaxiTrace()
-        self.namespace = namespace
-        self.window_steps = window_steps
-        self.steps: Dict[int, RDD] = {}
+        self.collection = DatasetCollection(
+            context, partitioner, namespace=namespace, window=window_steps,
+        )
+
+    @property
+    def steps(self) -> Dict[int, RDD]:
+        """Retained timestep -> its cached RDD."""
+        return self.collection.steps
 
     # ---- data lifecycle -----------------------------------------------------------
 
     def ingest_step(self, step: int) -> RDD:
         """Load one timestep of events under the shared partitioner and
         slide the window (evicting the oldest step)."""
-        sc = self.context
         generator = self.trace.step_generator(
             step, self.partitioner.num_partitions, self.partitioner
         )
-        base = sc.generated(
+        return self.collection.add(step, self.context.generated(
             generator, self.partitioner.num_partitions,
             partitioner=self.partitioner, read_cost="network",
             name=f"taxi[{step}]",
-        )
-        if self.namespace is not None:
-            rdd = base.locality_partition_by(self.partitioner, self.namespace)
-        else:
-            rdd = base
-        rdd = rdd.cache()
-        rdd.count()
-        if self.namespace is not None:
-            sc.group_manager.report_rdd(rdd)
-        self.steps[step] = rdd
-        for old in [s for s in self.steps if s <= step - self.window_steps]:
-            self.steps.pop(old).unpersist()
-        return rdd
+        ))
 
     # ---- queries ----------------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from ..cluster.cost_model import CostModel, SimStr
 from ..cluster.queueing import JobDriver, LoadResult, nearest_rank
 from ..columnar.datagen import lineitem_rows, orders_rows, register_tpch_tables
 from ..core.checkpoint_optimizer import CheckpointOptimizer
+from ..core.collection import DatasetCollection
 from ..core.edge_checkpoint import EdgeCheckpointer
 from ..elastic import (
     DecommissionReport,
@@ -332,7 +333,9 @@ def run_skew(
             stark_config=stark_config,
         )
         sc = setup.context
-        hours: Dict[int, object] = {}
+        hours = DatasetCollection(
+            sc, setup.partitioner,
+            namespace="skew-logs" if setup.locality else None)
         for hour in range(9):
             if setup.partition_mode == "range-per-rdd":
                 sample_rng = seeded_rng(99, hour)
@@ -350,22 +353,11 @@ def run_skew(
             n_parts = partitioner.num_partitions
             gen = skewed_hour_generator(hour, n_parts, partitioner,
                                         records_per_hour, payload_bytes)
-            base = sc.generated(gen, n_parts, partitioner=partitioner,
-                                read_cost="disk", name=f"hour{hour}")
-            if setup.locality:
-                rdd = base.locality_partition_by(
-                    partitioner, "skew-logs"
-                )
-            else:
-                rdd = base
-            rdd = rdd.cache()
-            rdd.count()
-            if setup.locality:
-                sc.group_manager.report_rdd(rdd)
-            hours[hour] = rdd
+            hours.add(hour, sc.generated(gen, n_parts, partitioner=partitioner,
+                                         read_cost="disk", name=f"hour{hour}"))
 
         for collection in collections:
-            rdds = [hours[h] for h in collection]
+            rdds = [hours.steps[h] for h in collection]
             delays = []
             last_jobs = []
             for _run in range(2):
@@ -878,7 +870,8 @@ def _build_stream_system(
         stark_config=_stream_stark_config(events_per_step),
     )
     sc = setup.context
-    steps: Dict[int, object] = {}
+    collection = DatasetCollection(
+        sc, setup.partitioner, namespace="stream" if setup.locality else None)
     for step in range(num_steps):
         if setup.partition_mode == "range-per-rdd":
             gen0 = trace.step_generator(step, num_partitions, None)
@@ -888,20 +881,11 @@ def _build_stream_system(
             assert setup.partitioner is not None
             partitioner = setup.partitioner
         gen = trace.step_generator(step, partitioner.num_partitions, partitioner)
-        base = sc.generated(
+        collection.add(step, sc.generated(
             gen, partitioner.num_partitions, partitioner=partitioner,
             read_cost="network", name=f"step{step}",
-        )
-        if setup.locality:
-            rdd = base.locality_partition_by(partitioner, "stream")
-        else:
-            rdd = base
-        rdd = rdd.cache()
-        rdd.count()
-        if setup.locality:
-            sc.group_manager.report_rdd(rdd)
-        steps[step] = rdd
-    return setup, steps, taxi
+        ))
+    return setup, collection.steps, taxi
 
 
 def _stream_query_fn(
@@ -1047,25 +1031,19 @@ def run_fig20(
                 min_workers=min_workers or 1, max_workers=max_workers,
             )
         rng = random.Random(41)
-        steps: Dict[int, object] = {}
-        window = 6
+        assert setup.partitioner is not None
+        partitioner = setup.partitioner
+        collection = DatasetCollection(
+            sc, partitioner, namespace="stream" if setup.locality else None,
+            window=6)
+        steps = collection.steps
         for step in range(hours * steps_per_hour):
-            assert setup.partitioner is not None
-            partitioner = setup.partitioner
             gen = trace.step_generator(step, partitioner.num_partitions,
                                        partitioner)
-            base = sc.generated(
+            collection.add(step, sc.generated(
                 gen, partitioner.num_partitions, partitioner=partitioner,
                 read_cost="network", name=f"step{step}",
-            )
-            rdd = (base.locality_partition_by(partitioner, "stream")
-                   if setup.locality else base).cache()
-            rdd.count()
-            if setup.locality:
-                sc.group_manager.report_rdd(rdd)
-            steps[step] = rdd
-            for old in [s for s in steps if s <= step - window]:
-                steps.pop(old).unpersist()
+            ))
 
             delays = []
             step_ids = sorted(steps)
@@ -1196,29 +1174,23 @@ def _run_diurnal_replay(
     rng = random.Random(seed + 13)
     kernel = sc.cluster.kernel
     load = LoadResult(0.0)
-    steps: Dict[int, object] = {}
-    window = 6
     assert setup.partitioner is not None
     partitioner = setup.partitioner
+    collection = DatasetCollection(sc, partitioner, namespace="stream",
+                                   window=6)
     for hour in range(hours):
         hour_start = hour * hour_seconds
         kernel.advance_to(max(kernel.now, hour_start))
         kernel.pump()
         gen = trace.step_generator(hour, partitioner.num_partitions,
                                    partitioner)
-        base = sc.generated(
+        collection.add(hour, sc.generated(
             gen, partitioner.num_partitions, partitioner=partitioner,
             read_cost="network", name=f"step{hour}",
-        )
-        rdd = base.locality_partition_by(partitioner, "stream").cache()
-        rdd.count()
-        sc.group_manager.report_rdd(rdd)
-        steps[hour] = rdd
-        for old in [s for s in steps if s <= hour - window]:
-            steps.pop(old).unpersist()
+        ))
 
-        step_ids = tuple(sorted(steps))
-        current = dict(steps)
+        step_ids = tuple(sorted(collection.steps))
+        current = dict(collection.steps)
 
         def job(arrival: float, index: int, _steps=current,
                 _ids=step_ids) -> float:

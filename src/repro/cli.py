@@ -357,22 +357,25 @@ def _workload_cache_pressure() -> "StarkContext":
 
 
 def _workload_streaming() -> "StarkContext":
-    """A few micro-batch steps with a short retention window: batch
-    events plus explicit evictions of expired step RDDs."""
+    """A co-located dataset collection with a short window: each step is
+    shuffled into the namespace, cached and reported, expired steps are
+    unpersisted, and one cogroup over the window runs per step."""
     from .bench.configs import ClusterSpec, make_context
-    from .streaming.dstream import StreamingContext
+    from .core.collection import DatasetCollection
+    from .engine.partitioner import HashPartitioner
 
     context = make_context(
         "Stark-H", ClusterSpec(num_workers=4, cores_per_worker=2, seed=3))
-    ssc = StreamingContext(context, batch_seconds=10.0, retention_steps=3)
-
-    def receiver(step: int, parts: int):
-        def gen(pid: int) -> list:
+    collection = DatasetCollection(context, HashPartitioner(8),
+                                   namespace="ingest", window=3)
+    for step in range(5):
+        def gen(pid: int, step: int = step) -> list:
             return [((pid * 97 + i) % (1 << 16), step) for i in range(100)]
-        return gen
 
-    ssc.receiver_stream(receiver, num_partitions=8, name="ingest")
-    ssc.advance(5)
+        collection.add(step, context.generated(
+            gen, 8, read_cost="network", name=f"ingest{step}"))
+        window = list(collection.steps.values())
+        window[0].cogroup(*window[1:]).count()
     return context
 
 

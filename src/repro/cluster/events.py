@@ -25,8 +25,8 @@ kernel in this module.  Three layers build on each other:
 
 Two kinds of events share the heap:
 
-* **Regular events** — job arrivals, armed failures, streaming batch
-  ticks.  ``run_all`` drains these.
+* **Regular events** — job arrivals and armed failures.  ``run_all``
+  drains these.
 * **Daemon events** — self-rescheduling housekeeping such as periodic
   policy timers.  They fire whenever simulated time passes them, but
   never *keep the simulation alive* on their own: ``run_all`` stops once

@@ -5,6 +5,7 @@ from .checkpoint_optimizer import (
     CheckpointOptimizer,
     LineageNode,
 )
+from .collection import DatasetCollection
 from .edge_checkpoint import EdgeCheckpointer
 from .extendable_partitioner import ExtendablePartitioner
 from .flow import INF, FlowEdge, FlowNetwork
@@ -17,6 +18,7 @@ from .replication import ReplicationEvent, ReplicationManager
 __all__ = [
     "CheckpointDecision",
     "CheckpointOptimizer",
+    "DatasetCollection",
     "EdgeCheckpointer",
     "ExtendablePartitioner",
     "FlowEdge",

@@ -72,13 +72,8 @@ class GroupManager:
         tracks the size window."""
         if isinstance(rdd.partitioner, ExtendablePartitioner):
             self.enable(namespace, rdd.partitioner)
-        state = self._state.get(namespace)
-        if state is None:
-            return
-        state.recent_rdds.append(rdd.rdd_id)
-        window = self.context.config.group_size_window
-        while len(state.recent_rdds) > window:
-            state.recent_rdds.popleft()
+        if namespace in self._state:
+            self.on_rdd_noted(namespace, rdd)
 
     # ---- size accounting (the reportRDD API, §III-E) --------------------------------
 
@@ -95,6 +90,8 @@ class GroupManager:
         return self.rebalance(namespace)
 
     def on_rdd_noted(self, namespace: str, rdd: "RDD") -> None:
+        """Count ``rdd`` toward the namespace's size window (once), keeping
+        only the ``group_size_window`` most recent RDDs."""
         state = self._state[namespace]
         if rdd.rdd_id not in state.recent_rdds:
             state.recent_rdds.append(rdd.rdd_id)

@@ -11,9 +11,8 @@
     Materialization charges a sequential disk read of the partition bytes.
 
 ``GeneratedRDD``
-    Generic deterministic source used by workload generators and the
-    streaming receiver: a pure function ``pid -> records`` with a declared
-    byte size per partition.
+    Generic deterministic source used by workload generators: a pure
+    function ``pid -> records`` with a declared byte size per partition.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The engine's SparkListener analogue: every
 :class:`~repro.engine.context.StarkContext` owns an
 :class:`~repro.obs.bus.EventBus` onto which the DAG/task schedulers,
-block managers, cache, shuffle, failure, and streaming layers post typed
+block managers, cache, shuffle and failure layers post typed
 :mod:`~repro.obs.events` stamped with simulated time.  Pluggable
 listeners turn the stream into artifacts:
 
@@ -32,8 +32,6 @@ from typing import Callable, Iterator, List, TYPE_CHECKING, Union
 
 from .bus import EventBus
 from .events import (
-    BatchCompleted,
-    BatchSubmitted,
     BlockCached,
     BlockEvicted,
     BlocksMigrated,
@@ -160,8 +158,6 @@ def observe_to_dir(out_dir: Union[str, Path]) -> Iterator[Path]:
 
 
 __all__ = [
-    "BatchCompleted",
-    "BatchSubmitted",
     "BlameSegment",
     "BlockCached",
     "BlockEvicted",

@@ -1,8 +1,8 @@
 """Typed events of the simulated engine (the SparkListener taxonomy).
 
 Every interesting state change in the engine — job/stage/task lifecycle,
-cache traffic, shuffle fetches, checkpoints, failures, streaming batches
-— is described by one frozen dataclass below, stamped with the
+cache traffic, shuffle fetches, checkpoints, failures — is described by
+one frozen dataclass below, stamped with the
 :class:`~repro.cluster.events.SimClock` time at which it happened.
 Components post instances onto the context's
 :class:`~repro.obs.bus.EventBus`; listeners (JSONL log, Chrome-trace
@@ -526,20 +526,6 @@ class QueryFailed(Event):
 
     query_id: int
     error: str
-
-
-# ---- streaming -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BatchSubmitted(Event):
-    step: int
-
-
-@dataclass(frozen=True)
-class BatchCompleted(Event):
-    step: int
-    num_streams: int
-    evicted_rdds: int
 
 
 # ---- schema ----------------------------------------------------------------

@@ -189,9 +189,8 @@ EXPECTED_RECORDS = {
 #: stats collector consume them).  A new event type must be added here or
 #: to EXPECTED_RECORDS — it cannot fall through unnoticed.
 TIMELINE_NEUTRAL = {
-    "TaskStart", "CacheHit", "ShuffleFetch", "BatchSubmitted",
-    "BatchCompleted", "TenantJobSubmitted", "TenantJobAdmitted",
-    "TenantJobCompleted",
+    "TaskStart", "CacheHit", "ShuffleFetch", "TenantJobSubmitted",
+    "TenantJobAdmitted", "TenantJobCompleted",
 }
 
 

@@ -39,12 +39,24 @@ cache gate could fire there.
   ``sql_tpch``, ``tenant_fairness``, ``columnar_tpch`` and
   ``ablation_mcf`` were unmoved.
 
+* **The micro-batch streaming layer** (``repro.streaming``: ``DStream``,
+  ``StreamingContext``, ``StatefulStream``, ``update_state_by_key`` and
+  the ``BatchSubmitted`` / ``BatchCompleted`` events only it posted).  No
+  bench, app or ``perf/`` workload ran on it.  Fig 19/20 and the elastic
+  diurnal replay could not move onto it without moving decisions: it
+  ingested inside a kernel tick, its Spark path added a
+  ``generated -> partition_by`` shuffle the harness does not have, and it
+  named step RDDs differently.  ``repro.core.DatasetCollection`` is the
+  one step loop now: it owns routing, caching, the GroupManager report
+  and the window for every collection in the package.
+
 The checks below fail if any part of these features comes back under
 its old names.
 """
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -63,6 +75,9 @@ DELETED = {
     "admission_threshold": ("admission_min_cost", "min_cost_seconds"),
     "speculation": ("speculat", "straggler"),
     "heterogeneity": ("heterogeneity", "slowdowns", "wall_duration"),
+    "streaming": ("dstream", "streamingcontext", "statefulstream",
+                  "receiver_stream", "update_state_by_key",
+                  "batchsubmitted", "batchcompleted"),
 }
 
 
@@ -130,3 +145,22 @@ def test_cli_has_no_speculation_command():
                     if isinstance(action, argparse._SubParsersAction))
     assert "cache" in commands  # the lookup found the subcommand table
     assert "speculation" not in commands
+
+
+def test_streaming_package_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.streaming")
+
+
+def test_only_the_collection_reports_rdds():
+    """Group elasticity needs every collection step reported; a caller
+    that reports by hand can forget to, so only the collection does."""
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "report_rdd"):
+                callers.add(str(path.relative_to(SRC)))
+    assert callers == {"core/collection.py"}

@@ -12,7 +12,6 @@ PACKAGES = [
     "repro.core",
     "repro.engine",
     "repro.obs",
-    "repro.streaming",
     "repro.workloads",
     "repro.apps",
     "repro.bench",
@@ -38,19 +37,16 @@ class TestImports:
 
     def test_quickstart_docstring_is_runnable_shape(self):
         """The README/`repro` docstring snippet's API calls all exist."""
-        from repro import HashPartitioner, StarkContext
+        from repro import DatasetCollection, HashPartitioner, StarkContext
 
         sc = StarkContext(num_workers=2, cores_per_worker=2)
-        part = HashPartitioner(2)
-        hours = [
-            sc.parallelize([(k, 1) for k in range(50)], 2)
-            .locality_partition_by(part, namespace="logs")
-            .cache()
-            for _ in range(2)
-        ]
-        for rdd in hours:
-            rdd.count()
-        merged = hours[0].cogroup(*hours[1:])
+        hours = DatasetCollection(sc, HashPartitioner(2), namespace="logs",
+                                  window=2)
+        for hour in range(3):
+            hours.add(hour, sc.parallelize([(k, hour) for k in range(50)], 2))
+        assert sorted(hours.steps) == [1, 2]
+        rdds = list(hours.steps.values())
+        merged = rdds[0].cogroup(*rdds[1:])
         assert merged.count() == 50
 
 
