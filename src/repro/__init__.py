@@ -33,12 +33,9 @@ Quickstart::
 from .cache import (
     CacheManager,
     CachePolicy,
-    CostAwarePolicy,
-    FIFOPolicy,
-    LRCPolicy,
-    LRUPolicy,
     POLICY_NAMES,
     ReferenceTracker,
+    ScoredPolicy,
     make_policy,
 )
 from .cluster import (
@@ -80,20 +77,16 @@ __all__ = [
     "CachePolicy",
     "CheckpointOptimizer",
     "Cluster",
-    "CostAwarePolicy",
     "CostModel",
     "DatasetCollection",
     "EdgeCheckpointer",
     "EventQueue",
     "ExtendablePartitioner",
-    "FIFOPolicy",
     "FailureInjector",
     "FlowNetwork",
     "GroupManager",
     "GroupTree",
     "HashPartitioner",
-    "LRCPolicy",
-    "LRUPolicy",
     "LocalityManager",
     "MinimumContentionFirstPolicy",
     "POLICY_NAMES",
@@ -102,6 +95,7 @@ __all__ = [
     "RecordSizer",
     "ReferenceTracker",
     "ReplicationManager",
+    "ScoredPolicy",
     "SimClock",
     "SimKernel",
     "TIME_EPS",

@@ -3,7 +3,8 @@
 This package owns every caching policy decision the engine makes:
 
 * :mod:`~repro.cache.policy` — the :class:`CachePolicy` eviction
-  interface and its four implementations (LRU, FIFO, LRC, cost-aware);
+  interface and its one implementation, :class:`ScoredPolicy`, whose
+  score function makes it LRU, FIFO, LRC or cost-aware;
 * :mod:`~repro.cache.reference_tracker` — driver-side reference counts
   over the lineage DAG, fed by DAGScheduler stage-completion hooks;
 * :mod:`~repro.cache.manager` — the per-context coordinator wiring the
@@ -26,10 +27,7 @@ from .policy import (
     POLICY_NAMES,
     CacheDefaults,
     CachePolicy,
-    CostAwarePolicy,
-    FIFOPolicy,
-    LRCPolicy,
-    LRUPolicy,
+    ScoredPolicy,
     make_policy,
     set_default_policy,
     value_score,
@@ -41,13 +39,10 @@ __all__ = [
     "CacheDefaults",
     "CacheManager",
     "CachePolicy",
-    "CostAwarePolicy",
     "DEFAULTS",
-    "FIFOPolicy",
-    "LRCPolicy",
-    "LRUPolicy",
     "POLICY_NAMES",
     "ReferenceTracker",
+    "ScoredPolicy",
     "make_policy",
     "set_default_policy",
     "value_score",

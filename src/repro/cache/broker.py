@@ -2,8 +2,8 @@
 
 With ``StarkConfig.cache_broker`` on, eviction stops being a
 per-executor decision.  Every block store runs a
-:class:`~repro.cache.policy.CostAwarePolicy` the driver-side
-:class:`CacheBroker` created and keeps — the cost-aware policy with a
+:class:`~repro.cache.policy.ScoredPolicy` the driver-side
+:class:`CacheBroker` created and keeps — the ``cost`` score with a
 cluster-wide reference oracle and one clock shared by every store — so
 the broker ranks **every live block in the cluster** through the
 stores' own entries (:func:`repro.cache.policy.value_score`)::
@@ -55,12 +55,12 @@ budget), and drains stores hottest-block-first so the budget is spent
 on the blocks most worth saving.
 
 Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`)
-constrain the ranking exactly as they do without a broker: the stores'
-:class:`~repro.cache.policy.QuotaAwarePolicy` wrapper nominates
-over-quota tenants' blocks first, the market stands aside while it
-does, and quota displacement uses the broker's value ranking to drop
-the owning tenant's own lowest-value block **cluster-wide** — never
-another tenant's.
+constrain the ranking exactly as they do without a broker: each store's
+quota nominee (``ScoredPolicy.nominee_fn``) names over-quota tenants'
+blocks first, the market stands aside while it does, and quota
+displacement uses the broker's value ranking to drop the owning
+tenant's own lowest-value block **cluster-wide** — never another
+tenant's.
 
 All state lives in insertion-ordered dicts with total-order tie-breaks,
 so runs are byte-identical for identical inputs.
@@ -72,7 +72,7 @@ import math
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from .policy import CostAwarePolicy, Row, value_score
+from .policy import Row, ScoredPolicy, make_policy, value_score
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.block_manager import Block, BlockManagerMaster, BlockStore
@@ -90,7 +90,7 @@ class CacheBroker:
         self.manager = manager
         self.master: "BlockManagerMaster | None" = None
         #: worker_id -> the policy its store runs (see :meth:`policy_for`).
-        self._policies: Dict[int, CostAwarePolicy] = {}
+        self._policies: Dict[int, ScoredPolicy] = {}
         self._clock = count()
         self._relieving = False
 
@@ -130,15 +130,15 @@ class CacheBroker:
         assert self.master is not None
         self.master.stores[worker_id].pressure_reliever = self.relieve_pressure
 
-    def policy_for(self, worker_id: int) -> CostAwarePolicy:
+    def policy_for(self, worker_id: int) -> ScoredPolicy:
         """The ranking policy of ``worker_id``'s store, created once per
         worker id (an idempotent re-registration must not fork it).  All
         of them draw ``seq``/``last_access`` from one clock, so
         ``(value, last_access, seq)`` is a total order across workers."""
         policy = self._policies.get(worker_id)
         if policy is None:
-            policy = self._policies[worker_id] = CostAwarePolicy(
-                self.cross_job_refcount,
+            policy = self._policies[worker_id] = make_policy(
+                "cost", self.cross_job_refcount,
                 self.manager.estimate_recompute_cost, clock=self._clock)
         return policy
 
@@ -220,18 +220,16 @@ class CacheBroker:
             return
         if incoming.size_bytes > store.capacity_bytes:
             return  # store will reject it outright
-        quotas = self.manager.quotas
         self._relieving = True
         try:
             while (store.used_bytes + incoming.size_bytes
                    > store.capacity_bytes and len(store)):
                 wid = store.worker_id
-                if (quotas is not None
-                        and quotas.preferred_victim(wid) is not None):
+                if self.manager.quota_victim(wid) is not None:
                     return  # quota enforcement wants a local eviction
-                # Quota ruled out: rank on the unwrapped policy.
+                # Quota ruled out: rank on the heap alone.
                 policy = self._policies[wid]
-                local_id = policy.choose_victim()
+                local_id = policy.min_row()[3]
                 local_entry = policy.entries[local_id]
                 local_value = self.block_value(wid, local_id,
                                                local_entry.size_bytes)

@@ -3,12 +3,13 @@
 One instance lives on every :class:`~repro.engine.context.StarkContext`
 and ties the subsystem together:
 
-* builds one :class:`~repro.cache.policy.CachePolicy` per executor store
-  (``policy_for_worker`` is handed to the
+* builds one :class:`~repro.cache.policy.ScoredPolicy` per executor
+  store (``policy_for_worker`` is handed to the
   :class:`~repro.engine.block_manager.BlockManagerMaster` as a factory),
-  wiring the lineage-aware policies to the shared
+  wiring the ``lrc`` / ``cost`` scores to the shared
   :class:`~repro.cache.reference_tracker.ReferenceTracker` and to the
-  recompute-cost estimator;
+  recompute-cost estimator, and every store's quota nominee to the
+  tenant quotas;
 * gates every insert through the tenant quotas, when a service layer
   attached them, counting what it admits in :attr:`admission`;
 * receives the DAGScheduler's job/stage lifecycle hooks and forwards
@@ -26,11 +27,11 @@ choice compares it far more often than it changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, TYPE_CHECKING
+from functools import partial
+from typing import Dict, Iterable, Optional, Set, TYPE_CHECKING
 
 from .broker import CacheBroker
-from .policy import (CachePolicy, FIFOPolicy, LRUPolicy, QuotaAwarePolicy,
-                     make_policy)
+from .policy import BlockId, ScoredPolicy, check_policy_name, make_policy
 from .reference_tracker import ReferenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,6 +57,7 @@ class CacheManager:
     def __init__(self, context: "StarkContext") -> None:
         self.context = context
         config = context.config
+        check_policy_name(config.cache_policy)  # whether or not it is used
         self.policy_name: str = config.cache_policy
         self.admission = AdmissionCounts()
         #: Cluster-wide cache broker (``StarkConfig.cache_broker``);
@@ -64,9 +66,9 @@ class CacheManager:
         #: consulted while it is on.
         self.broker: "CacheBroker | None" = (
             CacheBroker(self) if config.cache_broker else None)
-        # The recency policies have no score: nobody to tell of a fall.
+        # A constant score (lru, fifo) never falls: nobody to tell.
         scored = self.broker is not None or self.policy_name not in (
-            LRUPolicy.name, FIFOPolicy.name)
+            "lru", "fifo")
         self.tracker = ReferenceTracker(
             fall_fn=self.announce_fall if scored else None)
         self._quotas: "TenantCacheQuotas | None" = None
@@ -92,25 +94,32 @@ class CacheManager:
 
     # ---- policy construction ----------------------------------------------
 
-    def policy_for_worker(self, worker_id: int) -> CachePolicy:
+    def policy_for_worker(self, worker_id: int) -> ScoredPolicy:
         """Build this context's configured policy for one block store —
-        or, with the cluster-wide broker on, the broker's cost-aware
+        or, with the cluster-wide broker on, the broker's ``cost``
         policy for that worker (:meth:`CacheBroker.policy_for`).
 
-        Either way it is wrapped in a :class:`QuotaAwarePolicy` whose
-        quota lookup is late-bound to :attr:`quotas`, so attaching a
-        service layer retrofits quota-aware victim selection onto stores
-        that already exist.
+        Either way its quota nominee is :meth:`quota_victim`, late-bound
+        to :attr:`quotas`, so attaching a service layer retrofits
+        quota-aware victim selection onto stores that already exist.
         """
         if self.broker is not None:
-            inner = self.broker.policy_for(worker_id)
+            policy = self.broker.policy_for(worker_id)
         else:
-            inner = make_policy(
+            policy = make_policy(
                 self.policy_name,
                 ref_fn=self.tracker.block_ref_count,
                 cost_fn=self.estimate_recompute_cost,
             )
-        return QuotaAwarePolicy(inner, worker_id, lambda: self.quotas)
+        policy.nominee_fn = partial(self.quota_victim, worker_id)
+        return policy
+
+    def quota_victim(self, worker_id: int) -> Optional[BlockId]:
+        """An over-quota tenant's block on ``worker_id``, to be evicted
+        before any score is consulted; ``None`` when no tenant is over
+        its quota or no quotas are attached."""
+        quotas = self._quotas
+        return None if quotas is None else quotas.preferred_victim(worker_id)
 
     # ---- declarations (application API) ------------------------------------
 

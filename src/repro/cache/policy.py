@@ -1,4 +1,4 @@
-"""Pluggable eviction policies for the per-executor block stores.
+"""Eviction policy of the per-executor block stores.
 
 Each :class:`~repro.engine.block_manager.BlockStore` owns one policy
 instance.  The store keeps the authoritative block map and byte
@@ -6,34 +6,41 @@ accounting; the policy only mirrors membership (via ``on_insert`` /
 ``on_access`` / ``on_remove``) and answers one question: *which resident
 block should go next* (``choose_victim``).
 
-Four policies are provided:
+There is one policy class, :class:`ScoredPolicy`: a min-heap of resident
+blocks by ``(score, last_access, seq)``.  The four policies
+:func:`make_policy` builds differ only in the score function and in
+whether an access refreshes ``last_access``:
 
-* :class:`LRUPolicy` — Spark's default, and this engine's historical
-  behaviour: evict the least-recently-used block.
-* :class:`FIFOPolicy` — evict in insertion order, ignoring accesses.
-* :class:`LRCPolicy` — least-reference-count (after *Intermediate Data
-  Caching Optimization for Multi-Stage and Parallel Big Data
-  Frameworks*): evict the block whose RDD has the fewest remaining
-  downstream references, as tracked by the driver-side
+* ``lru`` — Spark's default, and this engine's historical behaviour: a
+  constant score, so the least-recently-used block goes first.
+* ``fifo`` — a constant score and accesses never refresh a block, so
+  blocks go in insertion order.
+* ``lrc`` — least-reference-count (after *Intermediate Data Caching
+  Optimization for Multi-Stage and Parallel Big Data Frameworks*): the
+  score is the number of remaining downstream references of the block's
+  RDD, as tracked by the driver-side
   :class:`~repro.cache.reference_tracker.ReferenceTracker`.  Dead data
   (zero remaining references) goes first regardless of recency.
-* :class:`CostAwarePolicy` — weight each block by
-  ``recompute_cost * (1 + remaining_references) / size`` and evict the
-  lightest.  Under Spark-1.3 semantics a cache miss re-executes the
-  whole narrow chain, so keeping expensive-to-rebuild, still-referenced
-  blocks minimizes expected recovery work per byte of RAM.  (The ``1 +``
-  smoothing keeps recompute cost relevant when no references are
-  declared.)
+* ``cost`` — the score is :func:`value_score`,
+  ``recompute_cost * (1 + remaining_references) / size``.  Under
+  Spark-1.3 semantics a cache miss re-executes the whole narrow chain,
+  so keeping expensive-to-rebuild, still-referenced blocks minimizes
+  expected recovery work per byte of RAM.  (The ``1 +`` smoothing keeps
+  recompute cost relevant when no references are declared.)
+
+Tenant quotas take precedence over every score: a block named by the
+policy's ``nominee_fn`` (an over-quota tenant's, bound by the
+:class:`~repro.cache.manager.CacheManager`) goes before the heap
+minimum.
 
 All policies are deterministic: given identical insert/access/remove
-traces (and, for the scored policies, identical reference/cost
-functions) they evict identical sequences.
+traces (and identical reference/cost functions) they evict identical
+sequences.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -46,6 +53,9 @@ RefCountFn = Callable[[BlockId], int]
 #: Recompute-cost oracle: rdd_id -> estimated seconds to rebuild one
 #: partition from the nearest barrier (shuffle/checkpoint/source).
 CostFn = Callable[[int], float]
+#: Score of one resident block: (block_id, size_bytes) -> value; the
+#: least-valued block is evicted first.
+ScoreFn = Callable[[BlockId, float], float]
 
 
 class CachePolicy:
@@ -84,47 +94,9 @@ class CachePolicy:
         raise NotImplementedError
 
 
-class LRUPolicy(CachePolicy):
-    """Evict the least-recently-used block (inserts count as uses)."""
-
-    name = "lru"
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[BlockId, None]" = OrderedDict()
-
-    def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
-        self._order[block_id] = None
-        self._order.move_to_end(block_id)
-
-    def on_access(self, block_id: BlockId) -> None:
-        if block_id in self._order:
-            self._order.move_to_end(block_id)
-
-    def on_remove(self, block_id: BlockId) -> None:
-        self._order.pop(block_id, None)
-
-    def choose_victim(self) -> BlockId:
-        return next(iter(self._order))
-
-    def clear(self) -> None:
-        self._order.clear()
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class FIFOPolicy(LRUPolicy):
-    """Evict in insertion order; accesses never refresh a block."""
-
-    name = "fifo"
-
-    def on_access(self, block_id: BlockId) -> None:
-        pass
-
-
 @dataclass
 class _ScoredEntry:
-    """Bookkeeping for one resident block under a scored policy."""
+    """Bookkeeping for one resident block."""
 
     seq: int           # insertion sequence number (FIFO tie-break)
     size_bytes: float
@@ -132,13 +104,13 @@ class _ScoredEntry:
     row: Optional[Row] = None  # the block's live heap row, once ranked
 
 
-class _ScoredPolicy(CachePolicy):
-    """Base for policies that evict the minimum of a score function.
+class ScoredPolicy(CachePolicy):
+    """Evict the minimum of a score function.
 
     Victims are the minimum by ``(score, last_access, seq)`` so identical
-    traces always evict identically; the recency tie-break makes the
-    scored policies degrade to LRU when their oracles are uninformative
-    (all scores equal).  ``clock`` is the counter ``seq``/``last_access``
+    traces always evict identically; the recency tie-break makes a
+    constant score LRU (or FIFO, when accesses do not ``refresh``
+    ``last_access``).  ``clock`` is the counter ``seq``/``last_access``
     are drawn from; policies sharing one (the cache broker's stores)
     keep that order total *across* stores.
 
@@ -147,24 +119,30 @@ class _ScoredPolicy(CachePolicy):
     Every resident block has one live row (``entry.row``) keyed at most
     its true key, or sits in the dirty set: an access or a rising score
     leaves the row stale-low and :meth:`min_row` re-ranks it on meeting
-    it at the top; whoever *lowers* a score (the owner of the ``ref_fn``
-    / ``cost_fn``) must announce it with :meth:`mark_dirty`.  Rows of
-    removed, re-inserted or re-ranked blocks are skipped when popped.
+    it at the top; whoever *lowers* a score (the owner of the
+    ``score_fn``'s oracles) must announce it with :meth:`mark_dirty`.
+    Rows of removed, re-inserted or re-ranked blocks are skipped when
+    popped.
     """
 
     #: Past ``_SLACK * resident + _SLACK_MIN`` rows + marks the heap is
     #: dropped for the next query to rebuild: idle stores stop growing.
     _SLACK, _SLACK_MIN = 2, 32
 
-    def __init__(self, clock: Optional[Iterator[int]] = None) -> None:
+    def __init__(self, name: str, score_fn: ScoreFn, refresh: bool = True,
+                 clock: Optional[Iterator[int]] = None) -> None:
+        self.name = name
+        self.score_fn = score_fn
+        #: Whether an access refreshes ``last_access`` (not under ``fifo``).
+        self.refresh = refresh
+        #: Late-bound quota nominee, ``() -> block_id | None``: a block it
+        #: names is evicted before the heap minimum.
+        self.nominee_fn: Optional[Callable[[], Optional[BlockId]]] = None
         #: block_id -> entry, insertion-ordered like the store's blocks.
         self.entries: Dict[BlockId, _ScoredEntry] = {}
         self._seq = clock if clock is not None else itertools.count()
         self._heap: Optional[List[Row]] = None  # built by the next query
         self._dirty: Set[BlockId] = set()  # inserted or fallen since the last
-
-    def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
-        raise NotImplementedError
 
     def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
         seq = next(self._seq)
@@ -172,9 +150,10 @@ class _ScoredPolicy(CachePolicy):
         self.mark_dirty(block_id)
 
     def on_access(self, block_id: BlockId) -> None:
-        entry = self.entries.get(block_id)
-        if entry is not None:
-            entry.last_access = next(self._seq)
+        if self.refresh:
+            entry = self.entries.get(block_id)
+            if entry is not None:
+                entry.last_access = next(self._seq)
 
     def on_remove(self, block_id: BlockId) -> None:
         if self.entries.pop(block_id, None) is not None:
@@ -193,7 +172,7 @@ class _ScoredPolicy(CachePolicy):
             self._dirty.clear()
 
     def _rank(self, block_id: BlockId, entry: _ScoredEntry) -> Row:
-        score = self.score(block_id, entry)
+        score = self.score_fn(block_id, entry.size_bytes)
         if score != score:  # NaN equals nothing: min_row would never settle
             raise ValueError(f"cache score of block {block_id} is NaN")
         return (score, entry.last_access, entry.seq, block_id)
@@ -228,6 +207,11 @@ class _ScoredPolicy(CachePolicy):
             heapreplace(heap, current)
 
     def choose_victim(self) -> BlockId:
+        """The quota nominee if there is one, else the heap minimum."""
+        if self.nominee_fn is not None:
+            victim = self.nominee_fn()
+            if victim is not None:
+                return victim
         return self.min_row()[3]
 
     def clear(self) -> None:
@@ -244,136 +228,56 @@ def value_score(recompute_cost: float, references: float,
     """The canonical cache-value density of a block.
 
     ``recompute_cost * (1 + references) / size`` — the expected stage
-    re-execution seconds a cached byte is saving.  This is
-    :class:`CostAwarePolicy`'s per-executor score generalized so the
-    cluster-wide :class:`repro.cache.broker.CacheBroker` ranks every
-    live block with the *same* value function, with ``references``
-    counted across all jobs instead of within one executor's horizon.
+    re-execution seconds a cached byte is saving.  This is the ``cost``
+    policy's per-executor score generalized so the cluster-wide
+    :class:`repro.cache.broker.CacheBroker` ranks every live block with
+    the *same* value function, with ``references`` counted across all
+    jobs instead of within one executor's horizon.
     """
     return recompute_cost * (1.0 + references) / max(size_bytes, 1.0)
 
 
-class LRCPolicy(_ScoredPolicy):
-    """Least-reference-count eviction.
-
-    A block's score is the number of not-yet-executed consumers of its
-    RDD (in-job pending reads plus driver-declared future jobs).  Blocks
-    nothing will read again score zero and are reclaimed first; ties
-    fall back to LRU.
-    """
-
-    name = "lrc"
-
-    def __init__(self, ref_fn: RefCountFn,
-                 clock: Optional[Iterator[int]] = None) -> None:
-        super().__init__(clock)
-        self._ref_fn = ref_fn
-
-    def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
-        return float(self._ref_fn(block_id))
+def _constant(block_id: BlockId, size_bytes: float) -> float:
+    return 0.0
 
 
-class CostAwarePolicy(_ScoredPolicy):
-    """Evict the block with the least recompute-value per byte.
-
-    ``score = recompute_cost * (1 + references) / size`` — the expected
-    stage re-execution time a cached byte is saving.  Cheap-to-rebuild
-    or dead blocks yield their RAM to expensive, still-referenced ones.
-    """
-
-    name = "cost"
-
-    def __init__(self, ref_fn: RefCountFn, cost_fn: CostFn,
-                 clock: Optional[Iterator[int]] = None) -> None:
-        super().__init__(clock)
-        self._ref_fn = ref_fn
-        self._cost_fn = cost_fn
-
-    def score(self, block_id: BlockId, entry: _ScoredEntry) -> float:
-        cost = self._cost_fn(block_id[0])
-        refs = self._ref_fn(block_id)
-        return value_score(cost, refs, entry.size_bytes)
+POLICY_NAMES = ("lru", "fifo", "lrc", "cost")
 
 
-class QuotaAwarePolicy(CachePolicy):
-    """Wrapper adding per-tenant quota awareness to any inner policy.
-
-    On capacity pressure, blocks owned by **over-quota** tenants are
-    evicted first (oldest-inserted of theirs, deterministically); only
-    when no tenant is over its quota does victim choice fall through to
-    the wrapped policy.  This is the *cross-tenant* half of quota
-    enforcement — the intra-tenant half (a tenant displacing its own
-    blocks before touching anyone else's) lives in
-    :class:`repro.service.quotas.TenantCacheQuotas`, which this wrapper
-    consults through ``quotas_fn``.
-
-    ``quotas_fn`` is late-bound (returns ``None`` until a service layer
-    attaches quotas), so stores built at context creation pick up quota
-    awareness the moment a :class:`~repro.service.DatasetService` turns
-    it on, including elastically provisioned workers.
-    """
-
-    def __init__(self, inner: CachePolicy, worker_id: int,
-                 quotas_fn: Callable[[], Optional[object]]) -> None:
-        #: The wrapped policy: the store's recency + ranking ledger.
-        self.inner = inner
-        self._worker_id = worker_id
-        self._quotas_fn = quotas_fn
-        self.name = inner.name
-
-    def on_insert(self, block_id: BlockId, size_bytes: float) -> None:
-        self.inner.on_insert(block_id, size_bytes)
-
-    def on_access(self, block_id: BlockId) -> None:
-        self.inner.on_access(block_id)
-
-    def on_remove(self, block_id: BlockId) -> None:
-        self.inner.on_remove(block_id)
-
-    def mark_dirty(self, block_id: BlockId) -> None:
-        self.inner.mark_dirty(block_id)
-
-    def choose_victim(self) -> BlockId:
-        quotas = self._quotas_fn()
-        if quotas is not None:
-            victim = quotas.preferred_victim(self._worker_id)
-            if victim is not None:
-                return victim
-        return self.inner.choose_victim()
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def __len__(self) -> int:
-        return len(self.inner)
+def check_policy_name(name: str) -> None:
+    """Reject a cache policy name :func:`make_policy` cannot build."""
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown cache policy {name!r}; pick from {POLICY_NAMES}")
 
 
-POLICY_NAMES = (LRUPolicy.name, FIFOPolicy.name, LRCPolicy.name,
-                CostAwarePolicy.name)
+def _score_fn(name: str, ref_fn: Optional[RefCountFn],
+              cost_fn: Optional[CostFn]) -> ScoreFn:
+    if name == "lrc":
+        if ref_fn is None:
+            raise ValueError("lrc needs a reference-count function")
+        return lambda block_id, size_bytes: float(ref_fn(block_id))
+    if name == "cost":
+        if ref_fn is None or cost_fn is None:
+            raise ValueError("cost needs reference and cost functions")
+        return lambda block_id, size_bytes: value_score(
+            cost_fn(block_id[0]), ref_fn(block_id), size_bytes)
+    return _constant  # lru, fifo: recency alone decides
 
 
 def make_policy(
     name: str,
     ref_fn: Optional[RefCountFn] = None,
     cost_fn: Optional[CostFn] = None,
-) -> CachePolicy:
-    """Instantiate the policy called ``name``.
+    clock: Optional[Iterator[int]] = None,
+) -> ScoredPolicy:
+    """Instantiate the policy called ``name`` (see the module docstring).
 
     ``lrc`` requires ``ref_fn``; ``cost`` requires both oracles.
+    Policies sharing a ``clock`` rank in one order across stores.
     """
-    if name == LRUPolicy.name:
-        return LRUPolicy()
-    if name == FIFOPolicy.name:
-        return FIFOPolicy()
-    if name == LRCPolicy.name:
-        if ref_fn is None:
-            raise ValueError("LRCPolicy needs a reference-count function")
-        return LRCPolicy(ref_fn)
-    if name == CostAwarePolicy.name:
-        if ref_fn is None or cost_fn is None:
-            raise ValueError("CostAwarePolicy needs reference and cost functions")
-        return CostAwarePolicy(ref_fn, cost_fn)
-    raise ValueError(f"unknown cache policy {name!r}; pick from {POLICY_NAMES}")
+    check_policy_name(name)
+    return ScoredPolicy(name, _score_fn(name, ref_fn, cost_fn),
+                        refresh=name != "fifo", clock=clock)
 
 
 @dataclass
@@ -384,14 +288,12 @@ class CacheDefaults:
     none of which thread cache options — runs under the selected policy.
     """
 
-    policy: str = LRUPolicy.name
+    policy: str = "lru"
 
 
 DEFAULTS = CacheDefaults()
 
 
 def set_default_policy(name: str) -> None:
-    if name not in POLICY_NAMES:
-        raise ValueError(f"unknown cache policy {name!r}; pick from {POLICY_NAMES}")
+    check_policy_name(name)
     DEFAULTS.policy = name
-

@@ -1,7 +1,7 @@
 """Driver-side reference counting over the RDD lineage DAG.
 
-The tracker is what makes :class:`~repro.cache.policy.LRCPolicy` and
-:class:`~repro.cache.policy.CostAwarePolicy` lineage-aware: at job
+The tracker is what makes the ``lrc`` and ``cost`` scores of
+:class:`~repro.cache.policy.ScoredPolicy` lineage-aware: at job
 submission it walks the job's stage DAG and counts, per *cached* RDD,
 how many not-yet-executed consumers will read it; as stages complete the
 counts drain.  Eviction policies consult :meth:`ref_count` — a block

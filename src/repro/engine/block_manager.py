@@ -3,9 +3,11 @@
 Every worker owns a :class:`BlockStore` holding deserialized cached RDD
 partitions, bounded by a fraction of the worker's RAM (Spark's
 ``storage.memoryFraction``).  Which resident block an over-full store
-drops is decided by a :class:`~repro.cache.policy.CachePolicy` — LRU by
-default, with FIFO, least-reference-count, and cost-aware policies
-selectable through ``StarkConfig.cache_policy`` (see ``repro.cache`` and
+drops is decided by its :class:`~repro.cache.policy.ScoredPolicy` — the
+least-scored block, where the score is constant for LRU (the default)
+and FIFO, and a remaining-reference count or recompute value for the
+``lrc`` / ``cost`` policies selectable through
+``StarkConfig.cache_policy`` (see ``repro.cache`` and
 ``docs/CACHING.md``).  The driver-side :class:`BlockManagerMaster`
 tracks, for every block, the set of workers caching it — the cluster
 view the schedulers consult for locality.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..cache.policy import CachePolicy, LRUPolicy
+from ..cache.policy import CachePolicy, make_policy
 
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
@@ -56,7 +58,7 @@ class BlockStore:
             raise ValueError(f"capacity must be positive: {capacity_bytes}")
         self.worker_id = worker_id
         self.capacity_bytes = capacity_bytes
-        self.policy: CachePolicy = policy if policy is not None else LRUPolicy()
+        self.policy: CachePolicy = policy if policy is not None else make_policy("lru")
         self._blocks: Dict[BlockId, Block] = {}
         self.used_bytes: float = 0.0
         self.eviction_count: int = 0

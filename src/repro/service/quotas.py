@@ -14,11 +14,12 @@ removal notifications, and enforces two rules:
   refuses the insert outright if the tenant can never fit it.  Other
   tenants' blocks are never touched: intra-tenant eviction comes before
   cross-tenant eviction.
-* **Quota-aware victim selection** — under *capacity* pressure, the
-  :class:`~repro.cache.policy.QuotaAwarePolicy` wrapper asks
-  :meth:`preferred_victim` first, which nominates the oldest resident
-  block of any over-quota tenant before the store's base policy may
-  evict a compliant tenant's data.
+* **Quota-aware victim selection** — under *capacity* pressure, every
+  store's :class:`~repro.cache.policy.ScoredPolicy` asks
+  :meth:`preferred_victim` first (its ``nominee_fn``, bound by
+  ``CacheManager.quota_victim``), which nominates the oldest resident
+  block of any over-quota tenant before the policy's score may evict a
+  compliant tenant's data.
 
 Unowned RDDs (single-tenant operation, scratch data) are exempt, and a
 quota of ``0`` means unlimited.  All bookkeeping is insertion-ordered

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro import obs
-from repro.cache.policy import CostAwarePolicy, value_score
+from repro.cache.policy import ScoredPolicy, value_score
 from repro.cluster.cost_model import SimStr
 from repro.elastic import BacklogPolicy, ResourceManager
 from repro.engine.block_manager import Block
@@ -64,8 +64,8 @@ class TestLedgerSync:
         sc = make_context(cache_policy="lru")
         broker = sc.cache_broker
         for wid, store in sc.block_manager_master.stores.items():
-            assert isinstance(store.policy.inner, CostAwarePolicy)
-            assert store.policy.inner is broker.policy_for(wid)
+            assert isinstance(store.policy, ScoredPolicy)
+            assert store.policy is broker.policy_for(wid)
             assert store.policy.name == "cost"
 
     def test_reregistering_a_worker_keeps_its_policy(self):
@@ -76,7 +76,7 @@ class TestLedgerSync:
         assert resident > 0
         sc.register_worker(0)  # idempotent: the store survived
         assert sc.block_manager_master.stores[0].policy is policy
-        assert sc.cache_broker.policy_for(0) is policy.inner
+        assert sc.cache_broker.policy_for(0) is policy
         assert sc.cache_broker.resident_count(0) == resident
 
     def test_ledger_tracks_inserts_and_removals(self):

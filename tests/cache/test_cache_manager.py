@@ -34,6 +34,17 @@ class TestPolicySelection:
         with pytest.raises(ValueError, match="unknown cache policy"):
             make_context(cache_policy="belady")
 
+    def test_unknown_policy_fails_fast_under_the_broker(self):
+        # The broker supplies every store's policy, so the name is never
+        # used; it is still a typo and must not pass silently.
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            make_context(cache_broker=True, cache_policy="belady")
+
+    def test_default_setter_shares_the_name_check(self):
+        with pytest.raises(ValueError, match="unknown cache policy"):
+            set_default_policy("belady")
+        assert StarkConfig().cache_policy == "lru"
+
     def test_defaults_feed_new_configs(self):
         set_default_policy("cost")
         try:

@@ -9,14 +9,7 @@ victims, and identical access traces evict identical sequences.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.policy import (
-    POLICY_NAMES,
-    CostAwarePolicy,
-    FIFOPolicy,
-    LRCPolicy,
-    LRUPolicy,
-    make_policy,
-)
+from repro.cache.policy import POLICY_NAMES, make_policy
 from repro.engine.block_manager import Block, BlockManagerMaster, BlockStore
 
 
@@ -122,7 +115,7 @@ class TestPolicyContract:
 
 class TestLRU:
     def test_access_promotes(self):
-        store = BlockStore(0, 100.0, policy=LRUPolicy())
+        store = BlockStore(0, 100.0, policy=make_policy("lru"))
         store.put(block(1, 0, 40))
         store.put(block(1, 1, 40))
         store.get((1, 0))
@@ -132,7 +125,7 @@ class TestLRU:
 
 class TestFIFO:
     def test_access_does_not_promote(self):
-        store = BlockStore(0, 100.0, policy=FIFOPolicy())
+        store = BlockStore(0, 100.0, policy=make_policy("fifo"))
         store.put(block(1, 0, 40))
         store.put(block(1, 1, 40))
         store.get((1, 0))  # unlike LRU this must not save block 0
@@ -144,14 +137,14 @@ class TestLRC:
     def test_zero_ref_evicted_before_recent(self):
         oracles = Oracles()
         oracles.refs = {1: 3, 2: 0}
-        store = BlockStore(0, 100.0, policy=LRCPolicy(oracles.ref_fn))
+        store = BlockStore(0, 100.0, policy=make_policy("lrc", oracles.ref_fn))
         store.put(block(1, 0, 40))  # referenced, LRU-cold
         store.put(block(2, 0, 40))  # dead, LRU-hot
         evicted = store.put(block(3, 0, 40))
         assert [b.block_id for b in evicted] == [(2, 0)]
 
     def test_ties_fall_back_to_lru(self):
-        store = BlockStore(0, 100.0, policy=LRCPolicy(lambda bid: 1))
+        store = BlockStore(0, 100.0, policy=make_policy("lrc", lambda bid: 1))
         store.put(block(1, 0, 40))
         store.put(block(1, 1, 40))
         store.get((1, 0))
@@ -161,7 +154,7 @@ class TestLRC:
     def test_score_follows_live_ref_changes(self):
         oracles = Oracles()
         oracles.refs = {1: 0, 2: 0}
-        store = BlockStore(0, 100.0, policy=LRCPolicy(oracles.ref_fn))
+        store = BlockStore(0, 100.0, policy=make_policy("lrc", oracles.ref_fn))
         store.put(block(1, 0, 40))
         store.put(block(2, 0, 40))
         oracles.refs[1] = 7  # rdd 1 gains readers after insertion
@@ -174,7 +167,7 @@ class TestCostAware:
         oracles = Oracles()
         oracles.costs = {1: 10.0, 2: 0.001}
         store = BlockStore(
-            0, 100.0, policy=CostAwarePolicy(oracles.ref_fn, oracles.cost_fn))
+            0, 100.0, policy=make_policy("cost", oracles.ref_fn, oracles.cost_fn))
         store.put(block(1, 0, 40))  # expensive, LRU-cold
         store.put(block(2, 0, 40))  # cheap, LRU-hot
         evicted = store.put(block(3, 0, 40))
@@ -184,7 +177,7 @@ class TestCostAware:
         oracles = Oracles()
         oracles.costs = {1: 1.0, 2: 1.0}
         store = BlockStore(
-            0, 100.0, policy=CostAwarePolicy(oracles.ref_fn, oracles.cost_fn))
+            0, 100.0, policy=make_policy("cost", oracles.ref_fn, oracles.cost_fn))
         store.put(block(1, 0, 10))  # same cost in a tenth of the bytes
         store.put(block(2, 0, 80))
         evicted = store.put(block(3, 0, 40))
@@ -195,7 +188,7 @@ class TestCostAware:
         oracles.costs = {1: 1.0, 2: 1.0}
         oracles.refs = {1: 9, 2: 0}
         store = BlockStore(
-            0, 100.0, policy=CostAwarePolicy(oracles.ref_fn, oracles.cost_fn))
+            0, 100.0, policy=make_policy("cost", oracles.ref_fn, oracles.cost_fn))
         store.put(block(1, 0, 40))
         store.put(block(2, 0, 40))
         evicted = store.put(block(3, 0, 40))

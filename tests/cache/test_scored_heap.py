@@ -1,6 +1,6 @@
-"""The scored policies' lazy min-heap picks what ``min()`` picked.
+"""The scored policy's lazy min-heap picks what ``min()`` picked.
 
-``_ScoredPolicy.choose_victim`` used to be ``min()`` over ``entries`` by
+``ScoredPolicy.choose_victim`` used to be ``min()`` over ``entries`` by
 ``(score, last_access, seq)``, scoring every resident block per call.
 That definition is copied in below as the reference; the heap that
 replaced it must return the same block after any trace of inserts,
@@ -18,15 +18,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.policy import CostAwarePolicy, LRCPolicy, make_policy
+from repro.cache.policy import ScoredPolicy, make_policy
 from repro.engine.block_manager import Block, BlockStore
 
 
 def reference_victim(policy):
-    """``_ScoredPolicy.choose_victim`` as it was before the heap."""
+    """``ScoredPolicy.choose_victim`` as it was before the heap."""
     return min(
         policy.entries.items(),
-        key=lambda kv: (policy.score(kv[0], kv[1]),
+        key=lambda kv: (policy.score_fn(kv[0], kv[1].size_bytes),
                         kv[1].last_access, kv[1].seq),
     )[0]
 
@@ -43,23 +43,22 @@ class Oracles:
         return self.costs[rdd_id]
 
 
-def checked(base):
-    """``base`` with every victim choice — also those ``BlockStore.put``
+def checked(policy):
+    """``policy`` with every victim choice — also those ``BlockStore.put``
     makes internally — compared against the reference."""
-    class Checked(base):
-        def choose_victim(self):
-            victim = super().choose_victim()
-            assert victim == reference_victim(self)
-            return victim
-    return Checked
+    choose = policy.choose_victim
+
+    def choose_victim():
+        victim = choose()
+        assert victim == reference_victim(policy)
+        return victim
+    policy.choose_victim = choose_victim
+    return policy
 
 
 def build(name, oracles, clock, slack_min):
-    if name == "lrc":
-        policy = checked(LRCPolicy)(oracles.ref_fn, clock=clock)
-    else:
-        policy = checked(CostAwarePolicy)(oracles.ref_fn, oracles.cost_fn,
-                                          clock=clock)
+    policy = checked(make_policy(name, oracles.ref_fn, oracles.cost_fn,
+                                 clock=clock))
     policy._SLACK_MIN = slack_min  # 0: the heap is dropped all the time
     return policy
 
@@ -138,7 +137,7 @@ def test_standalone_heap_equals_min(name, shared, ops, slack_min):
         rows = [p.min_row() for p in policies]
         best = min(range(2), key=lambda i: rows[i][:3])
         assert rows[best][3] == min(
-            ((p.score(bid, e), e.last_access, e.seq, bid)
+            ((p.score_fn(bid, e.size_bytes), e.last_access, e.seq, bid)
              for p in policies for bid, e in p.entries.items()))[3]
 
 
@@ -235,12 +234,16 @@ def test_never_queried_store_keeps_no_rows_or_marks():
 # ---- complexity lock -------------------------------------------------------
 
 
-class CountingLRC(LRCPolicy):
-    calls = 0
+class CountingLRC(ScoredPolicy):
+    """The ``lrc`` policy, counting its score calls in ``calls``."""
 
-    def score(self, block_id, entry):
-        self.calls += 1
-        return super().score(block_id, entry)
+    def __init__(self, ref_fn):
+        self.calls = 0
+
+        def score_fn(block_id, size_bytes):
+            self.calls += 1
+            return float(ref_fn(block_id))
+        super().__init__("lrc", score_fn)
 
 
 def test_repeated_queries_score_one_block_each():

@@ -55,7 +55,6 @@ class Harness:
                                storage_memory_fraction=0.6))
         self.master = master = sc.block_manager_master
         assert all(s.capacity_bytes == 1000 for s in master.stores.values())
-        self.scored = mode != "lru"
         self.rdds = [sc.generated(lambda pid: [pid], 4, name=f"r{i}")
                      for i in range(3)]
         for rdd, delay in zip(self.rdds, (0.0, 0.5, 2.0)):
@@ -146,13 +145,12 @@ class Harness:
         for wid, store in master.stores.items():
             policy = store.policy
             assert len(policy) == len(store)
-            if self.scored:
-                # Same ids in the same (insertion) order, same sizes.
-                assert list(policy.inner.entries) == store.block_ids()
-                assert all(entry.size_bytes == store.peek(bid).size_bytes
-                           for bid, entry in policy.inner.entries.items())
+            # Same ids in the same (insertion) order, same sizes.
+            assert list(policy.entries) == store.block_ids()
+            assert all(entry.size_bytes == store.peek(bid).size_bytes
+                       for bid, entry in policy.entries.items())
             if broker is not None:
-                assert policy.inner is broker.policy_for(wid)
+                assert policy is broker.policy_for(wid)
             assert store.used_bytes == pytest.approx(math.fsum(
                 store.peek(bid).size_bytes for bid in store.block_ids()))
         if self.quotas is not None:

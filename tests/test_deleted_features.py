@@ -50,6 +50,16 @@ cache gate could fire there.
   one step loop now: it owns routing, caching, the GroupManager report
   and the window for every collection in the package.
 
+* **The per-policy eviction classes** (``LRUPolicy``, ``FIFOPolicy``,
+  ``LRCPolicy``, ``CostAwarePolicy`` and the ``QuotaAwarePolicy``
+  wrapper every store was built with).  They were one ranking with
+  different score functions: a constant score under the heap's
+  ``(score, last_access, seq)`` order is LRU, and FIFO when an access
+  does not refresh ``last_access``.  ``repro.cache.ScoredPolicy`` is the
+  one class now, with the quota nominee built in;
+  ``tests/cache/test_policy_oracle.py`` holds it to the old classes,
+  kept verbatim in ``tests/cache/reference_policies.py``.
+
 The checks below fail if any part of these features comes back under
 its old names.
 """
@@ -78,6 +88,8 @@ DELETED = {
     "streaming": ("dstream", "streamingcontext", "statefulstream",
                   "receiver_stream", "update_state_by_key",
                   "batchsubmitted", "batchcompleted"),
+    "policy_classes": ("lrupolicy", "fifopolicy", "lrcpolicy",
+                       "costawarepolicy", "quotaawarepolicy"),
 }
 
 
