@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,11 @@ def _payload(value: object) -> int:
     return 48  # opaque object
 
 
+_PAIR = frozenset((tuple, list))
+_TWO = frozenset((2,))
+_first = itemgetter(0)
+
+
 #: ``int * float`` is exact while the product's numerator fits a double.
 _EXACT_BELOW = 2 ** 53
 
@@ -235,6 +242,38 @@ class RecordSizer:
         for r in records:
             total += base + _payload(r)
         return total
+
+    def size_of_cogroup(self, parts: Sequence[list], sizes: Sequence[int],
+                        keys: list) -> Optional[int]:
+        """``size_of_partition`` of the cogroup of ``parts`` — the
+        records ``(k, (values_0, …, values_{n-1}))``, one per key of
+        ``keys`` — from ``sizes[i] = size_of_partition(parts[i])``
+        without walking a value, or ``None`` when some input record is
+        not an exact ``tuple`` / ``list`` pair (the caller walks).
+
+        An input pair costs ``base + 16 + p(k) + p(v)``; an output record
+        ``base + 16 + p(k) + 8n`` plus ``8 + p(v)`` for each value it
+        groups.  Summing both sides leaves every ``p(v)`` in ``Σ sizes``:
+        ``Σ sizes + K·(base + 16 + 8n) − N·(base + 8) + Σ_out p(k) −
+        Σ_in p(k)``.  Both key sums are needed because equal keys of
+        different payload (``"a"`` and ``SimStr("a", 50)``) merge into
+        the first one seen.  Integer arithmetic throughout, so the result
+        is bit-equal to the walk.
+        """
+        records = chain.from_iterable
+        if not (set(map(type, records(parts))) <= _PAIR
+                and set(map(len, records(parts))) <= _TWO):
+            return None
+        base, n_out, n_in = self.base, len(keys), sum(map(len, parts))
+        if set(map(type, map(_first, records(parts)))) <= _FIXED_WIDTH:
+            key_bytes = 8 * (n_out - n_in)  # output keys are input keys
+        else:
+            # ``_payload`` of a list is Σ p(item) plus 8 per item.
+            key_bytes = (_payload(keys)
+                         - _payload(list(map(_first, records(parts))))
+                         - 8 * (n_out - n_in))
+        return (sum(sizes) + n_out * (base + 16 + 8 * len(parts))
+                - n_in * (base + 8) + key_bytes)
 
     def in_memory_size(self, records, serialized: Optional[int] = None) -> float:
         """Deserialized (heap) footprint of a cached partition.

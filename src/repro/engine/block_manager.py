@@ -32,11 +32,16 @@ BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
 @dataclass
 class Block:
-    """A cached partition: the records plus their accounted byte size."""
+    """A cached partition: the records, their heap bytes (what the store
+    accounts) and their serialized bytes (what a task reading the block
+    sizes derived partitions from).  Every block the engine caches or
+    migrates carries its serialized bytes; ``None`` is left only for
+    blocks built by hand in tests and probes, which a reader walks."""
 
     block_id: BlockId
     records: list
     size_bytes: float
+    serialized_bytes: Optional[int] = None
 
 
 class BlockStore:
@@ -323,7 +328,8 @@ class BlockManagerMaster:
             self._remove_migrated_source(block_id, src)
             return True
         copy = Block(block_id=block.block_id, records=block.records,
-                     size_bytes=block.size_bytes)
+                     size_bytes=block.size_bytes,
+                     serialized_bytes=block.serialized_bytes)
         if self.put(dst, copy) is None:
             return False  # destination rejected it
         self._remove_migrated_source(block_id, src)

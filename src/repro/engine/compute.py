@@ -29,6 +29,7 @@ from .fault_tolerance import FetchFailedError
 from .metrics import TaskMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .block_manager import Block
     from .context import StarkContext
     from .dependency import ShuffleDependency
     from .rdd import RDD
@@ -90,10 +91,14 @@ class EvalContext:
         #: ``in_memory_size`` computed when the block was cached, so the
         #: sum is bit-identical to re-sizing.
         self._memo_sizes: Dict[Tuple[int, int], float] = {}
-        #: ``(records, serialized bytes)`` of the partition walked last: a
-        #: source charges its read and ``evaluate`` then receives that
-        #: very list.  Holds the list itself and compares with ``is`` —
-        #: an ``id()`` could be reused by a later list.
+        #: ``(records, serialized bytes)`` declared for one list, the one
+        #: slot ``serialized_size`` reads before walking: set by its own
+        #: walk (a source charges its read, then ``evaluate`` receives that
+        #: very list), by ``evaluate`` for a partition read from a block
+        #: or a checkpoint, by ``fetch_shuffle`` and by ``declare_size``.
+        #: A caller that sizes what ``evaluate`` just returned therefore
+        #: walks nothing.  Holds the list itself and compares with
+        #: ``is``: an ``id()`` could be reused by a later list.
         self._last_sized: Optional[Tuple[list, int]] = None
         self._recompute_depth = 0
 
@@ -102,14 +107,21 @@ class EvalContext:
         return sum(self._memo_sizes.values())
 
     def serialized_size(self, records: list) -> int:
-        """``size_of_partition(records)`` — the one deep walk a materialised
-        partition gets; heap bytes follow from it without another
+        """``size_of_partition(records)``: the size declared for this very
+        list when there is one (``_last_sized``), else one deep walk, which
+        is then declared.  Heap bytes follow from it without another walk
         (``in_memory_size(records, serialized=...)``)."""
         last = self._last_sized
         if last is None or last[0] is not records:
             last = self._last_sized = (
                 records, self.context.sizer.size_of_partition(records))
         return last[1]
+
+    def declare_size(self, records: list, size: int) -> None:
+        """Declare ``size == size_of_partition(records)`` for a list whose
+        bytes are already known (read from a block or a checkpoint, or
+        built from sized pieces), so ``serialized_size`` does not walk it."""
+        self._last_sized = (records, size)
 
     # ---- cost charging (called by RDD.compute implementations) ---------------
 
@@ -180,9 +192,7 @@ class EvalContext:
                     time=ctx.cluster.clock.now, worker_id=self.worker_id,
                     rdd_id=rdd.rdd_id, partition=pid,
                     size_bytes=block.size_bytes))
-            self._memo[key] = block.records
-            self._memo_sizes[key] = block.size_bytes
-            return block.records
+            return self._memoize_block(key, block)
 
         # 1b. Cross-job lineage-prefix hit: an RDD with a structurally
         # identical lineage prefix (same computation, different job /
@@ -208,8 +218,9 @@ class EvalContext:
             # walking this very list: no second walk here.
             mem_size = ctx.sizer.in_memory_size(records, serialized=size)
             self._memo_sizes[key] = mem_size
+            self.declare_size(records, size)
             if rdd.cached:
-                self._cache_block(rdd, pid, records, mem_size)
+                self._cache_block(rdd, pid, records, mem_size, size)
             return records
 
         # 3/4. Recompute (shuffle fetches happen inside rdd.compute).
@@ -239,14 +250,16 @@ class EvalContext:
         self._memo_sizes[key] = mem_size
         ctx.rdd_stats(rdd.rdd_id).record_size(pid, size)
         if rdd.cached:
-            self._cache_block(rdd, pid, records, mem_size)
+            self._cache_block(rdd, pid, records, mem_size, size)
         return records
 
     def fetch_shuffle(self, child: "RDD", dep: "ShuffleDependency", pid: int) -> list:
         """Fetch all map-output buckets feeding reduce partition ``pid``.
 
         Buckets on this worker's disk are read locally; others pay a
-        network transfer plus the remote disk read.
+        network transfer plus the remote disk read.  The returned list is
+        declared at the sum of the bucket sizes the map side walked, so
+        neither ``evaluate`` nor a cogroup walks it again.
         """
         ctx = self.context
         model = ctx.cost_model
@@ -254,6 +267,7 @@ class EvalContext:
         rng = ctx.cluster.rng
         outputs = ctx.map_output_tracker.outputs_for_reduce(dep.shuffle_id, pid)
         records: list = []
+        fetched = 0
         local_bytes = remote_bytes = 0.0
         local_seconds = remote_seconds = 0.0
         for out in outputs:
@@ -282,6 +296,7 @@ class EvalContext:
                 remote_bytes += out.size_bytes
                 remote_seconds += remote
             self.metrics.shuffle_bytes_fetched += out.size_bytes
+            fetched += out.size_bytes
             records.extend(out.records)
         bus = ctx.event_bus
         if bus.active and outputs:
@@ -293,6 +308,7 @@ class EvalContext:
         reduce_cost = model.shuffle_reduce_cost(len(records))
         self.metrics.compute_time += reduce_cost
         ctx.rdd_stats(child.rdd_id).record_delay(reduce_cost)
+        self.declare_size(records, fetched)
         return records
 
     def write_shuffle_output(self, dep: "ShuffleDependency", map_pid: int) -> None:
@@ -385,13 +401,19 @@ class EvalContext:
             bus.post(BrokerPrefixHit(
                 time=now, worker_id=self.worker_id, rdd_id=rdd.rdd_id,
                 served_rdd_id=equivalent, partition=pid, remote=remote))
-        key = (rdd.rdd_id, pid)
+        return self._memoize_block((rdd.rdd_id, pid), block)
+
+    def _memoize_block(self, key: Tuple[int, int], block: "Block") -> list:
+        """Memoize a partition read from a cached block, declaring its
+        serialized bytes when the block carries them."""
         self._memo[key] = block.records
         self._memo_sizes[key] = block.size_bytes
+        if block.serialized_bytes is not None:
+            self.declare_size(block.records, block.serialized_bytes)
         return block.records
 
     def _cache_block(self, rdd: "RDD", pid: int, records: list,
-                     size: float) -> None:
+                     size: float, serialized: int) -> None:
         from .block_manager import Block
 
         if not self.commit_effects:
@@ -404,7 +426,7 @@ class EvalContext:
         if not ctx.cache_manager.should_admit(rdd.rdd_id, size):
             return  # refused by the owning tenant's cache quota
         ctx.block_manager_master.put(
-            self.worker_id, Block((rdd.rdd_id, pid), records, size)
+            self.worker_id, Block((rdd.rdd_id, pid), records, size, serialized)
         )
         bus = ctx.event_bus
         if bus.active and ctx.block_manager_master.is_cached_on(

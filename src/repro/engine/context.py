@@ -363,7 +363,7 @@ class StarkContext:
             tm = self.metrics.new_task_metrics(job, stage_id=-1, partition=pid)
             ctx = EvalContext(self, worker_id, tm)
             records = ctx.evaluate(rdd, pid)
-            size = ctx.serialized_size(records)
+            size = ctx.serialized_size(records)  # declared by evaluate
             write_cost = (
                 self.cost_model.serde_cost(size)
                 + self.cost_model.disk_write_cost(size)

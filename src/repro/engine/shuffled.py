@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from .dependency import (
@@ -86,6 +87,11 @@ class CoGroupedRDD(RDD):
     dependency behaviour is exactly Spark's, and it is what makes
     co-partitioned-but-not-co-located collections pay the recompute
     penalty of Fig 2 that Stark's LocalityManager removes (Fig 3).
+
+    Keys come out in first-seen order across parents in parent order,
+    each with a fresh list per parent.  The output is sized from its
+    parents' serialized bytes (``RecordSizer.size_of_cogroup``), not
+    walked, whenever every input record is an exact pair.
     """
 
     def __init__(
@@ -103,45 +109,43 @@ class CoGroupedRDD(RDD):
                 (p.partitioner for p in parents if p.partitioner is not None),
                 None,
             ) or HashPartitioner(max(p.num_partitions for p in parents))
-        deps = []
-        self._narrow_parent_idx: List[Optional[int]] = []
-        for parent in parents:
-            if parent.partitioner is not None and parent.partitioner == partitioner:
-                deps.append(OneToOneDependency(parent))
-                self._narrow_parent_idx.append(len(deps) - 1)
-            else:
-                deps.append(ShuffleDependency(parent, partitioner))
-                self._narrow_parent_idx.append(None)
+        deps = [
+            OneToOneDependency(parent)
+            if parent.partitioner is not None and parent.partitioner == partitioner
+            else ShuffleDependency(parent, partitioner)
+            for parent in parents
+        ]
         super().__init__(context, deps, partitioner.num_partitions,
                          partitioner=partitioner, name=name or "cogroup")
-        self.parents_list = parents
         # Namespace carries over only if every parent shares it — a
         # cogroup across namespaces has no single collection mapping.
         namespaces = {p.namespace for p in parents}
         self.namespace = namespaces.pop() if len(namespaces) == 1 else None
 
     def compute(self, pid: int, ctx: "EvalContext") -> list:
-        groups: dict = {}
-        n = len(self.dependencies)
-
-        def slot(key: Any) -> list:
-            entry = groups.get(key)
-            if entry is None:
-                entry = [[] for _ in range(n)]
-                groups[key] = entry
-            return entry
-
-        total_in = 0
-        for idx, dep in enumerate(self.dependencies):
+        parts: List[list] = []
+        sizes: List[int] = []
+        groups: List[dict] = []
+        for dep in self.dependencies:
             if isinstance(dep, ShuffleDependency):
                 records = ctx.fetch_shuffle(self, dep, pid)
             else:
                 records = ctx.evaluate(dep.rdd, pid)
-            total_in += len(records)
+            sizes.append(ctx.serialized_size(records))  # as declared
+            grouped: dict = {}
+            group = grouped.setdefault
             for k, v in records:
-                slot(k)[idx].append(v)
-        ctx.charge_compute(self, total_in)
-        return [(k, tuple(vals)) for k, vals in groups.items()]
+                group(k, []).append(v)
+            parts.append(records)
+            groups.append(grouped)
+        ctx.charge_compute(self, sum(map(len, parts)))
+        keys = list(dict.fromkeys(chain.from_iterable(groups)))
+        columns = [[g.get(k) or [] for k in keys] for g in groups]
+        out = list(zip(keys, zip(*columns)))
+        size = ctx.context.sizer.size_of_cogroup(parts, sizes, keys)
+        if size is not None:
+            ctx.declare_size(out, size)
+        return out
 
 
 class CoalescedRDD(RDD):
@@ -199,7 +203,6 @@ class UnionRDD(RDD):
             out_start += parent.num_partitions
         super().__init__(context, deps, out_start, partitioner=None,
                          name=name or "union")
-        self.parents_list = parents
 
     def compute(self, pid: int, ctx: "EvalContext") -> list:
         for dep in self.dependencies:

@@ -112,6 +112,23 @@ class TestRecordSizer:
 
         assert self.sizer.size_of(Thing()) == self.sizer.base + 48
 
+    def test_cogroup_size_is_the_walk_of_the_grouped_records(self):
+        left = [(1, "ab"), (2, SimStr("c", sim_size=90)), (1, 2.5)]
+        right = [[SimStr("x", sim_size=7), (3, 4)], (1.0, None)]
+        out = [(1, (["ab", 2.5], [None])), (2, ([SimStr("c", 90)], [])),
+               (SimStr("x", sim_size=7), ([], [(3, 4)]))]
+        sizes = [self.sizer.size_of_partition(p) for p in (left, right)]
+        assert self.sizer.size_of_cogroup(
+            [left, right], sizes, [k for k, _ in out]) == \
+            self.sizer.size_of_partition(out)
+
+    @pytest.mark.parametrize("record", [
+        "ab", (1, 2, 3), [1], namedtuple("P", "k v")(1, 2), {1: 2, 3: 4}])
+    def test_cogroup_size_needs_exact_pairs(self, record):
+        part = [(1, 2), record]
+        assert self.sizer.size_of_cogroup(
+            [part], [self.sizer.size_of_partition(part)], [1]) is None
+
     @given(st.lists(st.text(max_size=50), max_size=30))
     def test_partition_size_non_negative_and_additive(self, values):
         total = self.sizer.size_of_partition(values)

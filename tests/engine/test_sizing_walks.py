@@ -1,10 +1,15 @@
-"""Every materialised partition is deep-walked by the sizer exactly once.
+"""Every materialised partition is deep-walked by the sizer at most once.
 
 ``evaluate`` takes serialized and heap bytes from one walk, and
-``EvalContext.serialized_size`` remembers the partition walked last, so a
-source partition charged by ``charge_source_read`` is not walked again by
-the ``evaluate`` that receives that very list; cache hits walk nothing.
-Shuffle buckets are new lists and are walked once when written.
+``EvalContext.serialized_size`` reads the size declared for the very list
+it is handed, so a source partition charged by ``charge_source_read`` is
+not walked again by the ``evaluate`` that receives that list; cache hits
+walk nothing.  Shuffle buckets are new lists and are walked once when
+written; the list a reduce task fetches is declared at the sum of their
+sizes, and a cogroup output is sized from its parents' bytes, so neither
+is walked at all.  Text keys are the one exception: a cogroup task
+walks its output key list and its input key list once each (two walker
+calls) for the key term of ``RecordSizer.size_of_cogroup``.
 """
 
 import dataclasses
@@ -12,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import StarkContext
+from repro import DatasetCollection, StarkContext
 from repro.cluster import cost_model
 from repro.cluster.cluster import Cluster
 from repro.cluster.cost_model import RecordSizer, SimStr
@@ -109,18 +114,46 @@ class TestWalkOnce:
         with counting_walker() as walked:
             merged, rows = cogroup_job(sc)
             assert len(rows) == KEYS
-            # Per side: source partitions, their shuffle buckets, and the
-            # shuffled partitions the reduce tasks build; then one
-            # cogrouped record per key.
-            assert walked["records"] == 2 * 3 * TOTAL + KEYS
+            # Per side: source partitions and their shuffle buckets.  The
+            # shuffled partitions the reduce tasks fetch and the cogrouped
+            # records are sized from those, not walked; each cogroup task
+            # walks only its two text-key lists.
+            assert walked["records"] == 2 * 2 * TOTAL + 2 * PARTITIONS
 
             assert sorted(merged.collect()) == rows
             tasks = sc.metrics.last_job().tasks
             assert sum(t.cache_hits for t in tasks) == 2 * PARTITIONS
             assert sum(t.cache_misses for t in tasks) == 0
-            # Both inputs hit the cache; only the uncached cogroup output
-            # is materialised, and walked, again.
-            assert walked["records"] == 2 * 3 * TOTAL + 2 * KEYS
+            # Both inputs hit the cache; the uncached cogroup output is
+            # materialised again and sized from the blocks' bytes.
+            assert walked["records"] == 2 * 2 * TOTAL + 2 * 2 * PARTITIONS
+
+    def test_window_cogroup_walks_only_the_filter_output(self):
+        sc = new_context()
+        steps = DatasetCollection(sc, HashPartitioner(PARTITIONS), "ns")
+        for step in range(3):
+            steps.add(step, source(sc, f"s{step}"))
+        region = steps.steps[0].cogroup(steps.steps[1], steps.steps[2]) \
+            .filter(lambda kv: kv[0] < "k2")
+        with counting_walker() as walked:
+            kept = region.collect()
+        tasks = sc.metrics.last_job().tasks
+        assert sum(t.cache_hits for t in tasks) == 3 * PARTITIONS
+        assert 0 < len(kept) < KEYS
+        # The filter's output, plus the two text-key lists of each
+        # cogroup task; no cached step and no cogroup record.
+        assert walked["records"] == len(kept) + 2 * PARTITIONS
+
+    def test_checkpointing_a_cached_rdd_walks_nothing(self):
+        sc = new_context()
+        mapped = source(sc, "a").map(lambda kv: (kv[0], (kv[1], 1.5))).cache()
+        mapped.count()
+        with counting_walker() as walked:
+            written = sc.checkpoint_rdd(mapped)
+        assert sum(t.cache_hits for t in sc.metrics.last_job().tasks) == \
+            PARTITIONS
+        assert walked["records"] == 0
+        assert written == sc.rdd_stats(mapped.rdd_id).size_bytes
 
     def test_checkpoint_write_and_read_reuse_the_walk(self):
         def checkpoint_then_read(sc, walked):
