@@ -66,14 +66,36 @@ def column_bytes(array: np.ndarray, kind: str) -> int:
     return int(array.size * 8)
 
 
-def _coerce(values: np.ndarray, kind: str) -> np.ndarray:
+def _coerce(name: str, values: np.ndarray, kind: str) -> np.ndarray:
     if kind == "str":
         return values if values.dtype.kind == "U" else values.astype(str)
+    if kind == "int" and values.dtype.kind not in "iu":
+        # A float (or other) input is stored only if every value survives
+        # the cast: 1.5 must not silently become 1.
+        with np.errstate(invalid="ignore"):
+            cast = np.asarray(values, dtype=np.int64)
+            exact = np.array_equal(cast.astype(values.dtype), values)
+        if not exact:
+            raise ValueError(f"int column {name!r} holds values that are "
+                             f"not integers ({values.dtype})")
+        return cast
     return np.asarray(values, dtype=_NUMPY_DTYPE[kind])
 
 
+def _batch_bytes(schema: Schema, columns: Dict[str, np.ndarray]) -> int:
+    return sum(column_bytes(columns[name], kind) for name, kind in schema)
+
+
 class ColumnarBatch:
-    """One partition of columnar data: schema + parallel column arrays."""
+    """One partition of columnar data: schema + parallel column arrays.
+
+    The public constructor is the one validation boundary: it normalizes
+    the schema, coerces every column to its kind's dtype and rejects
+    ragged or lossy input.  Batches a method builds from an
+    already-validated batch (:meth:`take`, :meth:`select`,
+    :meth:`concat`, the exchange's sub-batches) skip it through
+    :meth:`_trusted`.
+    """
 
     __slots__ = ("schema", "columns", "sim_size", "sim_memory_size")
 
@@ -85,7 +107,7 @@ class ColumnarBatch:
         for name, kind in self.schema:
             if name not in columns:
                 raise ValueError(f"schema column {name!r} missing from data")
-            arr = _coerce(np.asarray(columns[name]), kind)
+            arr = _coerce(name, np.asarray(columns[name]), kind)
             if arr.ndim != 1:
                 raise ValueError(f"column {name!r} must be 1-D")
             if length is None:
@@ -95,14 +117,26 @@ class ColumnarBatch:
                     f"column {name!r} has {len(arr)} rows, expected {length}")
             cols[name] = arr
         self.columns = cols
-        size = sum(column_bytes(cols[name], kind)
-                   for name, kind in self.schema)
+        size = _batch_bytes(self.schema, cols)
         # Both sizes are plain ints so RecordSizer and the frozen Block
         # bookkeeping treat a batch like any size-declaring record.
         self.sim_size = size
         self.sim_memory_size = size
 
     # ---- construction ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, schema: Schema, columns: Dict[str, np.ndarray],
+                 size: int) -> "ColumnarBatch":
+        """A batch from parts that are already valid: ``schema``
+        normalized, ``columns`` typed 1-D arrays of equal length keyed in
+        schema order, ``size`` their :func:`column_bytes` sum."""
+        batch = cls.__new__(cls)
+        batch.schema = schema
+        batch.columns = columns
+        batch.sim_size = size
+        batch.sim_memory_size = size
+        return batch
 
     @classmethod
     def from_rows(cls, schema: Sequence[Tuple[str, str]],
@@ -127,16 +161,21 @@ class ColumnarBatch:
     @classmethod
     def concat(cls, schema: Sequence[Tuple[str, str]],
                batches: Sequence["ColumnarBatch"]) -> "ColumnarBatch":
-        """Stack ``batches`` (all schema-identical) into one batch."""
+        """Stack ``batches`` (all of schema ``schema``) into one batch."""
         schema = normalize_schema(schema)
         batches = [b for b in batches if b.num_rows]
         if not batches:
             return cls.empty(schema)
+        for b in batches:
+            if b.schema != schema:
+                raise ValueError(f"cannot concat a batch of schema "
+                                 f"{b.schema} as {schema}")
         columns = {
             name: np.concatenate([b.columns[name] for b in batches])
             for name, _ in schema
         }
-        return cls(schema, columns)
+        return cls._trusted(schema, columns,
+                            sum(b.sim_size for b in batches))
 
     # ---- views -------------------------------------------------------------
 
@@ -160,15 +199,17 @@ class ColumnarBatch:
 
     def select(self, names: Sequence[str]) -> "ColumnarBatch":
         """Project to a subset (or reordering) of columns."""
-        schema = tuple((name, self.kind_of(name)) for name in names)
-        return ColumnarBatch(
-            schema, {name: self.columns[name] for name in names})
+        schema = normalize_schema(
+            [(name, self.kind_of(name)) for name in names])
+        columns = {name: self.columns[name] for name, _ in schema}
+        return ColumnarBatch._trusted(schema, columns,
+                                      _batch_bytes(schema, columns))
 
     def take(self, selector: np.ndarray) -> "ColumnarBatch":
         """Row subset by boolean mask or integer index array."""
-        return ColumnarBatch(
-            self.schema,
-            {name: arr[selector] for name, arr in self.columns.items()})
+        columns = {name: arr[selector] for name, arr in self.columns.items()}
+        return ColumnarBatch._trusted(self.schema, columns,
+                                      _batch_bytes(self.schema, columns))
 
     def with_columns(self, schema: Sequence[Tuple[str, str]],
                      columns: Dict[str, np.ndarray]) -> "ColumnarBatch":

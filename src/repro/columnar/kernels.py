@@ -123,25 +123,52 @@ def hash_partition_codes(batch: ColumnarBatch, key_columns: Sequence[str],
     return (acc % num_partitions).astype(np.int64)
 
 
+def _narrow_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """``codes`` (all in ``[0, n)``) in the narrowest unsigned dtype
+    that holds them: numpy's stable argsort radix-sorts 8- and 16-bit
+    keys, and the order it returns is the same for any width."""
+    if n <= 1 << 8:
+        return codes.astype(np.uint8)
+    if n <= 1 << 16:
+        return codes.astype(np.uint16)
+    return codes
+
+
 def split_by_partition(batch: ColumnarBatch, part_codes: np.ndarray,
                        num_partitions: int) -> Dict[int, ColumnarBatch]:
     """Split a batch into per-partition sub-batches (empty ones omitted);
     rows keep their relative order within each sub-batch.
 
-    One stable sort of the codes; each partition's rows are then a
-    contiguous run of that order, and every row is gathered once, with no
-    full-width pass per partition.  Gathering per run (rather than
-    slicing one sorted copy) gives every sub-batch its own arrays, so a
-    sub-batch kept alive never pins the rest of the batch.
+    One stable sort of the (narrowed) codes and one gather of every
+    column through it; each partition's rows are then a contiguous run,
+    which its sub-batch copies, so a sub-batch kept alive never pins the
+    rest of the batch.  Sub-batch sizes come from one ``str_len`` pass
+    per string column, summed per run.
     """
-    order = np.argsort(part_codes, kind="stable")
-    ends = np.cumsum(np.bincount(part_codes, minlength=num_partitions))
+    counts = np.bincount(part_codes, minlength=num_partitions)
+    pids = np.flatnonzero(counts)
+    if not len(pids):
+        return {}
+    order = np.argsort(_narrow_codes(part_codes, num_partitions),
+                       kind="stable")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    run_starts = starts[pids]
+    numeric = sum(kind != "str" for _, kind in batch.schema)
+    sizes = 8 * numeric * counts[pids]
+    gathered: Dict[str, np.ndarray] = {}
+    for name, kind in batch.schema:
+        gathered[name] = batch.columns[name][order]
+        if kind == "str":
+            sizes = sizes + np.add.reduceat(
+                np.char.str_len(gathered[name]), run_starts)
     out: Dict[int, ColumnarBatch] = {}
-    start = 0
-    for pid, end in enumerate(ends.tolist()):
-        if end > start:
-            out[pid] = batch.take(order[start:end])
-        start = end
+    for pid, start, end, size in zip(pids.tolist(), run_starts.tolist(),
+                                      ends[pids].tolist(), sizes.tolist()):
+        out[pid] = ColumnarBatch._trusted(
+            batch.schema,
+            {name: arr[start:end].copy() for name, arr in gathered.items()},
+            size)
     return out
 
 
@@ -180,12 +207,11 @@ def group_aggregate(batch: ColumnarBatch, key_columns: Sequence[str],
         if op not in AGG_OPS:
             raise ValueError(f"unknown aggregate op {op!r}")
     codes, keys = factorize(batch, key_columns)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
     n_groups = len(keys)
-    # Start offset of each group's run in the sorted permutation.
-    starts = np.searchsorted(sorted_codes, np.arange(n_groups), side="left")
-    counts = np.diff(np.append(starts, len(sorted_codes)))
+    order = np.argsort(_narrow_codes(codes, n_groups), kind="stable")
+    # Size and start offset of each group's run in the sorted order.
+    counts = np.bincount(codes, minlength=n_groups)
+    starts = np.cumsum(counts) - counts
 
     out_schema: List[Tuple[str, str]] = [
         (name, batch.kind_of(name)) for name in key_columns]
@@ -193,7 +219,7 @@ def group_aggregate(batch: ColumnarBatch, key_columns: Sequence[str],
     for name in key_columns:
         kind = batch.kind_of(name)
         if n_groups:
-            out_cols[name] = batch.columns[name][order][starts]
+            out_cols[name] = batch.columns[name][order[starts]]
         else:
             out_cols[name] = np.empty(
                 0, dtype="<U1" if kind == "str" else np.int64
@@ -285,10 +311,11 @@ def hash_join(left: ColumnarBatch, right: ColumnarBatch,
               suffix: str = "_r") -> ColumnarBatch:
     """Inner equi-join of two batches on one key column each.
 
-    Sort-probe at vector speed: stable-sort the right keys once, then
-    ``searchsorted`` every left key against them and expand match runs
-    with repeat/cumsum arithmetic.  Output rows follow left-row order
-    (ties in right-row order), so the result is deterministic.
+    Sort-probe at vector speed: stable-sort the right keys once, find
+    every left key's run of equal right keys in that order
+    (:func:`_probe`) and expand the runs with repeat/cumsum arithmetic.
+    Output rows follow left-row order (ties in right-row order), so the
+    result is deterministic.
 
     The join key keeps the left column's name; non-key right columns
     clashing with a left name get ``suffix`` appended.
@@ -308,10 +335,7 @@ def hash_join(left: ColumnarBatch, right: ColumnarBatch,
     lk = left.columns[left_on]
     rk = right.columns[right_on]
     r_order = np.argsort(rk, kind="stable")
-    r_sorted = rk[r_order]
-    lo = np.searchsorted(r_sorted, lk, side="left")
-    hi = np.searchsorted(r_sorted, lk, side="right")
-    counts = hi - lo
+    lo, counts = _probe(lk, rk, r_order)
     l_idx = np.repeat(np.arange(len(lk)), counts)
     ends = np.cumsum(counts)
     within = np.arange(int(ends[-1]) if len(ends) else 0) \
@@ -331,6 +355,34 @@ def hash_join(left: ColumnarBatch, right: ColumnarBatch,
         out_schema.append((out_name, kind))
         out_cols[out_name] = right.columns[name][r_idx]
     return ColumnarBatch(out_schema, out_cols)
+
+
+def _probe(lk: np.ndarray, rk: np.ndarray,
+           r_order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, counts)``: where each left key's run of equal right keys
+    starts in the sorted right order ``r_order``, and its length.
+
+    Int keys whose right-side span ``high - low + 1`` is at most
+    ``8 * (len(lk) + len(rk))`` use an offset table: one ``bincount`` of
+    the right keys, its exclusive cumsum, and one gather per left key.
+    Anything else (str, float, sparse ints) binary-searches the sorted
+    right keys.
+    """
+    if lk.dtype.kind == "i" and len(rk):
+        low, high = int(rk.min()), int(rk.max())
+        span = high - low + 1
+        if span <= 8 * (len(lk) + len(rk)):
+            per_key = np.bincount(rk - low, minlength=span)
+            starts = np.cumsum(per_key) - per_key
+            inside = (lk >= low) & (lk <= high)
+            # Mask before subtracting, so no key outside the table wraps.
+            slot = np.where(inside, lk, low) - low
+            counts = np.where(inside, per_key[slot], 0)
+            return starts[slot], counts
+    r_sorted = rk[r_order]
+    lo = np.searchsorted(r_sorted, lk, side="left")
+    hi = np.searchsorted(r_sorted, lk, side="right")
+    return lo, hi - lo
 
 
 def join_schema(left: Schema, right: Schema, right_on: str,
@@ -354,8 +406,9 @@ def sort_batch(batch: ColumnarBatch,
     """Sort rows by ``(column, ascending)`` specs, first spec primary.
 
     Stable throughout, so equal keys preserve input order.  Descending
-    string sorts need a rank indirection (numpy cannot negate strings):
-    rank via sorted-unique positions, then negate the ranks.
+    int sorts complement the column (``~x``, which cannot overflow);
+    descending string sorts need a rank indirection (numpy cannot negate
+    strings): rank via sorted-unique positions, then negate the ranks.
     """
     if not by:
         return batch
@@ -366,6 +419,8 @@ def sort_batch(batch: ColumnarBatch,
             if arr.dtype.kind == "U":
                 uniq, inv = np.unique(arr, return_inverse=True)
                 arr = -inv
+            elif arr.dtype.kind == "i":
+                arr = ~arr  # reverses the order; -INT64_MIN would wrap
             else:
                 arr = -arr
         keys.append(arr)

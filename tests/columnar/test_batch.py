@@ -50,6 +50,21 @@ class TestSizes:
     def test_column_bytes_numeric(self):
         assert column_bytes(np.zeros(4, dtype=np.int64), "int") == 32
 
+    def test_fractional_floats_rejected_from_int_column(self):
+        # regression: 1.5 and 2.7 were silently stored as 1 and 2
+        with pytest.raises(ValueError, match="not integers"):
+            ColumnarBatch((("a", "int"),), {"a": np.array([1.5, 2.7])})
+        with pytest.raises(ValueError, match="not integers"):
+            ColumnarBatch((("a", "int"),), {"a": np.array([1.0, np.nan])})
+        with pytest.raises(ValueError, match="not integers"):
+            ColumnarBatch((("a", "int"),), {"a": np.array([2.0**63])})
+
+    def test_integral_floats_still_fill_an_int_column(self):
+        batch = ColumnarBatch((("a", "int"),), {"a": np.array([1.0, -2.0])})
+        assert batch.column("a").dtype == np.int64
+        assert batch.to_rows() == [(1,), (-2,)]
+        assert batch.sim_size == 16
+
     def test_schema_mismatch_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             ColumnarBatch(SCHEMA, {"k": np.asarray(["a"])})

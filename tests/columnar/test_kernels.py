@@ -173,6 +173,14 @@ class TestSortLimit:
             if got[i][2] == got[i + 1][2]:
                 assert got[i][0] >= got[i + 1][0]
 
+    def test_descending_int_sort_puts_int64_min_last(self):
+        # regression: the descending key was -x, and -(-2**63) wraps to
+        # itself, so INT64_MIN sorted first
+        batch = ColumnarBatch.from_rows(
+            (("v", "int"),), [(3,), (-2**63,), (5,), (-1,), (2**63 - 1,)])
+        out = K.sort_batch(batch, [("v", False)])
+        assert out.column("v").tolist() == [2**63 - 1, 5, 3, -1, -2**63]
+
     @given(rows_st, st.integers(0, 10))
     def test_limit(self, rows, n):
         out = K.limit_batch(batch_of(rows), n)
