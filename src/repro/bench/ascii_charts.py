@@ -1,9 +1,9 @@
 """Tiny ASCII chart rendering for CLI experiment output.
 
 No plotting dependencies exist in the offline environment, so the CLI
-renders figures as text: sparklines for time series (Fig 20), horizontal
-bars for comparisons (Figs 1/11), and a dot plot for scatter-ish sweeps
-(Figs 7/19).
+renders figures as text: sparklines for time series (Fig 20), and for
+``stark trace`` a Gantt chart of task lanes plus the sampler's
+utilization timelines.
 """
 
 from __future__ import annotations
@@ -29,22 +29,6 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None,
         idx = int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
         out.append(_SPARK_LEVELS[max(0, min(len(_SPARK_LEVELS) - 1, idx))])
     return "".join(out)
-
-
-def bar_chart(rows: Sequence[Tuple[str, float]], width: int = 40,
-              unit: str = "") -> str:
-    """Horizontal bar chart; one row per (label, value)."""
-    rows = list(rows)
-    if not rows:
-        return "(no data)"
-    peak = max(v for _, v in rows) or 1.0
-    label_width = max(len(label) for label, _ in rows)
-    lines = []
-    for label, value in rows:
-        bar = "#" * max(1 if value > 0 else 0,
-                        int(value / peak * width))
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
 
 
 def timeline_chart(lanes: Dict[str, Sequence[Tuple[float, float]]],
@@ -109,34 +93,3 @@ def utilization_chart(timeline: Sequence[Tuple[float, float]],
     return (f"{sparkline(levels, lo=0.0, hi=peak or 1.0)}\n"
             f"peak {peak:.3g}{unit}, mean {mean:.3g}{unit} "
             f"over [{t0:.3g}s, {t1:.3g}s]")
-
-
-def series_chart(series: Dict[str, Sequence[float]], width: int = 60,
-                 height: int = 10) -> str:
-    """Multi-series dot plot on a shared y scale, one glyph per series."""
-    if not series:
-        return "(no data)"
-    glyphs = "*o+x@%"
-    all_values = [v for vs in series.values() for v in vs]
-    if not all_values:
-        return "(no data)"
-    lo, hi = min(all_values), max(all_values)
-    if hi <= lo:
-        hi = lo + 1.0
-    longest = max(len(vs) for vs in series.values())
-    grid = [[" "] * min(width, longest) for _ in range(height)]
-    for si, (name, vs) in enumerate(sorted(series.items())):
-        glyph = glyphs[si % len(glyphs)]
-        for i, v in enumerate(list(vs)[: len(grid[0])]):
-            row = int((v - lo) / (hi - lo) * (height - 1))
-            grid[height - 1 - row][i] = glyph
-    lines = [f"{hi:>10.3g} ┤" + "".join(grid[0])]
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + "".join(row))
-    lines.append(f"{lo:>10.3g} ┤" + "".join(grid[-1]))
-    legend = "   ".join(
-        f"{glyphs[i % len(glyphs)]}={name}"
-        for i, name in enumerate(sorted(series))
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)

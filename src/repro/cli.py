@@ -27,12 +27,9 @@ from .bench.ascii_charts import timeline_chart, utilization_chart
 from .bench.reporting import print_comparison, print_table
 from .cache import POLICY_NAMES, set_default_policy
 from .elastic import POLICY_NAMES as SCALE_POLICY_NAMES
-from .obs import log as obs_log
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine.context import StarkContext
-
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _cmd_fig01(args: argparse.Namespace) -> None:
@@ -836,11 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: lru)",
     )
     parser.add_argument(
-        "--log-level", choices=LOG_LEVELS, default=None,
-        help="enable engine logging at this level (sim-time-prefixed, "
-             "to stderr)",
-    )
-    parser.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="write events-N.jsonl + trace-N.json for every context the "
              "command creates into DIR",
@@ -997,8 +989,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cache_policy is not None:
         set_default_policy(args.cache_policy)
-    if args.log_level is not None:
-        obs_log.configure(args.log_level)
     if args.command in (None, "list"):
         print("available experiments:")
         for name in COMMANDS:

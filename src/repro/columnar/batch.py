@@ -150,8 +150,12 @@ class ColumnarBatch:
             if kind == "str":
                 columns[name] = np.array(values, dtype=str) if values \
                     else np.empty(0, dtype="<U1")
+            elif kind == "float":
+                columns[name] = np.array(values, dtype=np.float64)
             else:
-                columns[name] = np.array(values, dtype=_NUMPY_DTYPE[kind])
+                # Untyped, so the constructor's cast check sees a float in
+                # an int column and raises instead of truncating it.
+                columns[name] = np.array(values)
         return cls(schema, columns)
 
     @classmethod

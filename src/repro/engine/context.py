@@ -18,7 +18,6 @@ from ..cache.manager import CacheManager
 from ..cache.policy import DEFAULTS as CACHE_DEFAULTS
 from ..cluster.cluster import Cluster
 from ..cluster.cost_model import CostModel
-from ..obs import log as obs_log
 from ..obs import notify_context_created
 from ..obs.bus import EventBus
 from ..obs.events import (
@@ -41,6 +40,10 @@ from .task_scheduler import DefaultRemotePolicy, TaskScheduler
 if TYPE_CHECKING:  # pragma: no cover
     from .rdd import RDD
     from .task import Task
+
+#: Fraction of each worker's memory its block cache may hold (Spark 1.x's
+#: ``spark.storage.memoryFraction`` default).
+STORAGE_MEMORY_FRACTION = 0.6
 
 
 @dataclass
@@ -67,8 +70,6 @@ class StarkConfig:
     group_size_window: int = 6
     #: Delay-scheduling locality wait (seconds).
     locality_wait: float = 0.1
-    #: Fraction of worker memory available to the block cache.
-    storage_memory_fraction: float = 0.6
     #: Eviction policy of the executor block stores: one of
     #: ``repro.cache.POLICY_NAMES`` ("lru", "fifo", "lrc", "cost").
     #: Defaults follow ``repro.cache.DEFAULTS`` so the CLI can select a
@@ -192,14 +193,13 @@ class StarkContext:
         #: SparkListener-style bus; inert (and cost-free) until a
         #: listener subscribes (see ``repro.obs``).
         self.event_bus = EventBus()
-        obs_log.bind_clock(self.cluster.clock)
         self.map_output_tracker = MapOutputTracker()
         self.checkpoint_store = CheckpointStore()
         self.cache_manager = CacheManager(self)
         self.block_manager_master = BlockManagerMaster(
             self.cluster.worker_ids,
             capacity_for=lambda wid: self.cluster.get_worker(wid).memory_bytes
-            * self.config.storage_memory_fraction,
+            * STORAGE_MEMORY_FRACTION,
             policy_factory=self.cache_manager.policy_for_worker,
         )
         self.block_manager_master.add_block_event_listener(
@@ -255,12 +255,12 @@ class StarkContext:
     def register_worker(self, worker_id: int) -> None:
         """Wire a (newly added or restarted) cluster worker into the
         driver-side state: give it an empty block store sized by
-        ``storage_memory_fraction``.  Idempotent — re-registering a
+        :data:`STORAGE_MEMORY_FRACTION`.  Idempotent — re-registering a
         worker whose store survived a kill/restart cycle is a no-op."""
         worker = self.cluster.get_worker(worker_id)
         self.block_manager_master.register_worker(
             worker_id,
-            worker.memory_bytes * self.config.storage_memory_fraction,
+            worker.memory_bytes * STORAGE_MEMORY_FRACTION,
             policy=self.cache_manager.policy_for_worker(worker_id),
         )
         if self.cache_broker is not None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
-from ..obs import log as obs_log
 from ..obs.events import (
     JobEnd,
     JobStart,
@@ -43,8 +42,6 @@ from .task import (
 if TYPE_CHECKING:  # pragma: no cover
     from .context import StarkContext
     from .rdd import RDD
-
-logger = obs_log.get_logger("dag")
 
 
 class DAGScheduler:
@@ -93,8 +90,6 @@ class DAGScheduler:
         if bus.active:
             bus.post(JobStart(time=submit_time, job_id=job.job_id,
                               description=job.description))
-        logger.debug("job %d submitted: %s (%d stages)",
-                     job.job_id, job.description, len(order))
 
         # Cache subsystem hooks: register the references this job will
         # hold on cached RDDs; stage completions below drain them.
@@ -148,8 +143,6 @@ class DAGScheduler:
                             duration=job.makespan,
                             num_stages=job.num_stages,
                             skipped_stages=job.skipped_stages))
-        logger.debug("job %d finished in %.3fs (%d tasks)",
-                     job.job_id, job.makespan, len(job.tasks))
         return results
 
     # ---- stage construction ---------------------------------------------------------
@@ -272,10 +265,6 @@ class DAGScheduler:
                         time=failed_at, job_id=job.job_id,
                         stage_id=stage.stage_id, attempt=attempt,
                         shuffle_id=exc.shuffle_id, reason=exc.reason))
-                logger.debug(
-                    "stage %d fetch-failed (shuffle %d via worker %d); "
-                    "resubmitting as attempt %d",
-                    stage.stage_id, exc.shuffle_id, exc.worker_id, attempt)
                 parent_finish = failed_at
                 parent = self._shuffle_stages.get(exc.shuffle_id)
                 if parent is not None and not tracker.is_shuffle_complete(

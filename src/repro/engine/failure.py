@@ -14,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
-from ..obs import log as obs_log
 from ..obs.events import FailureInjected, LineageRecovered
 
 if TYPE_CHECKING:  # pragma: no cover
     from .context import StarkContext
     from .rdd import RDD
-
-logger = obs_log.get_logger("failure")
 
 
 @dataclass
@@ -87,8 +84,6 @@ class FailureInjector:
                 time=context.cluster.clock.now, worker_id=worker_id,
                 lost_blocks=len(lost_blocks),
                 lost_shuffle_outputs=len(lost_outputs)))
-        logger.warning("worker %d killed: %d cached blocks, %d shuffle outputs lost",
-                       worker_id, len(lost_blocks), len(lost_outputs))
         return RecoveryReport(
             killed_worker=worker_id,
             lost_blocks=len(lost_blocks),

@@ -10,8 +10,8 @@ listeners turn the stream into artifacts:
 * :class:`JsonlEventLog` — Spark-style event-log JSONL;
 * :class:`ChromeTraceExporter` — Perfetto-loadable trace (one track per
   worker slot, colour-phased task spans);
-* :class:`UtilizationSampler` — slot-occupancy / cache-memory /
-  network-in-flight timelines.
+* :class:`UtilizationSampler` — slot-occupancy and cache bytes/blocks
+  timelines.
 
 With no listeners subscribed the bus is inert: emission sites check
 ``bus.active`` first, so tracing-off runs build zero events and the
@@ -81,7 +81,6 @@ from .critical_path import (
     CATEGORIES,
     CriticalPathReport,
     ascii_blame_chart,
-    compute_critical_path,
     critical_paths,
     critical_span_trace_events,
 )
@@ -89,7 +88,6 @@ from .invariants import check_event_invariants
 from .listeners import (
     EventCollector,
     JsonlEventLog,
-    TenantStatsCollector,
     format_event,
     read_event_log,
     validate_event_log,
@@ -207,7 +205,6 @@ __all__ = [
     "TenantJobShed",
     "TenantJobSubmitted",
     "TenantSloAlert",
-    "TenantStatsCollector",
     "UtilizationSampler",
     "WorkerDecommissioned",
     "WorkerProvisioned",
@@ -216,7 +213,6 @@ __all__ = [
     "assign_slots",
     "build_spans",
     "check_event_invariants",
-    "compute_critical_path",
     "critical_paths",
     "critical_span_trace_events",
     "event_from_dict",

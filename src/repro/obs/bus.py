@@ -13,7 +13,7 @@ sampler — use the latter).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List
 
 from .events import Event
 
@@ -24,8 +24,8 @@ class EventBus:
     """Synchronous in-process event bus with typed events."""
 
     def __init__(self) -> None:
-        #: (as-registered, dispatch function) pairs, in subscribe order.
-        self._listeners: List[Tuple[Listener, Callable[[Event], None]]] = []
+        #: Dispatch functions, in subscribe order.
+        self._listeners: List[Callable[[Event], None]] = []
 
     def __len__(self) -> int:
         return len(self._listeners)
@@ -44,18 +44,10 @@ class EventBus:
             raise TypeError(
                 f"listener must be callable or define on_event: {listener!r}"
             )
-        self._listeners.append((listener, dispatch))
+        self._listeners.append(dispatch)
         return listener
-
-    def unsubscribe(self, listener: Listener) -> bool:
-        """Remove ``listener``; returns whether it was subscribed."""
-        for i, (orig, _) in enumerate(self._listeners):
-            if orig is listener:
-                del self._listeners[i]
-                return True
-        return False
 
     def post(self, event: Event) -> None:
         """Deliver ``event`` to every listener, in subscribe order."""
-        for _, dispatch in self._listeners:
+        for dispatch in self._listeners:
             dispatch(event)

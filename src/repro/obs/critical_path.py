@@ -197,26 +197,19 @@ def _index_aux(events: Iterable[Event]) -> tuple:
     return misses, evictions, backoffs
 
 
-def compute_critical_path(job: JobSpan,
-                          events: Sequence[Event] = (),
-                          locality_wait: float = 0.0,
-                          ) -> CriticalPathReport:
-    """Blame-attribute one job's makespan (see module docstring).
+def critical_paths(events: Sequence[Event],
+                   locality_wait: float = 0.0) -> List[CriticalPathReport]:
+    """Span-reconstruct ``events`` and blame-attribute every job (see
+    module docstring), one report per job in job-id order.
 
-    ``events`` supplies the auxiliary streams the walk classifies with:
+    The walks classify with the auxiliary streams in ``events``:
     ``CacheMiss`` (compute -> recompute), ``BlockEvicted`` (recompute ->
     broker_recompute when the block's latest eviction was the broker's)
-    and ``TaskRetried`` (failed attempts extended by their backoff).
+    and ``TaskRetried`` (failed attempts extended by their backoff); the
+    index over them is built once and shared by all the walks.
     ``locality_wait`` is the delay scheduler's budget
     (``StarkConfig.locality_wait``) charged before non-local launches.
     """
-    return _walk_job(job, *_index_aux(events), locality_wait)
-
-
-def critical_paths(events: Sequence[Event],
-                   locality_wait: float = 0.0) -> List[CriticalPathReport]:
-    """Span-reconstruct ``events`` and blame-attribute every job (the
-    auxiliary index is built once and shared by all the walks)."""
     aux = _index_aux(events)
     return [_walk_job(job, *aux, locality_wait)
             for job in build_spans(events)]

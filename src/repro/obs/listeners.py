@@ -14,14 +14,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from .events import (
-    Event,
-    TenantJobAdmitted,
-    TenantJobShed,
-    TenantJobSubmitted,
-    event_from_dict,
-    validate_event_dict,
-)
+from .events import Event, event_from_dict, validate_event_dict
 
 
 class EventCollector:
@@ -51,45 +44,6 @@ class EventCollector:
 
     def tail(self, n: int) -> List[Event]:
         return self.events[-n:] if n > 0 else []
-
-    def clear(self) -> None:
-        self.events.clear()
-
-
-class TenantStatsCollector:
-    """Per-tenant admission counters derived from the service events.
-
-    Subscribes like any listener; ``summary()`` gives a deterministic
-    (sorted-by-tenant) view the bench harness and ``stark service``
-    report from.
-    """
-
-    def __init__(self) -> None:
-        self.submitted: Dict[str, int] = {}
-        self.admitted: Dict[str, int] = {}
-        self.shed: Dict[str, int] = {}
-
-    def on_event(self, event: Event) -> None:
-        if isinstance(event, TenantJobSubmitted):
-            self.submitted[event.tenant] = self.submitted.get(event.tenant, 0) + 1
-        elif isinstance(event, TenantJobAdmitted):
-            self.admitted[event.tenant] = self.admitted.get(event.tenant, 0) + 1
-        elif isinstance(event, TenantJobShed):
-            self.shed[event.tenant] = self.shed.get(event.tenant, 0) + 1
-
-    def tenants(self) -> List[str]:
-        names = set(self.submitted) | set(self.admitted) | set(self.shed)
-        return sorted(names)
-
-    def summary(self) -> Dict[str, Dict[str, int]]:
-        return {
-            tenant: {
-                "submitted": self.submitted.get(tenant, 0),
-                "admitted": self.admitted.get(tenant, 0),
-                "shed": self.shed.get(tenant, 0),
-            }
-            for tenant in self.tenants()
-        }
 
 
 #: Compact encoder for every JSONL line, built once.  ``encode`` on a

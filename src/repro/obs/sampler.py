@@ -1,8 +1,8 @@
 """Utilization sampler: resource timelines derived from the event stream.
 
 A pure listener — it charges no simulated time and never touches the
-engine.  From ``TaskEnd`` spans, cache block traffic, and shuffle
-fetches it reconstructs three timelines:
+engine.  From ``TaskEnd`` spans and cache block traffic it reconstructs
+two timelines:
 
 * **slot occupancy** — how many executor slots are busy at any instant,
   per worker or cluster-wide (the utilization the paper's makespan
@@ -10,17 +10,15 @@ fetches it reconstructs three timelines:
 * **cache memory** — bytes resident per worker's block store over time,
   plus the complementary *block count* timeline (bytes alone cannot
   separate "few large columnar batches" from "many small row blocks" —
-  the row-vs-columnar footprint comparison needs both);
-* **network bytes in flight** — remote shuffle-fetch transfers modelled
-  as intervals of ``remote_seconds`` carrying ``remote_bytes``.
+  the row-vs-columnar footprint comparison needs both).
 
 Each timeline is a step function, returned as ``(time, value)`` change
-points; :meth:`resample` grids any of them for charting.
+points; ``repro.elastic.policy.windowed_mean`` averages one over a
+window.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.events import TIME_EPS
@@ -29,7 +27,6 @@ from .events import (
     BlockCached,
     BlockEvicted,
     Event,
-    ShuffleFetch,
     TaskEnd,
 )
 
@@ -64,9 +61,6 @@ class UtilizationSampler:
         self._count_deltas: Dict[int, List[Tuple[float, float]]] = {}
         #: block -> size last cached (evictions carry no size).
         self._block_sizes: Dict[Tuple[int, int, int], float] = {}
-        #: (time, +/-bytes) network in-flight deltas, cluster-wide.
-        self._network_deltas: List[Tuple[float, float]] = []
-        self.tasks_seen = 0
         #: Latest event time seen (default end-of-run for :meth:`flush`).
         self._last_event_time = 0.0
         #: Run-end time set by :meth:`flush`; timelines are extended to
@@ -79,7 +73,6 @@ class UtilizationSampler:
         if event.time > self._last_event_time:
             self._last_event_time = event.time
         if isinstance(event, TaskEnd):
-            self.tasks_seen += 1
             start = event.time - event.duration
             deltas = self._slot_deltas.setdefault(event.worker_id, [])
             deltas.append((start, +1.0))
@@ -107,13 +100,6 @@ class UtilizationSampler:
                 self._count_deltas.setdefault(event.worker_id, []).append(
                     (event.time, -1.0)
                 )
-        elif isinstance(event, ShuffleFetch):
-            if event.remote_bytes > 0:
-                self._network_deltas.append(
-                    (event.time, +event.remote_bytes))
-                self._network_deltas.append(
-                    (event.time + max(event.remote_seconds, 0.0),
-                     -event.remote_bytes))
 
     def flush(self, t_end: Optional[float] = None) -> float:
         """Mark the end of the run so the last partial interval counts.
@@ -123,7 +109,7 @@ class UtilizationSampler:
         until run end contributes nothing past its last ``BlockCached``.
         Call this once the clock stops (``stark trace`` passes the max
         context time); timelines then carry a closing sample at
-        ``t_end`` and ``time_weighted_mean`` covers the full span.
+        ``t_end``, so a mean over them covers the full span.
         Returns the effective end time (defaults to the latest event
         seen).
         """
@@ -165,51 +151,3 @@ class UtilizationSampler:
         batches) from a row working set (many small blocks) at equal
         byte footprints."""
         return self._timeline(self._count_deltas, worker_id)
-
-    def network_in_flight(self) -> Timeline:
-        """Remote shuffle bytes in flight over time, cluster-wide."""
-        return self._close(_deltas_to_timeline(self._network_deltas))
-
-    def worker_ids(self) -> List[int]:
-        return sorted(set(self._slot_deltas) | set(self._cache_deltas))
-
-    # ---- summaries ---------------------------------------------------------
-
-    @staticmethod
-    def resample(timeline: Timeline, num_points: int,
-                 t_start: Optional[float] = None,
-                 t_end: Optional[float] = None) -> List[float]:
-        """Sample a step timeline on a uniform grid of ``num_points``."""
-        if not timeline or num_points <= 0:
-            return [0.0] * max(num_points, 0)
-        times = [t for t, _ in timeline]
-        lo = times[0] if t_start is None else t_start
-        hi = times[-1] if t_end is None else t_end
-        if hi <= lo:
-            return [timeline[-1][1]] * num_points
-        step = (hi - lo) / num_points
-        samples: List[float] = []
-        for i in range(num_points):
-            t = lo + (i + 0.5) * step
-            idx = bisect.bisect_right(times, t) - 1
-            samples.append(timeline[idx][1] if idx >= 0 else 0.0)
-        return samples
-
-    @staticmethod
-    def time_weighted_mean(timeline: Timeline,
-                           t_end: Optional[float] = None) -> float:
-        """Mean level of a step timeline over its observed span."""
-        if not timeline:
-            return 0.0
-        end = timeline[-1][0] if t_end is None else t_end
-        total = 0.0
-        span = end - timeline[0][0]
-        if span <= 0:
-            return timeline[-1][1]
-        for (t0, level), (t1, _) in zip(timeline, timeline[1:]):
-            total += level * (t1 - t0)
-        total += timeline[-1][1] * max(end - timeline[-1][0], 0.0)
-        return total / span
-
-    def peak(self, timeline: Timeline) -> float:
-        return max((level for _, level in timeline), default=0.0)

@@ -115,28 +115,3 @@ class TestAsciiCharts:
         assert sparkline([]) == ""
         flat = sparkline([5, 5, 5])
         assert len(set(flat)) == 1
-
-    def test_bar_chart_scales(self):
-        from repro.bench.ascii_charts import bar_chart
-
-        chart = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bar_chart_empty(self):
-        from repro.bench.ascii_charts import bar_chart
-
-        assert bar_chart([]) == "(no data)"
-
-    def test_series_chart_contains_legend(self):
-        from repro.bench.ascii_charts import series_chart
-
-        chart = series_chart({"x": [1, 2, 3], "y": [3, 2, 1]})
-        assert "*=x" in chart
-        assert "o=y" in chart
-
-    def test_series_chart_empty(self):
-        from repro.bench.ascii_charts import series_chart
-
-        assert series_chart({}) == "(no data)"

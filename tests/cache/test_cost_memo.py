@@ -76,8 +76,7 @@ class Harness:
         self.sc = sc = StarkContext(
             num_workers=3, cores_per_worker=1, memory_per_worker=1000 / 0.6,
             config=StarkConfig(cache_broker=mode == "broker",
-                               cache_policy="cost",
-                               storage_memory_fraction=0.6))
+                               cache_policy="cost"))
         built = [sc.generated(_source, 2, read_cost="disk")]
         for kind, a, b, cached in nodes:
             left, right = built[a % len(built)], built[b % len(built)]

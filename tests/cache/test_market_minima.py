@@ -79,8 +79,7 @@ class Harness:
     def __init__(self):
         self.sc = sc = StarkContext(
             num_workers=3, cores_per_worker=1, memory_per_worker=1000 / 0.6,
-            config=StarkConfig(cache_broker=True,
-                               storage_memory_fraction=0.6))
+            config=StarkConfig(cache_broker=True))
         self.master = sc.block_manager_master
         self.broker = sc.cache_broker
         # A chain (so residency and flags of one move another's cost)
@@ -297,7 +296,7 @@ class CountingDict(dict):
 def test_only_a_cheaper_but_too_small_minimum_makes_a_store_scanned():
     sc = StarkContext(
         num_workers=4, cores_per_worker=1, memory_per_worker=1000 / 0.6,
-        config=StarkConfig(cache_broker=True, storage_memory_fraction=0.6))
+        config=StarkConfig(cache_broker=True))
     master, broker = sc.block_manager_master, sc.cache_broker
     cheap, dear = (sc.generated(lambda pid: [pid], 8).cache()
                    for _ in range(2))
@@ -339,7 +338,7 @@ def test_too_small_minimum_falls_back_to_the_fitting_block():
     block behind it that does fit."""
     sc = StarkContext(
         num_workers=2, cores_per_worker=1, memory_per_worker=1000 / 0.6,
-        config=StarkConfig(cache_broker=True, storage_memory_fraction=0.6))
+        config=StarkConfig(cache_broker=True))
     master, broker = sc.block_manager_master, sc.cache_broker
     tiny, roomy = (sc.generated(lambda pid: [pid], 2).cache()
                    for _ in range(2))
@@ -403,9 +402,8 @@ def test_service_run_walks_lineage_once_per_change_not_per_comparison():
 
     sc = StarkContext(
         num_workers=4, cores_per_worker=2, memory_per_worker=20000 / 0.6,
-        config=StarkConfig(cache_broker=True, storage_memory_fraction=0.6,
-                           locality_enabled=False, mcf_enabled=False,
-                           replication_enabled=False,
+        config=StarkConfig(cache_broker=True, locality_enabled=False,
+                           mcf_enabled=False, replication_enabled=False,
                            scheduling_policy="fair"))
     manager = sc.cache_manager
     counts = {"walks": 0, "invalidations": 0, "scored": set()}

@@ -51,8 +51,7 @@ class Harness:
         self.sc = sc = StarkContext(
             num_workers=3, cores_per_worker=1, memory_per_worker=1000 / 0.6,
             config=StarkConfig(cache_broker=broker,
-                               cache_policy="lru" if broker else mode,
-                               storage_memory_fraction=0.6))
+                               cache_policy="lru" if broker else mode))
         self.master = master = sc.block_manager_master
         assert all(s.capacity_bytes == 1000 for s in master.stores.values())
         self.rdds = [sc.generated(lambda pid: [pid], 4, name=f"r{i}")

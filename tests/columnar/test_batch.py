@@ -59,11 +59,20 @@ class TestSizes:
         with pytest.raises(ValueError, match="not integers"):
             ColumnarBatch((("a", "int"),), {"a": np.array([2.0**63])})
 
+    def test_from_rows_rejects_fractional_floats_in_an_int_column(self):
+        # regression: from_rows cast to int64 before the check ran, so
+        # (1.5,), (2.7,) came back as rows (1,), (2,)
+        with pytest.raises(ValueError, match="not integers"):
+            ColumnarBatch.from_rows((("a", "int"),), [(1.5,), (2.7,)])
+
     def test_integral_floats_still_fill_an_int_column(self):
         batch = ColumnarBatch((("a", "int"),), {"a": np.array([1.0, -2.0])})
         assert batch.column("a").dtype == np.int64
         assert batch.to_rows() == [(1,), (-2,)]
         assert batch.sim_size == 16
+        rows = ColumnarBatch.from_rows((("a", "int"),), [(1.0,), (-2,)])
+        assert rows.column("a").dtype == np.int64
+        assert rows.to_rows() == [(1,), (-2,)]
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises((ValueError, TypeError)):

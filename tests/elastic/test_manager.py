@@ -10,6 +10,7 @@ from repro.elastic import (
     make_scaling_policy,
     validate_bounds,
 )
+from repro.engine.context import STORAGE_MEMORY_FRACTION
 
 from ..conftest import make_pairs
 
@@ -36,7 +37,7 @@ class TestScaleOut:
         assert store.used_bytes == 0
         worker = sc.cluster.get_worker(wid)
         assert store.capacity_bytes == pytest.approx(
-            worker.memory_bytes * sc.config.storage_memory_fraction)
+            worker.memory_bytes * STORAGE_MEMORY_FRACTION)
 
     def test_spinup_delays_slot_availability(self, sc):
         manager = make_manager(sc)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import StarkContext
+from repro.engine.context import STORAGE_MEMORY_FRACTION
 from repro.engine.failure import FailureInjector
 from repro.engine.partitioner import HashPartitioner
 
@@ -213,7 +214,7 @@ class TestRestartPath:
         assert store.used_bytes == 0
         worker = sc.cluster.get_worker(victim)
         assert store.capacity_bytes == pytest.approx(
-            worker.memory_bytes * sc.config.storage_memory_fraction)
+            worker.memory_bytes * STORAGE_MEMORY_FRACTION)
         # No stale location entries survive the kill.
         for pid in range(rdd.num_partitions):
             assert victim not in bmm.locations((rdd.rdd_id, pid))

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import StarkConfig, StarkContext
+from repro import StarkContext
 from repro.cluster.cluster import Cluster
 from repro.cluster.cost_model import CostModel, SimStr
+from repro.engine.context import STORAGE_MEMORY_FRACTION
 
 from ..conftest import make_pairs
 
@@ -30,11 +31,9 @@ class TestConstruction:
             StarkContext(cluster=cluster, cost_model=CostModel())
 
     def test_storage_fraction_bounds_cache(self):
-        sc = StarkContext(
-            num_workers=1, memory_per_worker=1e9,
-            config=StarkConfig(storage_memory_fraction=0.5),
-        )
-        assert sc.block_manager_master.stores[0].capacity_bytes == 5e8
+        sc = StarkContext(num_workers=1, memory_per_worker=1e9)
+        assert STORAGE_MEMORY_FRACTION == 0.6
+        assert sc.block_manager_master.stores[0].capacity_bytes == 6e8
 
     def test_rdd_ids_unique(self):
         sc = StarkContext(num_workers=1)

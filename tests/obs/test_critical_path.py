@@ -12,8 +12,6 @@ from repro.obs import (
     CATEGORIES,
     EventCollector,
     ascii_blame_chart,
-    build_spans,
-    compute_critical_path,
     critical_paths,
     critical_span_trace_events,
 )
@@ -48,7 +46,7 @@ class TestSynthetic:
             stage_completed(1.0, duration=1.0),
             job_end(1.0),
         ]
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         assert_sound(report)
         blame = report.blame()
         # 0.6s before the launch is scheduling wait, 0.4s is the task.
@@ -57,7 +55,7 @@ class TestSynthetic:
 
     def test_empty_job_blames_sched_wait(self):
         events = [job_start(0.0), job_end(2.0)]
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         assert_sound(report)
         assert abs(report.blame()["sched_wait"] - 2.0) < 1e-9
 
@@ -70,7 +68,7 @@ class TestSynthetic:
             stage_completed(1.0, duration=1.0),
             job_end(1.0),
         ]
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         assert_sound(report)
         blame = report.blame()
         assert blame["retry"] > 0.4  # the failed attempt's window
@@ -84,8 +82,7 @@ class TestSynthetic:
             stage_completed(0.5, duration=0.5),
             job_end(0.5),
         ]
-        report = compute_critical_path(build_spans(events)[0], events,
-                                       locality_wait=0.1)
+        report = critical_paths(events, locality_wait=0.1)[0]
         assert_sound(report)
         blame = report.blame()
         assert abs(blame["locality_wait"] - 0.1) < 1e-9
@@ -107,14 +104,14 @@ class TestSynthetic:
             stage_completed(4.5, duration=1.0),
             job_end(4.5),
         ]
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         assert_sound(report)
         blame = report.blame()
         assert abs(blame["recompute"] - 1.0) < 1e-9
         assert blame["broker_recompute"] == 0
 
         events.remove(capacity_evict)
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         assert_sound(report)
         blame = report.blame()
         assert abs(blame["broker_recompute"] - 1.0) < 1e-9
@@ -125,7 +122,7 @@ class TestSynthetic:
             job_start(0.0), stage_submitted(0.0),
             task_end(1.0, duration=0.4), stage_completed(1.0), job_end(1.0),
         ]
-        report = compute_critical_path(build_spans(events)[0], events)
+        report = critical_paths(events)[0]
         chart = ascii_blame_chart(report)
         assert "compute" in chart and "sched_wait" in chart
         trace = critical_span_trace_events(report)
@@ -229,13 +226,7 @@ class TestRealStreams:
             query = rdd.map(lambda kv: kv[1])
         for _ in range(repeats):
             query.count()
-        locality_wait = context.config.locality_wait
         reports = critical_paths(collector.events,
-                                 locality_wait=locality_wait)
+                                 locality_wait=context.config.locality_wait)
         for report in reports:
             assert_sound(report)
-        # The shared aux index changes nothing: the batch entry point and
-        # the per-job one agree report for report.
-        assert reports == [
-            compute_critical_path(job, collector.events, locality_wait)
-            for job in build_spans(collector.events)]

@@ -8,12 +8,10 @@ These tests pin the observability layer's two core guarantees:
 """
 
 import json
-import logging
 
 from repro.obs import (
     EventCollector,
     check_event_invariants,
-    log as obs_log,
     observe_to_dir,
     read_event_log,
     validate_event_log,
@@ -103,37 +101,3 @@ class TestObserveToDir:
         context = make_context(num_workers=1, cores_per_worker=1,
                                memory_per_worker=1e9)
         assert not context.event_bus.active
-
-
-class TestSimTimeLogging:
-    def test_formatter_prefixes_sim_time(self):
-        class FakeClock:
-            now = 12.5
-
-        try:
-            obs_log.bind_clock(FakeClock())
-            formatter = obs_log.SimTimeFormatter(
-                "[t=%(sim_time)10.3fs] %(message)s")
-            record = logging.LogRecord(
-                "stark.test", logging.INFO, __file__, 1, "hello", (), None)
-            line = formatter.format(record)
-            assert "t=" in line
-            assert "12.500" in line
-            assert "hello" in line
-        finally:
-            obs_log.reset()
-
-    def test_configure_idempotent_and_reset(self):
-        import io
-
-        try:
-            stream = io.StringIO()
-            obs_log.configure("DEBUG", stream=stream)
-            obs_log.configure("DEBUG", stream=stream)
-            root = logging.getLogger(obs_log.ROOT_NAME)
-            assert len(root.handlers) == 1
-            obs_log.get_logger("unit").debug("probe message")
-            assert "probe message" in stream.getvalue()
-        finally:
-            obs_log.reset()
-        assert logging.getLogger(obs_log.ROOT_NAME).handlers == []

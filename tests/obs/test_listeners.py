@@ -35,8 +35,6 @@ class TestEventCollector:
         assert c.counts_by_type() == {"CacheHit": 2, "CacheMiss": 1}
         assert [e.time for e in c.tail(2)] == [2.0, 3.0]
         assert c.tail(0) == []
-        c.clear()
-        assert len(c) == 0
 
 
 class TestJsonlEventLog:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.elastic.policy import windowed_mean
 from repro.obs import UtilizationSampler
-from repro.obs.events import BlockCached, BlockEvicted, ShuffleFetch, TaskEnd
+from repro.obs.events import BlockCached, BlockEvicted, TaskEnd
 
 
 def task_end(worker_id, start, end, task_id=0):
@@ -22,7 +23,6 @@ class TestSlotOccupancy:
         s = UtilizationSampler()
         s.on_event(task_end(0, 0.0, 2.0, task_id=0))
         s.on_event(task_end(0, 1.0, 3.0, task_id=1))
-        assert s.tasks_seen == 2
         assert s.slot_occupancy(0) == [
             (0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0)]
 
@@ -32,7 +32,6 @@ class TestSlotOccupancy:
         s.on_event(task_end(1, 0.0, 2.0, task_id=1))
         assert s.slot_occupancy() == [(0.0, 2.0), (2.0, 0.0)]
         assert s.slot_occupancy(0) == [(0.0, 1.0), (2.0, 0.0)]
-        assert s.worker_ids() == [0, 1]
 
 
 class TestCacheBytes:
@@ -59,45 +58,6 @@ class TestCacheBytes:
         s.on_event(BlockEvicted(time=1.0, worker_id=0, rdd_id=9, partition=0,
                                 reason="capacity"))
         assert s.cache_bytes() == []
-
-
-class TestNetwork:
-    def test_in_flight_interval(self):
-        s = UtilizationSampler()
-        s.on_event(ShuffleFetch(time=1.0, worker_id=0, shuffle_id=0,
-                                reduce_id=0, local_bytes=10.0,
-                                remote_bytes=100.0, local_seconds=0.0,
-                                remote_seconds=2.0))
-        assert s.network_in_flight() == [(1.0, 100.0), (3.0, 0.0)]
-
-    def test_local_only_fetch_is_invisible(self):
-        s = UtilizationSampler()
-        s.on_event(ShuffleFetch(time=1.0, worker_id=0, shuffle_id=0,
-                                reduce_id=0, local_bytes=10.0,
-                                remote_bytes=0.0, local_seconds=0.1,
-                                remote_seconds=0.0))
-        assert s.network_in_flight() == []
-
-
-class TestSummaries:
-    def test_resample(self):
-        timeline = [(0.0, 1.0), (1.0, 3.0), (2.0, 0.0)]
-        samples = UtilizationSampler.resample(timeline, 4)
-        assert samples == [1.0, 1.0, 3.0, 3.0]
-        assert UtilizationSampler.resample([], 3) == [0.0, 0.0, 0.0]
-
-    def test_time_weighted_mean(self):
-        timeline = [(0.0, 2.0), (1.0, 0.0)]
-        assert UtilizationSampler.time_weighted_mean(timeline) \
-            == pytest.approx(2.0)
-        assert UtilizationSampler.time_weighted_mean(timeline, t_end=2.0) \
-            == pytest.approx(1.0)
-        assert UtilizationSampler.time_weighted_mean([]) == 0.0
-
-    def test_peak(self):
-        s = UtilizationSampler()
-        assert s.peak([(0.0, 1.0), (1.0, 5.0), (2.0, 0.0)]) == 5.0
-        assert s.peak([]) == 0.0
 
 
 class TestFinalFlush:
@@ -134,5 +94,6 @@ class TestFinalFlush:
         s = UtilizationSampler()
         s.on_event(task_end(0, 0.0, 2.0))
         s.flush(t_end=4.0)
-        assert UtilizationSampler.time_weighted_mean(
-            s.slot_occupancy(0)) == pytest.approx(0.5)
+        timeline = s.slot_occupancy(0)
+        assert windowed_mean(timeline, timeline[0][0], timeline[-1][0]) \
+            == pytest.approx(0.5)

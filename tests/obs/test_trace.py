@@ -185,9 +185,9 @@ EXPECTED_RECORDS = {
                                "observed", "target", "burn_rate")],
 }
 
-#: Types the timeline deliberately ignores (the sampler and the tenant
-#: stats collector consume them).  A new event type must be added here or
-#: to EXPECTED_RECORDS — it cannot fall through unnoticed.
+#: Types the timeline deliberately ignores (the event log keeps them;
+#: the SLO monitor consumes ``TenantJobCompleted``).  A new event type
+#: must be added here or to EXPECTED_RECORDS — it cannot fall through unnoticed.
 TIMELINE_NEUTRAL = {
     "TaskStart", "CacheHit", "ShuffleFetch", "TenantJobSubmitted",
     "TenantJobAdmitted", "TenantJobCompleted",

@@ -21,7 +21,7 @@ from repro.obs.events import (
     TenantJobShed,
     TenantJobSubmitted,
 )
-from repro.obs.listeners import JsonlEventLog, TenantStatsCollector
+from repro.obs.listeners import JsonlEventLog
 from repro.service import DatasetService
 
 
@@ -123,9 +123,7 @@ class TestEvents:
     def run_collected(self):
         sc = make_sc(tenant_quota_mb=4.0)
         collector = EventCollector()
-        stats = TenantStatsCollector()
         sc.event_bus.subscribe(collector)
-        sc.event_bus.subscribe(stats)
         svc = DatasetService(sc)
         svc.create_tenant("a", weight=2.0)
         svc.create_tenant("b", max_pending_jobs=1)
@@ -137,10 +135,10 @@ class TestEvents:
         ha.release(), hb.release()
         svc.drop_dataset("a", "events")
         svc.drop_dataset("b", "mirror")
-        return collector, stats
+        return collector, svc
 
     def test_service_events_posted(self):
-        collector, stats = self.run_collected()
+        collector, svc = self.run_collected()
         assert len(collector.of_type(PoolWeightsUpdated)) == 2
         registered = collector.of_type(DatasetRegistered)
         assert [e.deduped for e in registered] == [False, True]
@@ -153,7 +151,7 @@ class TestEvents:
         # The first drop defers (the shared RDD is still pinned by the
         # other name); the second one finally unpersists.
         assert [e.unpersisted for e in dropped] == [False, True]
-        assert stats.summary()["b"]["shed"] == len(shed)
+        assert svc.result_of("b").shed_jobs == len(shed)
 
     def test_service_events_schema_valid(self):
         collector, _ = self.run_collected()

@@ -60,6 +60,19 @@ cache gate could fire there.
   ``tests/cache/test_policy_oracle.py`` holds it to the old classes,
   kept verbatim in ``tests/cache/reference_policies.py``.
 
+* **The sim-time logger** (``repro.obs.log``, the CLI's ``--log-level``)
+  was a second observation channel beside the event bus.  Its four
+  engine call sites repeated what ``JobStart``, ``JobEnd``,
+  ``StageResubmitted`` and ``FailureInjected`` carry, its clock was the
+  most recently built context's, and with no handler configured a worker
+  kill reached stderr unformatted through ``logging.lastResort``.
+  ``TenantStatsCollector`` went with it: nothing reported from it, and
+  ``stark trace`` reconciles against the ``DatasetService`` counters.
+
+* **The storage fraction knob** (``StarkConfig.storage_memory_fraction``)
+  was 0.6 everywhere outside tests; it is the module constant
+  ``repro.engine.context.STORAGE_MEMORY_FRACTION`` now.
+
 The checks below fail if any part of these features comes back under
 its old names.
 """
@@ -71,8 +84,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import StarkConfig
+from repro import StarkConfig, StarkContext
 from repro.cli import build_parser
+from repro.engine.failure import FailureInjector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -90,6 +104,8 @@ DELETED = {
                   "batchsubmitted", "batchcompleted"),
     "policy_classes": ("lrupolicy", "fifopolicy", "lrcpolicy",
                        "costawarepolicy", "quotaawarepolicy"),
+    "sim_time_logger": ("obs_log", "simtimeformatter", "bind_clock",
+                        "log_level", "tenantstatscollector"),
 }
 
 
@@ -157,6 +173,34 @@ def test_cli_has_no_speculation_command():
                     if isinstance(action, argparse._SubParsersAction))
     assert "cache" in commands  # the lookup found the subcommand table
     assert "speculation" not in commands
+
+
+def test_config_rejects_the_storage_fraction_knob():
+    with pytest.raises(TypeError):
+        StarkConfig(storage_memory_fraction=0.5)
+
+
+def test_sim_time_logger_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.log")
+
+
+def test_cli_rejects_the_log_level_flag():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--log-level", "DEBUG", "list"])
+    assert exc.value.code == 2  # argparse's usage error
+
+
+def test_worker_kill_writes_nothing_to_stderr(capsys, caplog):
+    """The event bus is the one channel: a kill posts ``FailureInjected``
+    and neither prints nor logs.  Under pytest a log record goes to the
+    capture handler rather than to stderr, so both are checked."""
+    context = StarkContext(num_workers=2, cores_per_worker=1)
+    context.parallelize(range(8), 4).cache().count()
+    capsys.readouterr()
+    FailureInjector(context).kill_worker(0)
+    assert capsys.readouterr().err == ""
+    assert caplog.records == []
 
 
 def test_streaming_package_is_gone():
