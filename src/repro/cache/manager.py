@@ -150,29 +150,29 @@ class CacheManager:
         return cost
 
     def _walk_recompute_cost(self, rdd_id: int) -> float:
+        """The root is a live RDD — a cached one is held by the context
+        until it is unpersisted — and the walk reaches its ancestors
+        through the root's own lineage, never by id."""
         context = self.context
         master = context.block_manager_master
         total = 0.0
         seen = set()
-        stack = [rdd_id]
-        root = True
+        root = context.get_rdd(rdd_id)
+        stack = [root]
         while stack:
-            rid = stack.pop()
+            rdd = stack.pop()
+            rid = rdd.rdd_id
             if rid in seen:
                 continue
             seen.add(rid)
-            if not root:
+            if rdd is not root:
                 if context.checkpoint_store.has_checkpoint(rid):
                     continue  # rebuilt by a cheap checkpoint read
-                rdd = context.get_rdd(rid)
                 if rdd.cached and master.has_cached_partitions(rid):
                     continue  # served from some executor's RAM
-            else:
-                rdd = context.get_rdd(rid)
-                root = False
             total += context.rdd_stats(rid).max_partition_delay
             for dep in rdd.narrow_dependencies():
-                stack.append(dep.rdd.rdd_id)
+                stack.append(dep.rdd)
         for rid in seen:
             self._cost_roots.setdefault(rid, set()).add(rdd_id)
         return total

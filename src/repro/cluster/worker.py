@@ -43,8 +43,9 @@ class Worker:
         self.slot_free_times: List[float] = [0.0] * self.cores
         self.alive: bool = True
         # Shuffle map outputs persisted on this worker's local disk:
-        # (shuffle_id, map_partition, reduce_partition) -> size_bytes.
-        self.shuffle_disk: Dict[Tuple[int, int, int], float] = {}
+        # shuffle_id -> {(map_partition, reduce_partition): size_bytes},
+        # so releasing one shuffle drops one entry per worker.
+        self.shuffle_disk: Dict[int, Dict[Tuple[int, int], float]] = {}
         # Set by SimKernel.register_worker; reads delegate to the
         # kernel's cached index when attached.
         self._kernel = None

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.partitioner import stable_hash
-from .batch import ColumnarBatch, Schema, normalize_schema
+from .batch import ColumnarBatch, Schema, _batch_bytes, normalize_schema
 
 #: Aggregate ops understood by :func:`group_aggregate` /
 #: :func:`merge_aggregate`.
@@ -172,6 +172,20 @@ def split_by_partition(batch: ColumnarBatch, part_codes: np.ndarray,
     return out
 
 
+def _result(schema: List[Tuple[str, str]],
+            columns: Dict[str, np.ndarray]) -> ColumnarBatch:
+    """A join or aggregate kernel's output batch, built without the
+    validating constructor: every column is already a typed 1-D array
+    derived from validated input and keyed in ``schema`` order, so the
+    one thing left to check is that no two output columns share a name
+    (a clash collapses two columns into one dict key)."""
+    if len(columns) != len(schema):
+        raise ValueError(
+            f"duplicate column name in {[name for name, _ in schema]}")
+    out = tuple(schema)
+    return ColumnarBatch._trusted(out, columns, _batch_bytes(out, columns))
+
+
 # ---- grouped aggregation ---------------------------------------------------
 
 def partial_agg_schema(key_schema: Schema,
@@ -260,7 +274,7 @@ def group_aggregate(batch: ColumnarBatch, key_columns: Sequence[str],
             out_cols[f"{alias}__sum"] = reduceat(
                 np.add, values.astype(np.float64))
             out_cols[f"{alias}__count"] = counts.astype(np.int64)
-    return ColumnarBatch(out_schema, out_cols)
+    return _result(out_schema, out_cols)
 
 
 def merge_aggregate(batch: ColumnarBatch, key_columns: Sequence[str],
@@ -301,7 +315,7 @@ def merge_aggregate(batch: ColumnarBatch, key_columns: Sequence[str],
         else:
             out_schema.append((alias, merged.kind_of(alias)))
             out_cols[alias] = merged.columns[alias]
-    return ColumnarBatch(out_schema, out_cols)
+    return _result(out_schema, out_cols)
 
 
 # ---- join ------------------------------------------------------------------
@@ -354,7 +368,7 @@ def hash_join(left: ColumnarBatch, right: ColumnarBatch,
         out_name = name + suffix if name in left_names else name
         out_schema.append((out_name, kind))
         out_cols[out_name] = right.columns[name][r_idx]
-    return ColumnarBatch(out_schema, out_cols)
+    return _result(out_schema, out_cols)
 
 
 def _probe(lk: np.ndarray, rk: np.ndarray,

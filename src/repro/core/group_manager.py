@@ -18,9 +18,8 @@ never move.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .extendable_partitioner import ExtendablePartitioner
 from .group_tree import GroupNode, GroupTree
@@ -37,8 +36,11 @@ class NamespaceGroups:
     tree: GroupTree
     #: group_id -> executor ids (primary first).
     placement: Dict[int, List[int]] = field(default_factory=dict)
-    #: most recent rdd ids counted toward group sizes.
-    recent_rdds: Deque[int] = field(default_factory=deque)
+    #: rdd_id -> partition count of the most recent RDDs counted toward
+    #: group sizes, oldest first.  The count is all sizing reads of an
+    #: RDD, so the window keeps it rather than the RDD itself, which the
+    #: application may drop while it is still in the window.
+    recent_rdds: Dict[int, int] = field(default_factory=dict)
     splits: int = 0
     merges: int = 0
 
@@ -92,30 +94,31 @@ class GroupManager:
     def on_rdd_noted(self, namespace: str, rdd: "RDD") -> None:
         """Count ``rdd`` toward the namespace's size window (once), keeping
         only the ``group_size_window`` most recent RDDs."""
-        state = self._state[namespace]
-        if rdd.rdd_id not in state.recent_rdds:
-            state.recent_rdds.append(rdd.rdd_id)
+        recent = self._state[namespace].recent_rdds
+        if rdd.rdd_id not in recent:
+            recent[rdd.rdd_id] = rdd.num_partitions
             window = self.context.config.group_size_window
-            while len(state.recent_rdds) > window:
-                state.recent_rdds.popleft()
+            while len(recent) > window:
+                del recent[next(iter(recent))]
 
     def partition_sizes(self, namespace: str) -> Dict[int, float]:
         """Collection-partition size: bytes per fine partition, summed
         over the namespace's recent RDDs (cached blocks + recorded stats)."""
         state = self._state[namespace]
         sizes: Dict[int, float] = {}
-        for rdd_id in state.recent_rdds:
+        for rdd_id, num_partitions in state.recent_rdds.items():
             stats = self.context.rdd_stats(rdd_id)
             for pid in stats._sized_partitions:
                 sizes[pid] = sizes.get(pid, 0.0)
             # Per-partition detail: read from block manager if cached,
             # otherwise approximate uniformly from recorded total size.
-            per_part = self._per_partition_bytes(rdd_id)
+            per_part = self._per_partition_bytes(rdd_id, num_partitions)
             for pid, nbytes in per_part.items():
                 sizes[pid] = sizes.get(pid, 0.0) + nbytes
         return sizes
 
-    def _per_partition_bytes(self, rdd_id: int) -> Dict[int, float]:
+    def _per_partition_bytes(self, rdd_id: int,
+                             num_partitions: int) -> Dict[int, float]:
         bmm = self.context.block_manager_master
         out: Dict[int, float] = {}
         for wid, store in bmm.stores.items():
@@ -128,14 +131,10 @@ class GroupManager:
             return out
         # Nothing cached: fall back to recorded materialization sizes.
         stats = self.context.rdd_stats(rdd_id)
-        try:
-            rdd = self.context.get_rdd(rdd_id)
-        except KeyError:
-            return {}
         if stats.size_bytes <= 0:
             return {}
-        uniform = stats.size_bytes / max(1, rdd.num_partitions)
-        return {pid: uniform for pid in range(rdd.num_partitions)}
+        uniform = stats.size_bytes / max(1, num_partitions)
+        return {pid: uniform for pid in range(num_partitions)}
 
     def group_sizes(self, namespace: str) -> Dict[int, float]:
         state = self._state[namespace]

@@ -348,9 +348,10 @@ class EvalContext:
         self.metrics.shuffle_bytes_written += total_bytes
         if not self.commit_effects:
             return
-        worker = ctx.cluster.get_worker(self.worker_id)
+        disk = ctx.cluster.get_worker(self.worker_id).shuffle_disk
+        on_disk = disk.setdefault(dep.shuffle_id, {})
         for rpid, (size, _) in sized.items():
-            worker.shuffle_disk[(dep.shuffle_id, map_pid, rpid)] = size
+            on_disk[(map_pid, rpid)] = size
         ctx.map_output_tracker.register_map_output(
             dep.shuffle_id, map_pid, self.worker_id, sized
         )

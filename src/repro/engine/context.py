@@ -11,6 +11,7 @@ both the Spark baselines and the Stark variants of the evaluation.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -237,7 +238,16 @@ class StarkContext:
         self._rdd_ids = itertools.count()
         self._stage_ids = itertools.count()
         self._shuffle_ids = itertools.count()
-        self._rdds: Dict[int, "RDD"] = {}
+        #: Every live RDD by id, held weakly: the application's handles
+        #: decide how long an RDD (and the shuffles its lineage crosses)
+        #: lives, not this index.
+        self._rdds: "weakref.WeakValueDictionary[int, RDD]" = (
+            weakref.WeakValueDictionary())
+        #: RDDs marked ``cached`` and not yet unpersisted, held strongly
+        #: (``RDD.cached`` / ``RDD.unpersist`` keep it): their blocks and
+        #: the cache manager's recompute-cost walk over them outlive the
+        #: caller's handle.
+        self.cached_rdds: Dict[int, "RDD"] = {}
         self._rdd_stats: Dict[int, RDDStats] = {}
         notify_context_created(self)
 
@@ -275,6 +285,7 @@ class StarkContext:
         self._rdds[rdd.rdd_id] = rdd
 
     def get_rdd(self, rdd_id: int) -> "RDD":
+        """The live RDD ``rdd_id``; ``KeyError`` once it was dropped."""
         return self._rdds[rdd_id]
 
     def rdd_stats(self, rdd_id: int) -> RDDStats:

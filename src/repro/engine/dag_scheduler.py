@@ -8,6 +8,10 @@ Faithful to Spark's DAGScheduler where the paper depends on it:
 * a shuffle-map stage whose outputs are all registered is **skipped**
   (its map outputs persist on disk), which is why "recompute from the
   reducing phase of B" is the locality-miss penalty in Fig 1;
+* the map stage belongs to its dependency and the scheduler only holds
+  the dependency weakly: once no RDD can reach it, its map outputs and
+  disk entries are released (Spark's ``ContextCleaner``; see
+  ``repro.engine.shuffle``);
 * preferred task locations are resolved bottom-up through narrow chains
   from cached blocks — and, first of all, from the
   :class:`~repro.core.locality_manager.LocalityManager` when the RDD
@@ -18,6 +22,9 @@ Faithful to Spark's DAGScheduler where the paper depends on it:
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..obs.events import (
@@ -29,6 +36,7 @@ from ..obs.events import (
 )
 from .dependency import NarrowDependency, ShuffleDependency
 from .fault_tolerance import FetchFailedError
+from .lineage import post_order
 from .metrics import JobMetrics
 from .stage import Stage
 from .task import (
@@ -50,8 +58,10 @@ class DAGScheduler:
 
     def __init__(self, context: "StarkContext") -> None:
         self.context = context
-        #: shuffle_id -> its shuffle-map stage, shared across jobs.
-        self._shuffle_stages: Dict[int, Stage] = {}
+        #: shuffle_id -> weak reference to its dependency, which owns the
+        #: shuffle-map stage shared across jobs.  The reference's callback
+        #: releases the shuffle when the dependency dies.
+        self._shuffle_deps: Dict[int, "weakref.ref[ShuffleDependency]"] = {}
         #: stage_id -> result tasks of the stage just executed.
         self._last_result_tasks: Dict[int, List[Task]] = {}
         #: shuffle ids whose parent stages were re-resolved this job;
@@ -83,7 +93,7 @@ class DAGScheduler:
 
         self._refreshed_shuffles.clear()
         final_stage = self._build_result_stage(rdd)
-        order = self._topological_stages(final_stage)
+        order = post_order(final_stage, attrgetter("parent_stages"))
         job.num_stages = len(order)
 
         bus = context.event_bus
@@ -152,19 +162,28 @@ class DAGScheduler:
         return Stage(rdd, None, parents)
 
     def _get_shuffle_stage(self, dep: ShuffleDependency) -> Stage:
-        stage = self._shuffle_stages.get(dep.shuffle_id)
+        stage = dep.map_stage
         if stage is None:
-            stage = Stage(dep.rdd, dep, [])
-            self._shuffle_stages[dep.shuffle_id] = stage
+            stage = dep.map_stage = Stage(dep.rdd, dep, [])
             self.context.map_output_tracker.register_shuffle(
                 dep.shuffle_id, dep.rdd.num_partitions
             )
+            self._shuffle_deps[dep.shuffle_id] = weakref.ref(
+                dep, partial(self._release_shuffle, dep.shuffle_id))
         if dep.shuffle_id not in self._refreshed_shuffles:
             # Mark before recursing: the lineage is acyclic, but shared
             # ancestors must not be refreshed twice in one job.
             self._refreshed_shuffles.add(dep.shuffle_id)
             stage.parent_stages = self._parent_stages(dep.rdd)
         return stage
+
+    def _release_shuffle(self, shuffle_id: int, _dead: object) -> None:
+        """Drop a dead dependency's map outputs from the tracker and from
+        every worker's disk, keeping the two a consistent pair."""
+        del self._shuffle_deps[shuffle_id]
+        self.context.map_output_tracker.unregister_shuffle(shuffle_id)
+        for worker in self.context.cluster.workers.values():
+            worker.shuffle_disk.pop(shuffle_id, None)
 
     def _parent_stages(self, rdd: "RDD") -> List[Stage]:
         """Shuffle-map stages reachable from ``rdd`` through narrow deps.
@@ -205,21 +224,6 @@ class DAGScheduler:
             bmm.is_cached_anywhere((rdd.rdd_id, pid))
             for pid in range(rdd.num_partitions)
         )
-
-    def _topological_stages(self, final_stage: Stage) -> List[Stage]:
-        order: List[Stage] = []
-        visited = set()
-
-        def visit(stage: Stage) -> None:
-            if stage.stage_id in visited:
-                return
-            visited.add(stage.stage_id)
-            for parent in stage.parent_stages:
-                visit(parent)
-            order.append(stage)
-
-        visit(final_stage)
-        return order
 
     def _can_skip(self, stage: Stage) -> bool:
         dep = stage.shuffle_dep
@@ -266,13 +270,14 @@ class DAGScheduler:
                         stage_id=stage.stage_id, attempt=attempt,
                         shuffle_id=exc.shuffle_id, reason=exc.reason))
                 parent_finish = failed_at
-                parent = self._shuffle_stages.get(exc.shuffle_id)
-                if parent is not None and not tracker.is_shuffle_complete(
+                ref = self._shuffle_deps.get(exc.shuffle_id)
+                parent_dep = None if ref is None else ref()
+                if parent_dep is not None and not tracker.is_shuffle_complete(
                         exc.shuffle_id):
                     missing = set(
                         tracker.missing_map_partitions(exc.shuffle_id))
                     parent_finish = self._run_stage(
-                        parent, job, failed_at, action,
+                        parent_dep.map_stage, job, failed_at, action,
                         only_partitions=missing)
                 start = max(start, parent_finish)
 

@@ -12,6 +12,7 @@ from typing import Any, Callable, List, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from .partitioner import Partitioner
     from .rdd import RDD
+    from .stage import Stage
 
 
 class Dependency:
@@ -75,6 +76,11 @@ class ShuffleDependency(Dependency):
     ``aggregator`` optionally combines values per key on the reduce side
     (``reduce_by_key``); ``map_side_combine`` additionally pre-aggregates
     in the map task, shrinking shuffle traffic.
+
+    The dependency owns its shuffle-map stage (``map_stage``, built by the
+    DAG scheduler on first use), so the stage id survives across jobs for
+    as long as any RDD can reach the dependency; its map outputs are
+    released when the dependency itself is (see ``repro.engine.shuffle``).
     """
 
     def __init__(
@@ -90,6 +96,7 @@ class ShuffleDependency(Dependency):
         self.map_side_combine = map_side_combine and aggregator is not None
         # Per-context allocation keeps repeated runs byte-identical.
         self.shuffle_id = next(rdd.context._shuffle_ids)
+        self.map_stage: Optional["Stage"] = None
 
     def __repr__(self) -> str:
         return f"ShuffleDependency(shuffle_id={self.shuffle_id}, parent=rdd_{self.rdd.rdd_id})"

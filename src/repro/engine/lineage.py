@@ -10,48 +10,70 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, TYPE_CHECKING
+from operator import methodcaller
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    TYPE_CHECKING,
+)
 
-from .dependency import ShuffleDependency
+from .dependency import Dependency, ShuffleDependency
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rdd import RDD
+
+Node = TypeVar("Node")
+
+
+def post_order(root: Node,
+               parents: Callable[[Node], Iterable[Node]]) -> List[Node]:
+    """Every node reachable from ``root`` through ``parents``, once each,
+    parents before children: depth-first post-order, parents visited in
+    the order given.
+
+    An explicit stack rather than a recursive closure: a nested function
+    that calls itself is a reference cycle, so everything it reached
+    would stay alive until the cyclic collector ran — and the engine
+    releases shuffle outputs by reference counting.
+    """
+    seen = {root}
+    order: List[Node] = []
+    stack: List[Tuple[Node, Iterator[Node]]] = [(root, iter(parents(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for parent in pending:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append((parent, iter(parents(parent))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 def ancestors(rdd: "RDD", include_self: bool = False) -> List["RDD"]:
     """All transitive parents of ``rdd``, deduplicated, parents first in
     a valid topological order."""
-    seen: Set[int] = set()
-    order: List["RDD"] = []
-
-    def visit(node: "RDD") -> None:
-        if node.rdd_id in seen:
-            return
-        seen.add(node.rdd_id)
-        for dep in node.dependencies:
-            visit(dep.rdd)
-        order.append(node)
-
-    visit(rdd)
-    if not include_self:
-        order = [n for n in order if n.rdd_id != rdd.rdd_id]
-    return order
+    order = post_order(rdd, methodcaller("parents"))
+    return order if include_self else order[:-1]
 
 
 def lineage_depth(rdd: "RDD") -> int:
     """Longest dependency chain above ``rdd`` (edges, not nodes)."""
-    memo: Dict[int, int] = {}
-
-    def depth(node: "RDD") -> int:
-        if node.rdd_id in memo:
-            return memo[node.rdd_id]
-        best = 0
-        for dep in node.dependencies:
-            best = max(best, 1 + depth(dep.rdd))
-        memo[node.rdd_id] = best
-        return best
-
-    return depth(rdd)
+    depth: Dict[int, int] = {}
+    for node in ancestors(rdd, include_self=True):  # parents first
+        depth[node.rdd_id] = max(
+            (1 + depth[dep.rdd.rdd_id] for dep in node.dependencies),
+            default=0)
+    return depth[rdd.rdd_id]
 
 
 def shuffle_boundaries(rdd: "RDD") -> List[ShuffleDependency]:
@@ -252,22 +274,25 @@ def recovery_cut(rdd: "RDD") -> List["RDD"]:
     context = rdd.context
     cut: List["RDD"] = []
     seen: Set[int] = set()
-
-    def visit(node: "RDD") -> None:
-        if node.rdd_id in seen:
-            return
-        seen.add(node.rdd_id)
-        if context.checkpoint_store.has_checkpoint(node.rdd_id):
-            cut.append(node)
-            return
-        if not node.dependencies:
-            cut.append(node)
-            return
-        for dep in node.dependencies:
-            if isinstance(dep, ShuffleDependency):
-                cut.append(dep.rdd)
+    # Pre-order over narrow edges with an explicit stack of dependency
+    # iterators (see :func:`post_order` for why not a recursive closure).
+    stack: List[Iterator[Dependency]] = []
+    node: Optional["RDD"] = rdd
+    while True:
+        if node is not None and node.rdd_id not in seen:
+            seen.add(node.rdd_id)
+            if (context.checkpoint_store.has_checkpoint(node.rdd_id)
+                    or not node.dependencies):
+                cut.append(node)
             else:
-                visit(dep.rdd)
-
-    visit(rdd)
-    return cut
+                stack.append(iter(node.dependencies))
+        node = None
+        if not stack:
+            return cut
+        dep = next(stack[-1], None)
+        if dep is None:
+            stack.pop()
+        elif isinstance(dep, ShuffleDependency):
+            cut.append(dep.rdd)
+        else:
+            node = dep.rdd

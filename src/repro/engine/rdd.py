@@ -78,13 +78,17 @@ class RDD:
     def cached(self) -> bool:
         """Whether materialized partitions are kept in executor memory.
         Assignable; a flip moves the recompute cost of every descendant
-        that stops (or stopped) its lineage walk here."""
+        that stops (or stopped) its lineage walk here.  Setting it makes
+        the context hold the RDD until :meth:`unpersist`, since cached
+        blocks are never dropped behind the application's back."""
         return self._cached
 
     @cached.setter
     def cached(self, value: bool) -> None:
         if value != self._cached:
             self._cached = value
+            if value:
+                self.context.cached_rdds[self.rdd_id] = self
             self.context.cache_manager.invalidate_cost(self.rdd_id)
 
     def cache(self) -> "RDD":
@@ -96,6 +100,7 @@ class RDD:
         """Drop cached blocks of this RDD cluster-wide."""
         self.cached = False
         self.context.block_manager_master.remove_rdd(self.rdd_id)
+        self.context.cached_rdds.pop(self.rdd_id, None)
         return self
 
     def force_checkpoint(self) -> "RDD":

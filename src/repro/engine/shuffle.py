@@ -11,6 +11,18 @@ Because map outputs are persisted, a stage whose shuffle outputs are all
 registered can be *skipped* when a later job needs it again — exactly the
 behaviour that makes the paper's "recompute from the reducing phase"
 penalty well defined.
+
+Lifetime: a shuffle's map outputs live exactly as long as its
+:class:`~repro.engine.dependency.ShuffleDependency` is reachable (Spark's
+``ContextCleaner``).  While any RDD whose lineage crosses the dependency
+is alive, a later job may skip its map stage, so the outputs stay; once
+the last such RDD is dropped no job can ever fetch them again, and the
+DAG scheduler's weak reference to the dependency fires
+:meth:`MapOutputTracker.unregister_shuffle` together with the release of
+the matching ``Worker.shuffle_disk`` entries.  Release is driven by
+reference counting (the lineage graph holds no cycles), so it happens
+the moment the caller drops its handle, not when the cyclic garbage
+collector runs.
 """
 
 from __future__ import annotations
@@ -29,11 +41,15 @@ class MapOutput:
 
 
 class MapOutputTracker:
-    """Registry of shuffle map outputs: ``(shuffle_id, map_pid)`` -> buckets."""
+    """Registry of shuffle map outputs: ``shuffle_id -> map_pid -> buckets``.
+
+    Indexed by shuffle first, so every per-shuffle query, invalidation
+    and release touches that one shuffle's entries only.
+    """
 
     def __init__(self) -> None:
-        # (shuffle_id, map_pid) -> {reduce_pid: MapOutput}
-        self._outputs: Dict[Tuple[int, int], Dict[int, MapOutput]] = {}
+        # shuffle_id -> map_pid -> {reduce_pid: MapOutput}
+        self._outputs: Dict[int, Dict[int, Dict[int, MapOutput]]] = {}
         # shuffle_id -> number of map partitions expected
         self._num_maps: Dict[int, int] = {}
 
@@ -49,6 +65,7 @@ class MapOutputTracker:
                 f"(previously {existing})"
             )
         self._num_maps[shuffle_id] = num_maps
+        self._outputs.setdefault(shuffle_id, {})
 
     def register_map_output(
         self,
@@ -59,9 +76,10 @@ class MapOutputTracker:
     ) -> None:
         """Record that map task ``map_pid`` committed ``buckets`` (mapping
         reduce pid -> (size, records)) on ``worker_id``'s disk."""
-        if shuffle_id not in self._num_maps:
+        maps = self._outputs.get(shuffle_id)
+        if maps is None:
             raise KeyError(f"shuffle {shuffle_id} was never registered")
-        self._outputs[(shuffle_id, map_pid)] = {
+        maps[map_pid] = {
             rpid: MapOutput(worker_id, size, records)
             for rpid, (size, records) in buckets.items()
         }
@@ -71,21 +89,27 @@ class MapOutputTracker:
     def num_maps(self, shuffle_id: int) -> int:
         return self._num_maps[shuffle_id]
 
+    def num_outputs(self) -> int:
+        """Map outputs registered across every shuffle."""
+        return sum(len(maps) for maps in self._outputs.values())
+
     def has_map_output(self, shuffle_id: int, map_pid: int) -> bool:
-        return (shuffle_id, map_pid) in self._outputs
+        return map_pid in self._outputs.get(shuffle_id, ())
 
     def is_shuffle_complete(self, shuffle_id: int) -> bool:
         """True when every map partition of the shuffle has committed."""
         num = self._num_maps.get(shuffle_id)
         if num is None:
             return False
-        return all((shuffle_id, m) in self._outputs for m in range(num))
+        maps = self._outputs[shuffle_id]
+        return all(m in maps for m in range(num))
 
     def missing_map_partitions(self, shuffle_id: int) -> List[int]:
         num = self._num_maps.get(shuffle_id)
         if num is None:
             return []
-        return [m for m in range(num) if (shuffle_id, m) not in self._outputs]
+        maps = self._outputs[shuffle_id]
+        return [m for m in range(num) if m not in maps]
 
     def outputs_for_reduce(self, shuffle_id: int, reduce_pid: int) -> List[MapOutput]:
         """All map outputs feeding reduce partition ``reduce_pid``.
@@ -96,9 +120,10 @@ class MapOutputTracker:
         num = self._num_maps.get(shuffle_id)
         if num is None:
             raise KeyError(f"shuffle {shuffle_id} was never registered")
+        maps = self._outputs[shuffle_id]
         result: List[MapOutput] = []
         for m in range(num):
-            buckets = self._outputs.get((shuffle_id, m))
+            buckets = maps.get(m)
             if buckets is None:
                 raise RuntimeError(
                     f"map output missing for shuffle {shuffle_id} map {m}; "
@@ -122,13 +147,12 @@ class MapOutputTracker:
         storage, so benchmarks only call this to model full machine loss
         including local disk.
         """
-        doomed = [
-            key
-            for key, buckets in self._outputs.items()
-            if any(o.worker_id == worker_id for o in buckets.values())
-        ]
-        for key in doomed:
-            del self._outputs[key]
+        doomed: List[Tuple[int, int]] = []
+        for shuffle_id in list(self._outputs):
+            doomed.extend(
+                (shuffle_id, m)
+                for m in self.remove_outputs_for_shuffle_on_worker(
+                    shuffle_id, worker_id))
         return doomed
 
     def remove_outputs_for_shuffle_on_worker(
@@ -141,21 +165,24 @@ class MapOutputTracker:
         dropped, so resubmission re-runs exactly the lost map partitions.
         Returns the map partitions removed.
         """
-        doomed = [
-            key
-            for key, buckets in self._outputs.items()
-            if key[0] == shuffle_id
-            and any(o.worker_id == worker_id for o in buckets.values())
-        ]
-        for key in doomed:
-            del self._outputs[key]
-        return sorted(key[1] for key in doomed)
+        maps = self._outputs.get(shuffle_id, {})
+        doomed = sorted(
+            m for m, buckets in maps.items()
+            if any(o.worker_id == worker_id for o in buckets.values())
+        )
+        for m in doomed:
+            del maps[m]
+        return doomed
 
     def unregister_shuffle(self, shuffle_id: int) -> None:
-        self._outputs = {k: v for k, v in self._outputs.items() if k[0] != shuffle_id}
+        """Forget ``shuffle_id`` and every map output it registered."""
+        self._outputs.pop(shuffle_id, None)
         self._num_maps.pop(shuffle_id, None)
 
     def total_shuffle_bytes(self) -> float:
         return sum(
-            o.size_bytes for buckets in self._outputs.values() for o in buckets.values()
+            o.size_bytes
+            for maps in self._outputs.values()
+            for buckets in maps.values()
+            for o in buckets.values()
         )

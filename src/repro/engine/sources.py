@@ -12,7 +12,11 @@
 
 ``GeneratedRDD``
     Generic deterministic source used by workload generators: a pure
-    function ``pid -> records`` with a declared byte size per partition.
+    function ``pid -> records``.  Nothing declares a partition's bytes up
+    front: each materialization sizes the generated records with the
+    cluster's :class:`~repro.cluster.cost_model.RecordSizer` (a walk of
+    the partition, short for records that declare ``sim_size``, such as
+    columnar batches) and charges the read by that size.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ class GeneratedRDD(RDD):
     ``read_cost`` selects how materialization is charged:
     ``"disk"`` (local file / HDFS block read), ``"network"`` (stream
     receiver block), or ``"none"`` (already in memory at the source).
+    The charge scales with the partition's serialized size, measured by
+    walking the generated records on every materialization.
     """
 
     def __init__(

@@ -10,6 +10,7 @@ at the action's RDD.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,6 +24,12 @@ class Stage:
     ``shuffle_dep`` is set for shuffle-map stages (the stage computes
     ``shuffle_dep.rdd`` and commits map outputs); ``None`` marks the
     result stage, which computes ``rdd`` itself and feeds the action.
+
+    A shuffle-map stage is owned by its dependency
+    (``ShuffleDependency.map_stage``) and refers back to it weakly, so
+    the pair forms no reference cycle: the stage, and with it the
+    shuffle's map outputs, go the moment the last RDD reaching the
+    dependency is dropped.
     """
 
     def __init__(
@@ -35,12 +42,17 @@ class Stage:
         # identical ids (the determinism tests byte-compare event logs).
         self.stage_id = next(rdd.context._stage_ids)
         self.rdd = rdd
-        self.shuffle_dep = shuffle_dep
+        self._dep_ref = None if shuffle_dep is None else weakref.ref(shuffle_dep)
         self.parent_stages = parent_stages
 
     @property
+    def shuffle_dep(self) -> Optional["ShuffleDependency"]:
+        ref = self._dep_ref
+        return None if ref is None else ref()
+
+    @property
     def is_shuffle_map(self) -> bool:
-        return self.shuffle_dep is not None
+        return self._dep_ref is not None
 
     @property
     def num_partitions(self) -> int:

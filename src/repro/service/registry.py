@@ -79,15 +79,14 @@ class DatasetHandle:
     version: int
     rdd_id: int
     tenant: str
+    #: The backing RDD, held by the handle itself: the context only
+    #: tracks RDDs weakly.
+    rdd: "RDD" = field(repr=False)
     released: bool = False
 
     @property
     def ref(self) -> str:
         return f"{self.name}@{self.version}"
-
-    @property
-    def rdd(self) -> "RDD":
-        return self.registry.context.get_rdd(self.rdd_id)
 
     def release(self) -> None:
         if not self.released:
@@ -107,8 +106,9 @@ class DatasetRegistry:
     def __init__(self, context: "StarkContext") -> None:
         self.context = context
         self._versions: Dict[str, List[_VersionEntry]] = {}
-        #: fingerprint -> rdd_id of a live (pinned) identical computation.
-        self._by_fingerprint: Dict[str, int] = {}
+        #: fingerprint -> the live (pinned) RDD of that computation; every
+        #: undropped version's RDD is here, held until its pins drain.
+        self._by_fingerprint: Dict[str, "RDD"] = {}
         #: rdd_id -> pin count (one per undropped version + one per live
         #: handle); the RDD unpersists when its pins drain to zero.
         self._pins: Dict[int, int] = {}
@@ -138,14 +138,13 @@ class DatasetRegistry:
         """File ``rdd`` as the next version of ``name``; returns a live
         handle the caller must eventually release."""
         fingerprint = lineage_fingerprint(rdd)
-        canonical_id = self._by_fingerprint.get(fingerprint)
-        deduped = canonical_id is not None and canonical_id != rdd.rdd_id
-        if canonical_id is None:
-            canonical_id = rdd.rdd_id
-            self._by_fingerprint[fingerprint] = canonical_id
+        canonical = self._by_fingerprint.get(fingerprint)
+        deduped = canonical is not None and canonical.rdd_id != rdd.rdd_id
+        if canonical is None:
+            canonical = self._by_fingerprint[fingerprint] = rdd
         else:
             self.dedup_hits += int(deduped)
-        canonical = self.context.get_rdd(canonical_id)
+        canonical_id = canonical.rdd_id
         canonical.cached = True
         history = self._versions.setdefault(name, [])
         version = history[-1].version + 1 if history else 1
@@ -162,7 +161,8 @@ class DatasetRegistry:
                 time=self.context.now, tenant=tenant, name=name,
                 version=version, rdd_id=canonical_id, deduped=deduped))
         return DatasetHandle(registry=self, name=name, version=version,
-                             rdd_id=canonical_id, tenant=tenant)
+                             rdd_id=canonical_id, tenant=tenant,
+                             rdd=canonical)
 
     def lookup(self, tenant: str, ref: str) -> DatasetHandle:
         """Open a handle on ``"name"`` (latest live version) or
@@ -172,7 +172,8 @@ class DatasetRegistry:
         self._pins[entry.rdd_id] = self._pins.get(entry.rdd_id, 0) + 1
         return DatasetHandle(registry=self, name=entry.name,
                              version=entry.version, rdd_id=entry.rdd_id,
-                             tenant=tenant)
+                             tenant=tenant,
+                             rdd=self._by_fingerprint[entry.fingerprint])
 
     def branch(self, tenant: str, ref: str,
                new_name: str) -> DatasetHandle:
@@ -194,14 +195,15 @@ class DatasetRegistry:
                 source_name=source.name, source_version=source.version,
                 new_name=new_name, rdd_id=source.rdd_id))
         return DatasetHandle(registry=self, name=new_name, version=1,
-                             rdd_id=source.rdd_id, tenant=tenant)
+                             rdd_id=source.rdd_id, tenant=tenant,
+                             rdd=self._by_fingerprint[source.fingerprint])
 
     def drop(self, tenant: str, ref: str) -> bool:
         """Retire a version.  Returns ``True`` if the backing RDD was
         unpersisted now, ``False`` if live pins deferred it."""
         entry = self._resolve(ref)
         entry.dropped = True
-        unpersisted = self._unpin(entry.rdd_id)
+        unpersisted = self._unpin(self._by_fingerprint[entry.fingerprint])
         self.dropped_versions += 1
         bus = self.context.event_bus
         if bus.active:
@@ -235,22 +237,19 @@ class DatasetRegistry:
             if entry.version == handle.version:
                 entry.handles -= 1
                 break
-        self._unpin(handle.rdd_id)
+        self._unpin(handle.rdd)
 
-    def _unpin(self, rdd_id: int) -> bool:
+    def _unpin(self, rdd: "RDD") -> bool:
         """Drop one pin; unpersist the RDD when the count drains to 0."""
+        rdd_id = rdd.rdd_id
         remaining = self._pins.get(rdd_id, 0) - 1
         if remaining > 0:
             self._pins[rdd_id] = remaining
             return False
         self._pins.pop(rdd_id, None)
         # Last pin gone: retire the fingerprint alias and free the blocks.
-        for fp, rid in list(self._by_fingerprint.items()):
-            if rid == rdd_id:
+        for fp, pinned in list(self._by_fingerprint.items()):
+            if pinned is rdd:
                 del self._by_fingerprint[fp]
-        try:
-            self.context.get_rdd(rdd_id).cached = False
-        except KeyError:  # pragma: no cover - defensive
-            pass
-        self.context.block_manager_master.remove_rdd(rdd_id)
+        rdd.unpersist()
         return True

@@ -25,9 +25,10 @@ determinism (byte-identical event logs) is preserved.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..cluster.queueing import ArrivalResult, LoadResult
 from ..obs.events import (
@@ -57,11 +58,23 @@ class Tenant:
     max_pending_jobs: Optional[int] = None
     #: Completed-job delays + shed count, in JobDriver's result format.
     result: LoadResult = field(default_factory=lambda: LoadResult(0.0))
+    #: Finish times of ``result.results``, sorted, so :meth:`pending`
+    #: counts the jobs still executing with one bisection.
+    _finishes: List[float] = field(default_factory=list, repr=False)
 
     def pending(self, now: float) -> int:
-        """Jobs queued or still executing at ``now``."""
-        running = sum(1 for r in self.result.results if r.finish > now)
+        """Jobs queued or still executing at ``now`` — any ``now``, a
+        late arrival's included: a job runs at ``now`` iff it finishes
+        after it."""
+        finishes = self._finishes
+        running = len(finishes) - bisect.bisect_right(finishes, now)
         return self.pool.backlog + running
+
+    def record(self, arrival: float, finish: float) -> None:
+        """File one completed job's response time."""
+        self.result.results.append(
+            ArrivalResult(arrival=arrival, finish=finish))
+        bisect.insort(self._finishes, finish)
 
 
 @dataclass
@@ -237,8 +250,7 @@ class DatasetService:
         finish = queued.fn(queued.arrival, queued.index)
         pool.running -= 1
         self.pools.charge(pool, max(0.0, finish - start))
-        tenant.result.results.append(
-            ArrivalResult(arrival=queued.arrival, finish=finish))
+        tenant.record(queued.arrival, finish)
         bus = self.context.event_bus
         if bus.active:
             bus.post(TenantJobCompleted(

@@ -78,7 +78,7 @@ class TestWorker:
     def test_reset(self):
         kernel, w = attached()
         kernel.run_on_earliest_slot(w, 0.0, 10.0)
-        w.shuffle_disk[(0, 0, 0)] = 5.0
+        w.shuffle_disk[0] = {(0, 0): 5.0}
         kernel.reset_worker(w)
         w.shuffle_disk.clear()
         assert w.earliest_free_time() == 0.0

@@ -8,7 +8,9 @@ Monkeypatched counters, deterministic at fixed inputs:
   no ``np.searchsorted`` call either;
 * ``split_by_partition`` builds its sub-batches without validating them
   again (no ``normalize_schema`` call) and counts string lengths once per
-  str column, not once per sub-batch.
+  str column, not once per sub-batch;
+* ``hash_join``, ``group_aggregate`` and ``merge_aggregate`` build their
+  outputs without the validating constructor either.
 """
 
 import numpy as np
@@ -80,3 +82,25 @@ def test_split_validates_nothing_and_sizes_each_str_column_once(monkeypatch):
     assert len(parts) == PARTITIONS
     assert normalize[0] == 0
     assert str_len[0] == 2
+
+
+def test_join_and_aggregate_outputs_validate_nothing(monkeypatch):
+    left, right = int_join_sides()
+    aggs = [("sum", "q", "total"), ("count", None, "n"), ("avg", "q", "m"),
+            ("min", "q", "lo"), ("max", "q", "hi")]
+    normalize = counting(monkeypatch, batch_module, "normalize_schema",
+                         modules=(K,))
+    joined = K.hash_join(left, right, "k", "k")
+    partial = K.group_aggregate(joined, ["name"], aggs)
+    final = K.merge_aggregate(partial, ["name"], aggs)
+    assert normalize[0] == 0
+    monkeypatch.undo()
+    assert joined == R.hash_join(left, right, "k", "k")
+    assert final == ColumnarBatch(final.schema, final.columns)
+    assert final.sim_size == ColumnarBatch(final.schema, final.columns).sim_size
+
+
+def test_kernel_output_rejects_a_column_name_clash():
+    left, _ = int_join_sides()
+    with pytest.raises(ValueError, match="duplicate column name"):
+        K.group_aggregate(left, ["k"], [("sum", "q", "k")])

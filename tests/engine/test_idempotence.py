@@ -62,13 +62,13 @@ class TestRepeatedJobs:
         snapshot = {
             (m, r): [tuple(map(repr, rec)) for rec in out.records]
             for m in range(tracker.num_maps(shuffle_id))
-            for r, out in tracker._outputs[(shuffle_id, m)].items()
+            for r, out in tracker._outputs[shuffle_id][m].items()
         }
         rdd.collect()
         after = {
             (m, r): [tuple(map(repr, rec)) for rec in out.records]
             for m in range(tracker.num_maps(shuffle_id))
-            for r, out in tracker._outputs[(shuffle_id, m)].items()
+            for r, out in tracker._outputs[shuffle_id][m].items()
         }
         assert snapshot == after
 

@@ -23,6 +23,8 @@ from repro.obs.events import (
 )
 from repro.obs.listeners import JsonlEventLog
 from repro.service import DatasetService
+from repro.service.pools import Pool
+from repro.service.service import Tenant
 
 
 def make_sc(**config_kwargs):
@@ -117,6 +119,46 @@ class TestDispatch:
         result = svc.result_of("a")
         assert result.shed_jobs > 0
         assert len(result.results) + result.shed_jobs == 6
+
+
+class CountingFinish(float):
+    """A finish time that counts the comparisons made against it."""
+
+    compares = 0
+
+    def __lt__(self, other):
+        CountingFinish.compares += 1
+        return float.__lt__(self, other)
+
+    def __gt__(self, other):
+        CountingFinish.compares += 1
+        return float.__gt__(self, other)
+
+
+class TestPendingCount:
+    JOBS = 1024
+
+    def tenant(self, finishes):
+        tenant = Tenant(name="a", pool=Pool("a"))
+        for i, finish in enumerate(finishes):
+            tenant.record(float(i), CountingFinish(finish))
+        return tenant
+
+    def test_pending_bisects_instead_of_scanning(self):
+        tenant = self.tenant(range(10, 10 + self.JOBS))
+        CountingFinish.compares = 0
+        assert tenant.pending(500.0) == self.JOBS - 491
+        assert CountingFinish.compares <= 2 * self.JOBS.bit_length()
+
+    def test_pending_is_exact_for_any_now(self):
+        # Finishes out of arrival order, ties, and ``now`` values before
+        # (late arrivals), between, on and after them.
+        finishes = [(i * 37) % 101 / 4 for i in range(300)]
+        tenant = self.tenant(finishes)
+        tenant.pool.queue.extend([None] * 3)
+        for now in [-1.0, 0.0, 3.25, 12.5, 12.6, 24.99, 25.0, 30.0]:
+            running = sum(1 for f in finishes if f > now)
+            assert tenant.pending(now) == 3 + running
 
 
 class TestEvents:
