@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,18 +24,11 @@ from ..apps.log_mining import LogMiningApp
 from ..apps.trending import TrendingApp
 from ..cluster.cluster import Cluster
 from ..cluster.cost_model import CostModel, SimStr
-from ..cluster.queueing import JobDriver, LoadResult, nearest_rank
+from ..cluster.queueing import JobDriver, nearest_rank
 from ..columnar.datagen import lineitem_rows, orders_rows, register_tpch_tables
 from ..core.checkpoint_optimizer import CheckpointOptimizer
 from ..core.collection import DatasetCollection
 from ..core.edge_checkpoint import EdgeCheckpointer
-from ..elastic import (
-    DecommissionReport,
-    POLICY_NAMES,
-    ResourceManager,
-    make_scaling_policy,
-    validate_bounds,
-)
 from ..engine.context import StarkConfig, StarkContext
 from ..engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from ..sql import SQLSession
@@ -847,7 +839,6 @@ def _build_stream_system(
     groups: int = 4,
     fine_per_group: int = 16,
     seed: int = 5,
-    num_workers: Optional[int] = None,
 ) -> Tuple[ExperimentSetup, Dict[int, object], TaxiTrace]:
     """Ingest ``num_steps`` merged taxi+twitter timesteps under ``name``.
 
@@ -860,11 +851,8 @@ def _build_stream_system(
     taxi = _stream_taxi(events_per_step, seed=seed)
     trace = MergedTaxiTwitterTrace(taxi)
     key_space = taxi.encoder.key_space()
-    spec = _stream_spec(seed)
-    if num_workers is not None:
-        spec = replace(spec, num_workers=num_workers)
     setup = make_setup(
-        name, spec,
+        name, _stream_spec(seed),
         num_partitions=num_partitions, key_lo=0, key_hi=key_space,
         groups=groups, partitions_per_group=fine_per_group,
         stark_config=_stream_stark_config(events_per_step),
@@ -913,22 +901,6 @@ def _stream_query_fn(
     return job
 
 
-def _stream_workers(
-    min_workers: Optional[int],
-    max_workers: Optional[int],
-    scale_policy: Optional[str],
-) -> int:
-    """Initial cluster size of a Fig 19/20 run: ``min_workers`` when it
-    autoscales, the stream spec's otherwise.  The elastic bounds are
-    checked against it before any context is built, so the CLI rejects
-    a bad flag combination up front."""
-    num_workers = _stream_spec().num_workers
-    if scale_policy is not None and min_workers is not None:
-        num_workers = min_workers
-    validate_bounds(min_workers, max_workers, num_workers)
-    return num_workers
-
-
 def run_fig19(
     configs: Sequence[str] = (SPARK_R, SPARK_H, STARK_E, STARK_H),
     rates: Sequence[float] = (2, 5, 10, 20, 40, 80, 160, 240),
@@ -937,9 +909,6 @@ def run_fig19(
     num_steps: int = 6,
     events_per_step: int = 1_200,
     delay_cap: float = 0.8,
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    scale_policy: Optional[str] = None,
 ) -> Tuple[List[ThroughputPoint], Dict[str, float]]:
     """Fig 19: mean delay vs arrival rate; throughput at the delay cap.
 
@@ -947,30 +916,17 @@ def run_fig19(
     replica/rebalance reconstruction after ingestion (Fig 14's first-job
     effect), while Fig 19 reports steady-state response times.
 
-    With ``scale_policy`` set (one of ``repro.elastic.POLICY_NAMES``),
-    every probe starts at ``min_workers`` and a ResourceManager scales
-    within ``[min_workers, max_workers]`` as the driver submits jobs.
-
     Returns the (config, rate, delay) points and, per config, the largest
     probed rate whose mean delay stayed under ``delay_cap``.
     """
-    num_workers = _stream_workers(min_workers, max_workers, scale_policy)
     points: List[ThroughputPoint] = []
     throughput: Dict[str, float] = {}
     for name in configs:
         best_rate = 0.0
         for rate in rates:
             setup, steps, taxi = _build_stream_system(
-                name, num_steps, events_per_step, num_workers=num_workers)
-            manager = None
-            if scale_policy is not None:
-                manager = ResourceManager(
-                    setup.context, make_scaling_policy(scale_policy),
-                    min_workers=min_workers or 1, max_workers=max_workers,
-                    slo_delay_cap=delay_cap,
-                )
-            driver = JobDriver(setup.context, seed=int(rate),
-                               resource_manager=manager)
+                name, num_steps, events_per_step)
+            driver = JobDriver(setup.context, seed=int(rate))
             job = _stream_query_fn(setup, steps, taxi)
             result = driver.run_constant_rate(job, rate, jobs_per_rate)
             result.results = result.results[warmup_jobs:]
@@ -998,19 +954,13 @@ def run_fig20(
     base_events_per_step: int = 800,
     num_partitions: int = 16,
     groups: int = 4,
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    scale_policy: Optional[str] = None,
 ) -> List[DelayOverTimePoint]:
     """Fig 20: replay a diurnal day; volume doubles at the evening peak.
 
     Stark-E's groups split as step volume grows, spreading each job over
     more executors — the scaling-out the paper credits for beating
-    Stark-H at the peak.  With ``scale_policy`` set the cluster itself
-    also scales: it starts at ``min_workers`` and a ResourceManager
-    evaluates once per step from the step's job delays.
+    Stark-H at the peak.
     """
-    num_workers = _stream_workers(min_workers, max_workers, scale_policy)
     out: List[DelayOverTimePoint] = []
     for name in configs:
         taxi = _stream_taxi(base_events_per_step, peak_to_nadir=2.5,
@@ -1018,18 +968,12 @@ def run_fig20(
         trace = MergedTaxiTwitterTrace(taxi)
         key_space = taxi.encoder.key_space()
         setup = make_setup(
-            name, replace(_stream_spec(), num_workers=num_workers),
+            name, _stream_spec(),
             num_partitions=num_partitions, key_lo=0, key_hi=key_space,
             groups=groups, partitions_per_group=16,
             stark_config=_stream_stark_config(base_events_per_step),
         )
         sc = setup.context
-        manager = None
-        if scale_policy is not None:
-            manager = ResourceManager(
-                sc, make_scaling_policy(scale_policy),
-                min_workers=min_workers or 1, max_workers=max_workers,
-            )
         rng = random.Random(41)
         assert setup.partitioner is not None
         partitioner = setup.partitioner
@@ -1061,261 +1005,12 @@ def run_fig20(
                     region = grouped.filter(lambda kv: lo <= kv[0] <= hi)
                 region.count()
                 delays.append(sc.metrics.last_job().makespan)
-            if manager is not None:
-                # Feed the latency-SLO window; scaling itself fires on
-                # the manager's periodic kernel timer between jobs.
-                for delay in delays:
-                    manager.note_delay(delay)
             out.append(DelayOverTimePoint(
                 config=name,
                 hour=step / steps_per_hour,
                 mean_delay=statistics.fmean(delays),
             ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Elastic diurnal replay (repro.elastic subsystem)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ElasticDiurnalResult:
-    """Autoscaled vs static peak-provisioned replay under one policy."""
-
-    policy: str
-    autoscaled_mean_delay: float
-    autoscaled_p95: float
-    autoscaled_p99: float
-    autoscaled_worker_hours: float
-    static_p95: float
-    static_worker_hours: float
-    shed_jobs: int
-    scale_outs: int
-    scale_ins: int
-    migrated_blocks: int
-    dropped_blocks: int
-    peak_workers: int
-    decommissions: List[DecommissionReport] = field(default_factory=list)
-
-    @property
-    def worker_hours_saved(self) -> float:
-        """Fraction of the static provisioning cost the autoscaler saved."""
-        if self.static_worker_hours <= 0:
-            return 0.0
-        return 1.0 - self.autoscaled_worker_hours / self.static_worker_hours
-
-    @property
-    def lost_zero_blocks(self) -> bool:
-        """True when every decommission migrated its whole cache."""
-        return self.dropped_blocks == 0
-
-
-def _diurnal_job_factor(hour: int, hours: int, peak_factor: float) -> float:
-    """Job-arrival multiplier: nadir at the replay's ends, ``peak_factor``
-    in the middle (the evening peak of the taxi traces)."""
-    if hours <= 1:
-        return peak_factor
-    phase = 2.0 * math.pi * hour / (hours - 1)
-    return 1.0 + (peak_factor - 1.0) * 0.5 * (1.0 - math.cos(phase))
-
-
-def _run_diurnal_replay(
-    scale_policy: Optional[str],
-    hours: int,
-    hour_seconds: float,
-    base_jobs_per_hour: int,
-    peak_factor: float,
-    base_events_per_step: int,
-    start_workers: int,
-    min_workers: int,
-    max_workers: int,
-    num_partitions: int,
-    groups: int,
-    delay_cap: float,
-    max_pending_jobs: Optional[int],
-    seed: int = 7,
-) -> Tuple[LoadResult, float, Optional[ResourceManager], StarkContext]:
-    """One diurnal replay: hourly ingestion + open-loop queries.
-
-    With ``scale_policy`` the cluster starts at ``start_workers`` and a
-    ResourceManager resizes it within ``[min_workers, max_workers]``;
-    without, the cluster stays fixed at ``start_workers`` and its
-    provisioning cost is ``start_workers x elapsed``.
-    """
-    taxi = _stream_taxi(base_events_per_step, peak_to_nadir=peak_factor,
-                        steps_per_day=hours, seed=seed)
-    trace = MergedTaxiTwitterTrace(taxi)
-    key_space = taxi.encoder.key_space()
-    # Generous per-worker memory: the retained window must fit the
-    # *scaled-in* cluster's stores, or graceful decommission has nowhere
-    # to put the victim's blocks (migration never evicts survivors).
-    spec = replace(_stream_spec(seed), num_workers=start_workers,
-                   memory_per_worker=6e9)
-    setup = make_setup(
-        STARK_E, spec,
-        num_partitions=num_partitions, key_lo=0, key_hi=key_space,
-        groups=groups, partitions_per_group=16,
-        stark_config=_stream_stark_config(base_events_per_step),
-    )
-    sc = setup.context
-    manager = None
-    if scale_policy is not None:
-        manager = ResourceManager(
-            sc, make_scaling_policy(scale_policy),
-            min_workers=min_workers, max_workers=max_workers,
-            cooldown_seconds=hour_seconds / 8.0,
-            slo_delay_cap=delay_cap,
-            # One replay hour of occupancy history: long enough to smooth
-            # job gaps, short enough to track the diurnal ramp.
-            occupancy_window=hour_seconds,
-        )
-    driver = JobDriver(sc, seed=seed, resource_manager=manager,
-                       max_pending_jobs=max_pending_jobs)
-    rng = random.Random(seed + 13)
-    kernel = sc.cluster.kernel
-    load = LoadResult(0.0)
-    assert setup.partitioner is not None
-    partitioner = setup.partitioner
-    collection = DatasetCollection(sc, partitioner, namespace="stream",
-                                   window=6)
-    for hour in range(hours):
-        hour_start = hour * hour_seconds
-        kernel.advance_to(max(kernel.now, hour_start))
-        kernel.pump()
-        gen = trace.step_generator(hour, partitioner.num_partitions,
-                                   partitioner)
-        collection.add(hour, sc.generated(
-            gen, partitioner.num_partitions, partitioner=partitioner,
-            read_cost="network", name=f"step{hour}",
-        ))
-
-        step_ids = tuple(sorted(collection.steps))
-        current = dict(collection.steps)
-
-        def job(arrival: float, index: int, _steps=current,
-                _ids=step_ids) -> float:
-            span = rng.randint(2, min(4, len(_ids))) if len(_ids) >= 2 else 1
-            start = rng.randint(0, len(_ids) - span)
-            chosen = [_steps[s] for s in _ids[start:start + span]]
-            lo, hi = taxi.random_region_query(rng)
-            grouped = (chosen[0].map_values(lambda v: (v,))
-                       if len(chosen) == 1 else chosen[0].cogroup(*chosen[1:]))
-            region = grouped.filter(lambda kv: lo <= kv[0] <= hi)
-            sc.run_job(region, len, description=f"q{index}",
-                       submit_time=arrival)
-            return sc.metrics.last_job().finish_time
-
-        n_jobs = max(1, round(
-            base_jobs_per_hour * _diurnal_job_factor(hour, hours, peak_factor)))
-        first = max(kernel.now, hour_start)
-        gap = max(0.0, hour_start + hour_seconds - first) / n_jobs
-        arrivals = [first + (i + 0.5) * gap for i in range(n_jobs)]
-        load.merge(driver.run_arrivals(job, arrivals))
-    kernel.run_until(max(kernel.now, hours * hour_seconds))
-    if manager is not None:
-        worker_hours = manager.worker_hours()
-    else:
-        worker_hours = start_workers * kernel.now / 3600.0
-    return load, worker_hours, manager, sc
-
-
-def run_elastic_diurnal(
-    policies: Sequence[str] = POLICY_NAMES,
-    hours: int = 12,
-    hour_seconds: float = 30.0,
-    base_jobs_per_hour: int = 70,
-    peak_factor: float = 3.0,
-    base_events_per_step: int = 600,
-    min_workers: int = 2,
-    max_workers: int = 8,
-    num_partitions: int = 16,
-    groups: int = 4,
-    delay_cap: float = 0.8,
-    max_pending_jobs: Optional[int] = 32,
-    write_json: bool = True,
-) -> List[ElasticDiurnalResult]:
-    """Diurnal replay per scaling policy vs a static peak cluster.
-
-    The static baseline holds ``max_workers`` for the whole replay; each
-    autoscaled run starts at ``min_workers`` and lets the policy chase
-    the diurnal load.  The claim under test: autoscaling holds p95 job
-    delay under ``delay_cap`` while spending substantially fewer
-    worker-hours than peak provisioning, and graceful decommission loses
-    zero cached partitions on the way down.
-
-    When ``write_json`` is set (and ``STARK_BENCH_DIR`` names a
-    directory), the full comparison lands in
-    ``BENCH_elastic_diurnal.json``.
-    """
-    validate_bounds(min_workers, max_workers, min_workers)
-    static_load, static_wh, _, _ = _run_diurnal_replay(
-        None, hours, hour_seconds, base_jobs_per_hour, peak_factor,
-        base_events_per_step, start_workers=max_workers,
-        min_workers=min_workers, max_workers=max_workers,
-        num_partitions=num_partitions, groups=groups, delay_cap=delay_cap,
-        max_pending_jobs=max_pending_jobs,
-    )
-    results: List[ElasticDiurnalResult] = []
-    for policy in policies:
-        load, worker_hours, manager, sc = _run_diurnal_replay(
-            policy, hours, hour_seconds, base_jobs_per_hour, peak_factor,
-            base_events_per_step, start_workers=min_workers,
-            min_workers=min_workers, max_workers=max_workers,
-            num_partitions=num_partitions, groups=groups,
-            delay_cap=delay_cap, max_pending_jobs=max_pending_jobs,
-        )
-        assert manager is not None
-        results.append(ElasticDiurnalResult(
-            policy=policy,
-            autoscaled_mean_delay=load.mean_delay,
-            autoscaled_p95=load.p95_delay,
-            autoscaled_p99=load.p99_delay,
-            autoscaled_worker_hours=worker_hours,
-            static_p95=static_load.p95_delay,
-            static_worker_hours=static_wh,
-            shed_jobs=load.shed_jobs,
-            scale_outs=manager.scale_outs,
-            scale_ins=manager.scale_ins,
-            migrated_blocks=sum(
-                r.migrated_blocks for r in manager.decommissions),
-            dropped_blocks=sum(
-                r.dropped_blocks for r in manager.decommissions),
-            peak_workers=manager.peak_workers,
-            decommissions=list(manager.decommissions),
-        ))
-    if write_json:
-        write_bench_json("elastic_diurnal", {
-            "config": {
-                "hours": hours, "hour_seconds": hour_seconds,
-                "base_jobs_per_hour": base_jobs_per_hour,
-                "peak_factor": peak_factor,
-                "base_events_per_step": base_events_per_step,
-                "min_workers": min_workers, "max_workers": max_workers,
-                "delay_cap": delay_cap,
-                "max_pending_jobs": max_pending_jobs,
-            },
-            "static": {
-                "p95_delay": static_load.p95_delay,
-                "p99_delay": static_load.p99_delay,
-                "mean_delay": static_load.mean_delay,
-                "worker_hours": static_wh,
-            },
-            "policies": {
-                r.policy: {
-                    "mean_delay": r.autoscaled_mean_delay,
-                    "p95_delay": r.autoscaled_p95,
-                    "p99_delay": r.autoscaled_p99,
-                    "worker_hours": r.autoscaled_worker_hours,
-                    "worker_hours_saved": r.worker_hours_saved,
-                    "shed_jobs": r.shed_jobs,
-                    "scale_outs": r.scale_outs,
-                    "scale_ins": r.scale_ins,
-                    "migrated_blocks": r.migrated_blocks,
-                    "dropped_blocks": r.dropped_blocks,
-                } for r in results
-            },
-        })
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 The bench harness prints human tables; CI and regression tooling want
 numbers.  :func:`write_bench_json` drops one JSON document per benchmark
-— configuration knobs, percentiles, worker-hours — into the directory
+— configuration knobs, percentiles, counters — into the directory
 named by the ``STARK_BENCH_DIR`` environment variable (or an explicit
 ``directory``).  With neither set, writing is skipped and ``None`` is
 returned, so benchmarks never litter the working tree by default.
 
 The ``benchmarks/`` suite exposes ``--bench-json-dir`` (see
 ``benchmarks/conftest.py``) which sets the variable for a run; the CI
-``elastic-smoke`` job uploads the resulting files as artifacts.
+``bench-shard`` jobs upload the resulting files as artifacts.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def write_bench_json(
     """Write ``payload`` as ``BENCH_<name>.json``; returns the path.
 
     ``name`` becomes part of the filename — keep it a short slug
-    (``elastic_diurnal``, ``fig19``).  The payload must be JSON-encodable
+    (``cache_broker``, ``fig19``).  The payload must be JSON-encodable
     (the writer round-trips through :func:`json.dumps` with sorted keys,
     so files diff cleanly between runs).
     """

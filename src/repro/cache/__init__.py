@@ -11,8 +11,7 @@ This package owns every caching policy decision the engine makes:
   above into the block manager and the schedulers;
 * :mod:`~repro.cache.broker` — the cluster-wide cache broker
   (``StarkConfig.cache_broker``): global value-ranked eviction with
-  migration, cross-job lineage-prefix sharing, and the memory-market
-  scoring elastic scale-in consults.
+  migration and cross-job lineage-prefix sharing.
 
 Select a policy via ``StarkConfig(cache_policy="lrc")`` (the benchmark
 configs take one as ``make_setup(..., stark_config=...)``), or globally

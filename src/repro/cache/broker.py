@@ -16,7 +16,7 @@ where ``cross_job_references`` counts both the in-job/declared reads the
 (see below) — the cluster-level generalization of LRC the paper's
 dynamic dataset collections need.
 
-Three coordination mechanisms hang off this one ranking:
+Two coordination mechanisms hang off this one ranking:
 
 **Global eviction (the memory market).**  When a store cannot fit an
 insert, it calls the broker's pressure reliever *before* evicting
@@ -29,9 +29,8 @@ the local victim into the freed space via
 "evict remote block B and move yours there".  Only when the local
 victim is already the cluster-wide cheapest does eviction fall through
 to the store's normal local path.  Migrations and remote evictions are
-modeled as asynchronous background transfers (like decommission
-migration): they cost no task time, only the recompute the evicted
-block's next reader will pay.
+modeled as asynchronous background transfers: they cost no task time,
+only the recompute the evicted block's next reader will pay.
 
 **Cross-job lineage-prefix sharing.**  At job submission the broker
 computes Merkle-style per-node prefix fingerprints
@@ -45,14 +44,6 @@ off tenant A's cached subgraph even though their RDD ids differ.  A
 running job *pins* the providers it may read; each live pin counts as
 one cross-job reference (:meth:`pin_count`) until the job completes
 or aborts.
-
-**Memory-market scale-in.**  The elastic
-:class:`~repro.elastic.manager.ResourceManager` consults
-:meth:`worker_value_density` so scale-in decommissions the *coldest*
-worker and never the one holding the most cache value per byte of
-capacity (unless every candidate's resident bytes exceed the migration
-budget), and drains stores hottest-block-first so the budget is spent
-on the blocks most worth saving.
 
 Tenant quotas (:class:`~repro.service.quotas.TenantCacheQuotas`)
 constrain the ranking exactly as they do without a broker: each store's
@@ -164,18 +155,6 @@ class CacheBroker:
         cost = self.manager.estimate_recompute_cost(block_id[0])
         return value_score(cost, self.cross_job_refcount(block_id),
                            size_bytes)
-
-    def worker_value_density(self, worker_id: int) -> float:
-        """Total cache value resident on ``worker_id`` per byte of its
-        store capacity — the elastic layer's don't-kill-the-hot-worker
-        score."""
-        assert self.master is not None
-        store = self.master.stores[worker_id]
-        total = math.fsum(
-            self.block_value(worker_id, bid, entry.size_bytes)
-            * entry.size_bytes
-            for bid, entry in self._policies[worker_id].entries.items())
-        return total / max(store.capacity_bytes, 1.0)
 
     def accounted_bytes(self) -> float:
         """Broker-ledger resident bytes (``math.fsum`` so the trace
@@ -345,11 +324,11 @@ class CacheBroker:
         if remote:
             self.prefix_remote_hits += 1
 
-    # ---- memory-market scale-in ---------------------------------------------
+    # ---- drain order ---------------------------------------------------------
 
     def migration_order(self, worker_id: int) -> List[BlockId]:
-        """A decommissioning worker's blocks hottest-first, so the
-        migration budget is spent on the most valuable ones."""
+        """``worker_id``'s blocks hottest-first: the order in which a
+        drain of the worker would spend a migration budget."""
         return sorted(
             self._policies[worker_id].entries,
             key=lambda bid: (-self.block_value(worker_id, bid), bid))

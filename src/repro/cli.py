@@ -26,7 +26,6 @@ from .bench import harness
 from .bench.ascii_charts import timeline_chart, utilization_chart
 from .bench.reporting import print_comparison, print_table
 from .cache import POLICY_NAMES, set_default_policy
-from .elastic import POLICY_NAMES as SCALE_POLICY_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine.context import StarkContext
@@ -122,11 +121,7 @@ def _cmd_fig18(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig19(args: argparse.Namespace) -> None:
-    points, throughput = harness.run_fig19(
-        rates=tuple(args.rates),
-        min_workers=args.min_workers, max_workers=args.max_workers,
-        scale_policy=args.scale_policy,
-    )
+    points, throughput = harness.run_fig19(rates=tuple(args.rates))
     print_table("Fig 19: mean delay (ms) vs rate (jobs/s)",
                 ["config", "rate", "delay (ms)"],
                 [[p.config, p.rate, p.mean_delay * 1000] for p in points])
@@ -142,10 +137,7 @@ def _cmd_fig20(args: argparse.Namespace) -> None:
     from .bench.ascii_charts import sparkline
 
     points = harness.run_fig20(hours=args.hours, steps_per_hour=1,
-                               jobs_per_step=args.jobs_per_step,
-                               min_workers=args.min_workers,
-                               max_workers=args.max_workers,
-                               scale_policy=args.scale_policy)
+                               jobs_per_step=args.jobs_per_step)
     by: Dict[str, Dict[float, float]] = {}
     for p in points:
         by.setdefault(p.config, {})[p.hour] = p.mean_delay
@@ -162,20 +154,17 @@ def _cmd_fig20(args: argparse.Namespace) -> None:
 
 def _cmd_cache_broker(args: argparse.Namespace) -> int:
     """Run the canned broker workload and print the cluster-wide cache
-    broker's view: per-worker cached value density, the most valuable
-    resident blocks, and the cross-job sharing / memory-market
-    counters."""
+    broker's view: per-worker residency, the most valuable resident
+    blocks, and the cross-job sharing / memory-market counters."""
     context = WORKLOADS["broker"]()
     broker = context.cache_broker
     master = context.block_manager_master
     print_table(
-        "Cache broker: per-worker cached value density",
-        ["worker", "blocks", "resident (KB)", "capacity (KB)",
-         "density (µs/B)"],
+        "Cache broker: per-worker residency",
+        ["worker", "blocks", "resident (KB)", "capacity (KB)"],
         [[wid, broker.resident_count(wid),
           master.used_bytes(wid) / 1e3,
-          master.stores[wid].capacity_bytes / 1e3,
-          broker.worker_value_density(wid) * 1e6]
+          master.stores[wid].capacity_bytes / 1e3]
          for wid in sorted(master.stores)],
         floatfmt="{:.6f}",
     )
@@ -226,47 +215,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                                  by["lru"].mean_makespan, name,
                                  by[name].mean_makespan)
     return 0
-
-
-def _cmd_elastic(args: argparse.Namespace) -> int:
-    results = harness.run_elastic_diurnal(
-        policies=tuple(args.policies),
-        hours=args.hours,
-        hour_seconds=args.hour_seconds,
-        base_jobs_per_hour=args.base_jobs_per_hour,
-        peak_factor=args.peak_factor,
-        base_events_per_step=args.events_per_step,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        delay_cap=args.delay_cap,
-        max_pending_jobs=args.max_pending_jobs or None,
-    )
-    if not results:
-        return 0
-    static_wh = results[0].static_worker_hours
-    static_p95 = results[0].static_p95
-    rows = [["static", static_p95 * 1000, "-", static_wh, "-",
-             "-", "-", "-", "-", "-"]]
-    for r in results:
-        rows.append([
-            r.policy, r.autoscaled_p95 * 1000, r.autoscaled_p99 * 1000,
-            r.autoscaled_worker_hours, f"{r.worker_hours_saved:.0%}",
-            r.scale_outs, r.scale_ins, r.migrated_blocks, r.dropped_blocks,
-            r.shed_jobs,
-        ])
-    print_table(
-        "Elastic diurnal replay: autoscaled vs static peak provisioning",
-        ["policy", "p95 (ms)", "p99 (ms)", "worker-h", "saved",
-         "outs", "ins", "migrated", "dropped", "shed"],
-        rows,
-    )
-    status = 0
-    for r in results:
-        if not r.lost_zero_blocks:
-            print(f"DATA LOSS: policy {r.policy} dropped "
-                  f"{r.dropped_blocks} cached blocks on decommission")
-            status = 1
-    return status
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
@@ -799,27 +747,12 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "fig19": _cmd_fig19,
     "fig20": _cmd_fig20,
     "cache": _cmd_cache,
-    "elastic": _cmd_elastic,
     "service": _cmd_service,
     "sql": _cmd_sql,
     "trace": _cmd_trace,
     "events": _cmd_events,
     "critical-path": _cmd_critical_path,
 }
-
-
-def _add_scaling_flags(p: argparse.ArgumentParser) -> None:
-    """Elastic bounds shared by the streaming benchmarks: without
-    ``--scale-policy`` the cluster stays fixed; with it, the run starts
-    at ``--min-workers`` and autoscales up to ``--max-workers``."""
-    p.add_argument("--min-workers", type=int, default=None,
-                   help="lower bound (and starting size) for autoscaling")
-    p.add_argument("--max-workers", type=int, default=None,
-                   help="upper bound for autoscaling")
-    p.add_argument("--scale-policy", choices=SCALE_POLICY_NAMES,
-                   default=None,
-                   help="enable elastic resource management under this "
-                        "autoscaling policy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -865,33 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig19", help="Fig 19: throughput and delay")
     p.add_argument("--rates", type=float, nargs="+",
                    default=[2, 5, 10, 20, 40, 80, 160, 240])
-    _add_scaling_flags(p)
 
     p = sub.add_parser("fig20", help="Fig 20: delay over a replayed day")
     p.add_argument("--hours", type=int, default=24)
     p.add_argument("--jobs-per-step", type=int, default=5)
-    _add_scaling_flags(p)
-
-    p = sub.add_parser(
-        "elastic", help="diurnal replay under each autoscaling policy vs "
-                        "a static peak-provisioned cluster")
-    p.add_argument("--policies", nargs="+", choices=SCALE_POLICY_NAMES,
-                   default=list(SCALE_POLICY_NAMES))
-    p.add_argument("--hours", type=int, default=12)
-    p.add_argument("--hour-seconds", type=float, default=30.0,
-                   help="simulated seconds per replayed hour")
-    p.add_argument("--base-jobs-per-hour", type=int, default=70)
-    p.add_argument("--peak-factor", type=float, default=3.0,
-                   help="job-rate multiplier at the diurnal peak")
-    p.add_argument("--events-per-step", type=int, default=600)
-    p.add_argument("--min-workers", type=int, default=2)
-    p.add_argument("--max-workers", type=int, default=8,
-                   help="autoscaling ceiling; also the static baseline size")
-    p.add_argument("--delay-cap", type=float, default=0.8,
-                   help="the 800 ms SLO the latency policy protects")
-    p.add_argument("--max-pending-jobs", type=int, default=32,
-                   help="admission-control bound; arrivals beyond it are "
-                        "shed (0 disables)")
 
     p = sub.add_parser(
         "service",
@@ -1004,8 +914,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return status
         return _dispatch(args)
     except ValueError as exc:
-        # Bad knob combinations (e.g. --min-workers above --max-workers)
-        # are user errors, not crashes.
+        # Bad knob values (e.g. a negative --tenant-quota-mb) are user
+        # errors, not crashes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

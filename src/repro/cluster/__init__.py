@@ -8,7 +8,6 @@ from .events import (
     SimClock,
     SimKernel,
     TIME_EPS,
-    TimerHandle,
 )
 from .worker import Worker
 
@@ -21,6 +20,5 @@ __all__ = [
     "SimClock",
     "SimKernel",
     "TIME_EPS",
-    "TimerHandle",
     "Worker",
 ]

@@ -36,8 +36,8 @@ class Cluster:
             raise ValueError(f"cluster needs at least one worker: {num_workers}")
         self.kernel = SimKernel()
         self.clock = self.kernel.clock
-        #: The kernel doubles as the event queue (one heap for arrivals,
-        #: failures, timers and batch ticks).
+        #: The kernel doubles as the event queue (one heap for arrivals
+        #: and failures).
         self.events = self.kernel
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.sizer = sizer if sizer is not None else RecordSizer()
@@ -89,43 +89,6 @@ class Cluster:
             raise RuntimeError("no alive workers available")
         kernel = self.kernel
         return min(ids, key=lambda i: (kernel.earliest_free_time(self.workers[i]), i))
-
-    # ---- elastic membership -------------------------------------------------
-
-    def add_worker(
-        self,
-        cores: Optional[int] = None,
-        memory_bytes: Optional[float] = None,
-        ready_at: Optional[float] = None,
-    ) -> int:
-        """Provision a new worker; returns its id (max existing + 1).
-
-        ``cores``/``memory_bytes`` default to the shape of the
-        lowest-numbered existing worker (homogeneous fleets).  The new
-        worker's slots are occupied until ``ready_at`` (default: now) —
-        the caller charges the spin-up delay by passing
-        ``now + cost_model.worker_spinup_seconds``.
-        """
-        template = self.workers[min(self.workers)] if self.workers else None
-        if cores is None:
-            cores = template.cores if template is not None else 4
-        if memory_bytes is None:
-            memory_bytes = template.memory_bytes if template is not None else 12e9
-        worker_id = max(self.workers) + 1 if self.workers else 0
-        worker = Worker(worker_id, cores=cores, memory_bytes=memory_bytes)
-        ready = self.clock.now if ready_at is None else ready_at
-        self.kernel.register_worker(worker, ready_at=ready)
-        self.workers[worker_id] = worker
-        return worker_id
-
-    def remove_worker(self, worker_id: int) -> Worker:
-        """Decommission a worker: drop it from the membership entirely
-        (unlike :meth:`kill_worker`, which keeps a dead entry around for
-        restart).  The caller is responsible for draining/migrating its
-        state first — see ``repro.elastic.ResourceManager``."""
-        worker = self.get_worker(worker_id)
-        self.kernel.deregister_worker(worker)
-        return self.workers.pop(worker_id)
 
     # ---- failure injection --------------------------------------------------
 

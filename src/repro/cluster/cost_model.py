@@ -77,10 +77,6 @@ class CostModel:
     gc_pressure_power: float = 3.0
     #: GC model: multiplier of the superlinear term.
     gc_pressure_scale: float = 6.0
-    #: Simulated seconds to provision one new executor (container/VM
-    #: spin-up + executor registration); a scale-out's new slots only
-    #: open this long after the scaling decision (``repro.elastic``).
-    worker_spinup_seconds: float = 8.0
 
     # ---- primitive costs -------------------------------------------------
 

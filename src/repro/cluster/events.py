@@ -19,28 +19,19 @@ kernel in this module.  Three layers build on each other:
     The queue plus everything else that used to mutate time-indexed
     state from the outside: the worker slot ledger (every write to
     ``Worker.slot_free_times`` goes through kernel APIs, which also
-    maintain a cached earliest-free-slot index per worker), periodic
-    timers (:meth:`SimKernel.every`) for time-triggered policies such as
-    autoscaler evaluation, and worker kill/restart/decommission.
+    maintain a cached earliest-free-slot index per worker) and worker
+    kill/restart.
 
-Two kinds of events share the heap:
-
-* **Regular events** — job arrivals and armed failures.  ``run_all``
-  drains these.
-* **Daemon events** — self-rescheduling housekeeping such as periodic
-  policy timers.  They fire whenever simulated time passes them, but
-  never *keep the simulation alive* on their own: ``run_all`` stops once
-  only daemon events remain (otherwise a periodic timer would spin the
-  drain loop forever).
+Job arrivals and armed failures share the heap; ``run_all`` drains
+every event that was not cancelled.
 
 The task scheduler remains an *analytic* executor: it computes task
 start/finish times against per-slot free times rather than scheduling
 one event per task, which is equivalent and much faster for the job
 shapes in the paper (stages of independent tasks).  Crucially, all its
 slot mutations are kernel transactions, so there is a single consistent
-ledger of "when is this core busy" that timers and policies can query at
-any simulated instant — the property that lets autoscaling run on
-periodic timers instead of piggybacking on job arrivals.
+ledger of "when is this core busy" that any component can query at any
+simulated instant.
 
 Determinism: given the same seed and configuration, the kernel's event
 order is a pure function of (time, sequence number), both derived
@@ -53,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,9 +105,8 @@ class SimClock:
 _TIME = 0
 _SEQ = 1
 _CALLBACK = 2
-_DAEMON = 3
-_CANCELLED = 4
-_FIRED = 5
+_CANCELLED = 3
+_FIRED = 4
 
 
 class EventHandle:
@@ -136,8 +125,6 @@ class EventHandle:
             if not event[_FIRED]:
                 # Still on the heap: it will be swept lazily.
                 self._queue._cancelled_in_heap += 1
-                if not event[_DAEMON]:
-                    self._queue._live_regular -= 1
 
     @property
     def cancelled(self) -> bool:
@@ -159,8 +146,6 @@ class EventQueue:
         self.clock = clock if clock is not None else SimClock()
         self._heap: List[list] = []
         self._seq = itertools.count()
-        #: Non-cancelled, non-daemon events still on the heap.
-        self._live_regular = 0
         #: Cancelled events still sitting on the heap, swept lazily.
         self._cancelled_in_heap = 0
         #: True while run_until/run_all is popping events; lets
@@ -170,30 +155,26 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled_in_heap
 
-    def schedule(self, time: float, callback: Callable[[], Any],
-                 daemon: bool = False) -> EventHandle:
+    def schedule(self, time: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run at absolute simulated ``time``."""
         if time < self.clock.now - TIME_EPS:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < now={self.clock.now}"
             )
-        event = [time, next(self._seq), callback, daemon, False, False]
+        event = [time, next(self._seq), callback, False, False]
         heapq.heappush(self._heap, event)
-        if not daemon:
-            self._live_regular += 1
         return EventHandle(event, self)
 
     def schedule_many(
         self,
         arrivals: "List[Tuple[float, Callable[[], Any]]]",
-        daemon: bool = False,
     ) -> List[EventHandle]:
         """Bulk-schedule ``(time, callback)`` pairs; returns their handles.
 
         Semantically identical to calling :meth:`schedule` once per pair
         in order — sequence numbers are assigned in list order, so the
         delivery order is exactly the same.  The difference is cost: a
-        large batch (job-arrival floods, timer grids) is appended and
+        large batch (a job-arrival flood) is appended and
         re-heapified in one O(heap + batch) pass instead of paying
         O(batch x log heap) pushes.
         """
@@ -206,7 +187,7 @@ class EventQueue:
                 raise ValueError(
                     f"cannot schedule event in the past: {time} < now={now}"
                 )
-            entries.append([time, next(seq), callback, daemon, False, False])
+            entries.append([time, next(seq), callback, False, False])
         heap = self._heap
         if len(entries) > 4 and len(entries) * 2 >= len(heap):
             # Batch dominates the heap: one heapify beats per-item pushes.
@@ -215,16 +196,13 @@ class EventQueue:
         else:
             for entry in entries:
                 heapq.heappush(heap, entry)
-        if not daemon:
-            self._live_regular += len(entries)
         return [EventHandle(entry, self) for entry in entries]
 
-    def schedule_in(self, delay: float, callback: Callable[[], Any],
-                    daemon: bool = False) -> EventHandle:
+    def schedule_in(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative: {delay}")
-        return self.schedule(self.clock.now + delay, callback, daemon=daemon)
+        return self.schedule(self.clock.now + delay, callback)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
@@ -236,8 +214,7 @@ class EventQueue:
         """Run events with ``time <= end_time``; return how many ran.
 
         The clock is left at ``end_time`` (or further, if a callback
-        advanced it) even when the queue drains early.  Daemon events due
-        by ``end_time`` fire too — time passing is exactly their trigger.
+        advanced it) even when the queue drains early.
 
         This is the simulator's hottest loop, so it pops and dispatches
         with local bindings only.  An event may fire late when the clock
@@ -262,8 +239,6 @@ class EventQueue:
                     break
                 heappop(heap)
                 event[_FIRED] = True
-                if not event[_DAEMON]:
-                    self._live_regular -= 1
                 if t > clock._now:
                     clock._now = t
                 event[_CALLBACK]()
@@ -275,18 +250,13 @@ class EventQueue:
         return count
 
     def run_all(self, max_events: int = 10_000_000) -> int:
-        """Drain all regular events; guard against runaway loops.
-
-        Daemon events due before the last regular event fire along the
-        way, but once only daemons remain the drain stops — a periodic
-        timer must not keep the simulation alive forever.
-        """
+        """Drain every pending event; guard against runaway loops."""
         count = 0
         prev, self._running = self._running, True
         clock = self.clock
         heappop = heapq.heappop
         try:
-            while self._live_regular > 0:
+            while True:
                 if self._cancelled_in_heap:
                     self._drop_cancelled()
                 heap = self._heap
@@ -294,8 +264,6 @@ class EventQueue:
                     break
                 event = heappop(heap)
                 event[_FIRED] = True
-                if not event[_DAEMON]:
-                    self._live_regular -= 1
                 t = event[_TIME]
                 if t > clock._now:
                     clock._now = t
@@ -327,23 +295,6 @@ class EventQueue:
         self._cancelled_in_heap = remaining
 
 
-class TimerHandle:
-    """Cancellable handle for a periodic timer (:meth:`SimKernel.every`)."""
-
-    def __init__(self, interval: float, callback: Callable[[float], Any]) -> None:
-        self.interval = interval
-        self.callback = callback
-        self.cancelled = False
-        #: Nominal time of the next tick (the value passed to the callback).
-        self.next_time: Optional[float] = None
-        self._event: Optional[EventHandle] = None
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._event is not None:
-            self._event.cancel()
-
-
 class SimKernel(EventQueue):
     """The single authority over simulated time and worker slot state.
 
@@ -354,16 +305,9 @@ class SimKernel(EventQueue):
       the clock directly go through these; ``pump`` fires every event due
       at or before the current frontier and is safe to call from inside a
       running event loop (it no-ops, the outer loop is already pumping).
-    * **Periodic timers** — :meth:`every` schedules a self-rescheduling
-      daemon event.  The callback receives the tick's *nominal* time,
-      which may trail the clock frontier when jobs ran ahead; because
-      slot free times are absolute, load signals can still be measured
-      retroactively at the nominal instant.  When the frontier has raced
-      more than one interval ahead, missed ticks are coalesced (the
-      timer skips forward on its nominal grid) unless ``catch_up=True``.
     * **The worker slot ledger** — every mutation of
-      ``Worker.slot_free_times`` (occupy, overwrite, kill, restart,
-      provision) is a kernel transaction, which lets the kernel keep a
+      ``Worker.slot_free_times`` (occupy, overwrite, kill, restart)
+      is a kernel transaction, which lets the kernel keep a
       cached ``(free_time, slot)`` minimum per worker.  The cache turns
       the scheduler's hot earliest-free-slot query from O(cores) into
       O(1) amortized and ``Cluster.earliest_free_worker`` from
@@ -415,80 +359,24 @@ class SimKernel(EventQueue):
     def reset(self, t: float = 0.0) -> None:
         """Reset clock and heap between independent experiments.
 
-        Pending events and timers are discarded; registered workers stay
+        Pending events are discarded; registered workers stay
         registered (reset their slots with :meth:`reset_worker`).
         """
         self.clock.reset(t)
         self._heap.clear()
-        self._live_regular = 0
         self._cancelled_in_heap = 0
         self._running = False
 
-    # ---- periodic timers ----------------------------------------------------
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[[float], Any],
-        start: Optional[float] = None,
-        catch_up: bool = False,
-    ) -> TimerHandle:
-        """Fire ``callback(nominal_tick_time)`` every ``interval`` seconds.
-
-        The first tick is at ``start`` (default: one interval from now).
-        Ticks stay on the nominal grid ``start + k*interval``; a tick the
-        frontier has already passed fires immediately with its nominal
-        time, and — unless ``catch_up`` — ticks the frontier skipped by
-        more than one whole interval are coalesced into the next grid
-        point.  Timers are daemon events: they never keep ``run_all``
-        alive on their own.  Returns a cancellable :class:`TimerHandle`.
-        """
-        if interval <= 0:
-            raise ValueError(f"timer interval must be positive: {interval}")
-        handle = TimerHandle(interval, callback)
-
-        def arm(t: float) -> None:
-            def fire() -> None:
-                if handle.cancelled:
-                    return
-                nxt = t + interval
-                if not catch_up and self.clock.now - nxt > TIME_EPS:
-                    missed = math.ceil((self.clock.now - t) / interval)
-                    nxt = t + missed * interval
-                arm(nxt)
-                callback(t)
-
-            handle.next_time = t
-            handle._event = self.schedule(max(t, self.clock.now), fire,
-                                          daemon=True)
-
-        arm(self.clock.now + interval if start is None else start)
-        return handle
-
     # ---- the worker slot ledger ---------------------------------------------
 
-    def register_worker(self, worker: "Worker",
-                        ready_at: Optional[float] = None) -> None:
-        """Attach a worker to the kernel's slot ledger.
-
-        With ``ready_at``, the worker's slots are occupied until that
-        time (provisioning spin-up); otherwise its current slot state is
-        adopted as-is.
-        """
-        if ready_at is not None:
-            worker.alive = True
-            worker.slot_free_times = [float(ready_at)] * worker.cores
+    def register_worker(self, worker: "Worker") -> None:
+        """Attach a worker to the kernel's slot ledger, adopting its
+        current slot state as-is."""
         self._workers[worker.worker_id] = worker
         worker._kernel = self
         self._earliest[worker.worker_id] = None
         heapq.heappush(self._free_heap,
                        (min(worker.slot_free_times), worker.worker_id))
-
-    def deregister_worker(self, worker: "Worker") -> None:
-        """Detach a worker (decommission); its slot state is frozen."""
-        self._workers.pop(worker.worker_id, None)
-        self._earliest.pop(worker.worker_id, None)
-        worker._kernel = None
 
     def occupy_slot(self, worker: "Worker", slot: int, start: float,
                     duration: float) -> float:
@@ -581,7 +469,7 @@ class SimKernel(EventQueue):
         """``(worker_id, slot, free_time)`` of the globally earliest-free
         slot among alive registered workers, or ``None`` when none is.
 
-        Lazy heap query: dead/deregistered entries are discarded, stale
+        Lazy heap query: dead workers' entries are discarded, stale
         lower bounds are refreshed in place (``heapreplace``) until the
         top entry matches its worker's true cached minimum.  Ties on
         free time resolve to the smallest worker id — exactly the
@@ -590,8 +478,8 @@ class SimKernel(EventQueue):
         workers = self._workers
         while heap:
             t, wid = heap[0]
-            worker = workers.get(wid)
-            if worker is None or not worker.alive:
+            worker = workers[wid]
+            if not worker.alive:
                 heapq.heappop(heap)
                 continue
             slot, cur = self.earliest_free_slot(worker)

@@ -9,23 +9,20 @@ use slots after the work already queued on them.
 
 ``JobDriver`` therefore just spaces out ``submit_time`` values, invokes a
 caller-supplied job thunk for each arrival, and aggregates response-time
-statistics, including the capacity search used to report "queries per
-second the system could handle when keeping the delay below 800 ms".
+statistics.  Fig 19's "queries per second the system could handle when
+keeping the delay below 800 ms" is the largest probed rate whose mean
+delay stays under the cap (``repro.bench.harness.run_fig19``).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
-from ..obs.events import JobShed
-
 if TYPE_CHECKING:  # pragma: no cover
-    from ..elastic.manager import ResourceManager
     from ..engine.context import StarkContext
 
 #: Signature of a job thunk: (arrival_time, job_index) -> finish_time.
@@ -67,13 +64,9 @@ class LoadResult:
 
     rate_jobs_per_sec: float
     results: List[ArrivalResult] = field(default_factory=list)
-    #: Jobs rejected by admission control (``max_pending_jobs``).
+    #: Jobs rejected by admission control (a tenant's
+    #: ``max_pending_jobs`` in :class:`~repro.service.DatasetService`).
     shed_jobs: int = 0
-
-    @property
-    def offered_jobs(self) -> int:
-        """Arrivals offered to the system: completed + shed."""
-        return len(self.results) + self.shed_jobs
 
     @property
     def mean_delay(self) -> float:
@@ -97,66 +90,24 @@ class LoadResult:
     def max_delay(self) -> float:
         return max((r.delay for r in self.results), default=0.0)
 
-    def merge(self, other: "LoadResult") -> None:
-        """Fold another run's records in (multi-window experiments)."""
-        self.results.extend(other.results)
-        self.shed_jobs += other.shed_jobs
-
 
 class JobDriver:
     """Submits jobs open-loop and records response times.
 
     Arrivals are scheduled as events on the cluster's
     :class:`~repro.cluster.events.SimKernel` and replayed through its
-    event loop, so they interleave deterministically with armed failures
-    and periodic policy timers.  Jobs still execute synchronously inside
-    their arrival event (the virtual-time task scheduler), which pushes
-    the clock frontier ahead of later arrivals under saturation; those
-    arrivals then fire at the frontier while keeping their own nominal
-    arrival timestamps — queueing delay arises exactly as before.
-
-    Two optional elasticity hooks (``repro.elastic``):
-
-    * ``max_pending_jobs`` bounds the in-system job count (submitted,
-      not yet finished).  An arrival finding the queue at the bound is
-      *shed* — counted in ``LoadResult.shed_jobs`` and announced as a
-      :class:`~repro.obs.events.JobShed` event — so saturation degrades
-      to rejected jobs instead of unbounded queueing delay.
-    * ``resource_manager`` is told every completion (feeding the
-      latency-SLO policy's response-time window) and handed this
-      driver's :meth:`pending_jobs` as its backlog source; scaling
-      itself runs on the manager's periodic kernel timer, not at
-      arrival epochs.
+    event loop, so they interleave deterministically with armed
+    failures.  Jobs still execute synchronously inside their arrival
+    event (the virtual-time task scheduler), which pushes the clock
+    frontier ahead of later arrivals under saturation; those arrivals
+    then fire at the frontier while keeping their own nominal arrival
+    timestamps — queueing delay arises exactly as before.
     """
 
-    def __init__(
-        self,
-        context: "StarkContext",
-        seed: int = 0,
-        resource_manager: Optional["ResourceManager"] = None,
-        max_pending_jobs: Optional[int] = None,
-    ) -> None:
-        if max_pending_jobs is not None and max_pending_jobs < 1:
-            raise ValueError(
-                f"max_pending_jobs must be at least 1: {max_pending_jobs}")
+    def __init__(self, context: "StarkContext", seed: int = 0) -> None:
         self.context = context
         self.rng = random.Random(seed)
-        self.resource_manager = resource_manager
-        if resource_manager is not None and hasattr(resource_manager,
-                                                    "bind_pending_jobs"):
-            resource_manager.bind_pending_jobs(self.pending_jobs)
-        self.max_pending_jobs = max_pending_jobs
-        #: Finish times of submitted jobs still in the system (min-heap);
-        #: survives across run_* calls so multi-window replays carry
-        #: their backlog over.
-        self._in_flight: List[float] = []
         self._job_index = 0
-
-    def pending_jobs(self, now: float) -> int:
-        """Jobs submitted but not finished at ``now``."""
-        while self._in_flight and self._in_flight[0] <= now:
-            heapq.heappop(self._in_flight)
-        return len(self._in_flight)
 
     def _schedule_arrivals(self, out: LoadResult, job: JobFn,
                            arrivals: Sequence[float]) -> float:
@@ -181,22 +132,9 @@ class JobDriver:
         return last
 
     def _submit(self, out: LoadResult, job: JobFn, t: float) -> None:
-        pending = self.pending_jobs(t)
         index = self._job_index
         self._job_index += 1
-        if (self.max_pending_jobs is not None
-                and pending >= self.max_pending_jobs):
-            out.shed_jobs += 1
-            bus = self.context.event_bus
-            if bus.active:
-                bus.post(JobShed(time=t, job_index=index,
-                                 pending_jobs=pending))
-            return
-        finish = job(t, index)
-        heapq.heappush(self._in_flight, finish)
-        out.results.append(ArrivalResult(arrival=t, finish=finish))
-        if self.resource_manager is not None:
-            self.resource_manager.on_job_completed(t, finish)
+        out.results.append(ArrivalResult(arrival=t, finish=job(t, index)))
 
     def run_constant_rate(
         self,
@@ -236,30 +174,3 @@ class JobDriver:
         last = self._schedule_arrivals(out, job, sorted(arrivals))
         kernel.run_until(max(last, kernel.now))
         return out
-
-
-def find_max_throughput(
-    run_at_rate: Callable[[float], LoadResult],
-    delay_cap: float = 0.8,
-    lo: float = 1.0,
-    hi: float = 512.0,
-    tolerance: float = 0.15,
-) -> float:
-    """Largest rate whose mean delay stays under ``delay_cap``.
-
-    Binary search over the rate axis; ``run_at_rate`` must build a fresh
-    system per probe (warm-cache state must not leak between rates).
-    """
-    if not run_at_rate(lo).mean_delay < delay_cap:
-        return 0.0
-    while run_at_rate(hi).mean_delay < delay_cap:
-        hi *= 2
-        if hi > 1e5:
-            return hi
-    while (hi - lo) / hi > tolerance:
-        mid = (lo + hi) / 2
-        if run_at_rate(mid).mean_delay < delay_cap:
-            lo = mid
-        else:
-            hi = mid
-    return lo

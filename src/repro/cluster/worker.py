@@ -8,7 +8,7 @@ to a slot by picking the earliest-free slot and pushing its free time
 forward by the task duration.
 
 Workers are passive state holders: every **mutation** of slot state
-(occupy, kill, restart, provision) goes through the
+(occupy, kill, restart) goes through the
 :class:`~repro.cluster.events.SimKernel` a worker is registered with —
 the single time authority — which also maintains the cached
 earliest-free-slot index that makes the read path O(1).  The read

@@ -260,11 +260,11 @@ class GroupManager:
         return list(state.placement.get(leaf.group_id, []))
 
     def remove_executor(self, worker_id: int) -> None:
-        """Purge a decommissioned executor from every group placement.
+        """Purge a lost executor from every group placement.
 
         Groups whose executor set empties are re-homed via
         :meth:`_least_loaded_executor`, mirroring how splits place their
-        new child — so group locality survives scale-in.
+        new child — so group locality survives losing a worker.
         """
         for state in self._state.values():
             for group_id, executors in state.placement.items():

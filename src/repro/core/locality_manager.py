@@ -159,12 +159,11 @@ class LocalityManager:
             executors.remove(worker_id)
 
     def remove_executor(self, worker_id: int) -> None:
-        """Purge a decommissioned executor from every placement.
+        """Purge a lost executor from every placement.
 
         A collection partition whose placement empties is re-homed onto
         the least-loaded alive worker (fewest placements after the
-        purge), so preferred locations never dangle on a worker that no
-        longer exists.
+        purge), so preferred locations never dangle on a lost worker.
         """
         alive = [
             w for w in self.context.cluster.alive_worker_ids()

@@ -156,8 +156,8 @@ class BlockStore:
 #: metrics, de-replication, tenant usage and ``BlockEvicted`` events all
 #: hang off it.  ``"capacity"`` marks a victim the store's policy chose
 #: to make room for an insert; ``"migrated"`` marks the source-side
-#: removal of a block that was copied to another store first (graceful
-#: decommission or broker migration), i.e. *not* a loss of cached
+#: removal of a block that was copied to another store first (a
+#: broker migration), i.e. *not* a loss of cached
 #: state; ``"quota"`` marks an intra-tenant eviction by the
 #: per-tenant cache quota enforcer (``repro.service.quotas``);
 #: ``"broker"`` marks a cluster-wide eviction the cache broker ordered
@@ -277,7 +277,7 @@ class BlockManagerMaster:
     def total_cached_bytes(self) -> float:
         return sum(store.used_bytes for store in self.stores.values())
 
-    # ---- elastic membership ---------------------------------------------------
+    # ---- membership and migration ---------------------------------------------
 
     def register_worker(
         self,
@@ -285,7 +285,7 @@ class BlockManagerMaster:
         capacity_bytes: float,
         policy: Optional[CachePolicy] = None,
     ) -> None:
-        """Add a block store for a newly provisioned worker.
+        """Add a block store for a worker.
 
         Idempotent: re-registering an existing worker (e.g. a restart
         after a kill, where the store object survived) is a no-op, so
@@ -294,18 +294,6 @@ class BlockManagerMaster:
         if worker_id in self.stores:
             return
         self.stores[worker_id] = BlockStore(worker_id, capacity_bytes, policy=policy)
-
-    def deregister_worker(self, worker_id: int) -> List[BlockId]:
-        """Remove a decommissioned worker's store entirely.
-
-        Any blocks still resident are dropped as ``"worker_lost"`` (the
-        decommission protocol migrates blocks out *first*; leftovers mean
-        the migration budget ran out and lineage recovery is the
-        fallback).  Returns the dropped block ids.
-        """
-        lost = self.lose_worker(worker_id)
-        del self.stores[worker_id]
-        return lost
 
     def migrate_block(self, block_id: BlockId, src: int, dst: int) -> bool:
         """Copy a cached block from ``src`` to ``dst``, then drop the

@@ -108,8 +108,7 @@ class StarkConfig:
     #: live block (``recompute_cost × cross_job_refcount / size``), a
     #: pressured store may migrate its victim into space freed on
     #: another worker, structurally identical lineage *prefixes* are
-    #: served across jobs from one tenant's cached blocks, and elastic
-    #: scale-in picks the worker with the least cached value density.
+    #: served across jobs from one tenant's cached blocks.
     #: Off by default: classic per-executor eviction, which every
     #: committed benchmark baseline assumes.
     cache_broker: bool = False

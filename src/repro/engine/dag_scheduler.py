@@ -142,8 +142,8 @@ class DAGScheduler:
         finish_time = stage_finish[final_stage.stage_id]
         kernel.advance_to(max(kernel.now, finish_time))
         # The job's work pushed the frontier; fire whatever came due
-        # meanwhile (kill/restart schedules, autoscaler ticks) so the
-        # next job sees their effects.
+        # meanwhile (kill/restart schedules) so the next job sees their
+        # effects.
         kernel.pump()
         job.finish_time = finish_time
         results = self._collect_results(final_stage)

@@ -23,8 +23,8 @@ queueing behaviour (Figs 19/20) for free.
 One launch costs O(log) in the pending and running sets, because the
 loop reads indexes instead of re-deriving them from the pending list:
 
-* **Alive membership is fixed for a task set.**  Kill, restart and
-  decommission reach the cluster as kernel events, and the kernel is
+* **Alive membership is fixed for a task set.**  Kill and restart
+  reach the cluster as kernel events, and the kernel is
   pumped only at ``run_job`` boundaries, so they land between task sets:
   each task's alive preferred workers are computed once per task set.
 * **Pending tasks sit in per-worker buckets** (:class:`_Pending`),
@@ -305,8 +305,8 @@ class _TaskSetRun:
         self.config = context.config
         self.stage_id = tasks[0].stage.stage_id
         self.submit_time = submit_time
-        # Fixed for the task set (module docstring): kills, restarts and
-        # decommissions land between task sets, never inside one.
+        # Fixed for the task set (module docstring): kills and restarts
+        # land between task sets, never inside one.
         self.alive = self.cluster.alive_worker_ids()
         alive = set(self.alive)
         self.pending = _Pending()

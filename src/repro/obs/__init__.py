@@ -34,7 +34,6 @@ from .bus import EventBus
 from .events import (
     BlockCached,
     BlockEvicted,
-    BlocksMigrated,
     BrokerEvicted,
     BrokerMigrated,
     BrokerPrefixHit,
@@ -51,14 +50,12 @@ from .events import (
     FailureInjected,
     FetchFailed,
     JobEnd,
-    JobShed,
     JobStart,
     LineageRecovered,
     PoolWeightsUpdated,
     QueryCompleted,
     QueryFailed,
     QueryPlanned,
-    ScalingDecision,
     ShuffleFetch,
     StageCompleted,
     StageResubmitted,
@@ -71,8 +68,6 @@ from .events import (
     TenantJobShed,
     TenantJobSubmitted,
     TenantSloAlert,
-    WorkerDecommissioned,
-    WorkerProvisioned,
     event_from_dict,
     validate_event_dict,
 )
@@ -159,7 +154,6 @@ __all__ = [
     "BlameSegment",
     "BlockCached",
     "BlockEvicted",
-    "BlocksMigrated",
     "BrokerEvicted",
     "BrokerMigrated",
     "BrokerPrefixHit",
@@ -181,7 +175,6 @@ __all__ = [
     "FailureInjected",
     "FetchFailed",
     "JobEnd",
-    "JobShed",
     "JobSpan",
     "JobStart",
     "JsonlEventLog",
@@ -190,7 +183,6 @@ __all__ = [
     "QueryCompleted",
     "QueryFailed",
     "QueryPlanned",
-    "ScalingDecision",
     "ShuffleFetch",
     "StageCompleted",
     "StageResubmitted",
@@ -206,8 +198,6 @@ __all__ = [
     "TenantJobSubmitted",
     "TenantSloAlert",
     "UtilizationSampler",
-    "WorkerDecommissioned",
-    "WorkerProvisioned",
     "add_context_observer",
     "ascii_blame_chart",
     "assign_slots",

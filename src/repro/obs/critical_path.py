@@ -70,8 +70,8 @@ CATEGORY_COLORS: Dict[str, str] = {
 
 _US = 1e6
 _DRIVER_PID = 0
-#: Driver thread track for critical-path spans (1=jobs, 2=stages,
-#: 3=scaling in the trace exporter).
+#: Driver thread track for critical-path spans (1=jobs and 2=stages in
+#: the trace exporter).
 CRITICAL_PATH_TID = 4
 
 

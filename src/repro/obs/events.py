@@ -158,8 +158,8 @@ class BlockCached(Event):
 class BlockEvicted(Event):
     """A block left a store: ``reason`` is one of ``"capacity"`` (the
     eviction policy chose a victim), ``"explicit"`` (unpersist),
-    ``"worker_lost"``, ``"migrated"`` (graceful decommission or a broker
-    migration moved it to another executor, where a matching
+    ``"worker_lost"``, ``"migrated"`` (a broker migration moved it to
+    another executor, where a matching
     ``BlockCached`` follows), ``"quota"`` (intra-tenant quota
     displacement), or ``"broker"`` (the cluster-wide cache broker
     evicted it to host a more valuable migrated block)."""
@@ -320,65 +320,6 @@ class StageResubmitted(Event):
     stage_id: int
     attempt: int
     shuffle_id: int
-    reason: str
-
-
-# ---- elasticity ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WorkerProvisioned(Event):
-    """A scale-out added an executor; its slots open at ``ready_at``
-    (``time`` + the cost model's spin-up delay)."""
-
-    worker_id: int
-    cores: int
-    ready_at: float
-    spinup_seconds: float
-    alive_workers: int
-
-
-@dataclass(frozen=True)
-class WorkerDecommissioned(Event):
-    """A scale-in removed an executor after draining its slots and
-    migrating its cached blocks (``dropped_blocks`` counts the ones the
-    migration budget forced back onto lineage recovery)."""
-
-    worker_id: int
-    migrated_blocks: int
-    dropped_blocks: int
-    drain_seconds: float
-    alive_workers: int
-
-
-@dataclass(frozen=True)
-class BlocksMigrated(Event):
-    """Aggregate of one decommission's cached-block migration off
-    ``worker_id``."""
-
-    worker_id: int
-    num_blocks: int
-    total_bytes: float
-    migration_seconds: float
-
-
-@dataclass(frozen=True)
-class JobShed(Event):
-    """Admission control rejected an arriving job: the pending queue was
-    at its bound, so the job was shed instead of queued."""
-
-    job_index: int
-    pending_jobs: int
-
-
-@dataclass(frozen=True)
-class ScalingDecision(Event):
-    """A scaling policy acted: ``action`` is ``"scale_out"`` or
-    ``"scale_in"``, ``delta`` the applied worker-count change."""
-
-    policy: str
-    action: str
-    delta: int
-    alive_workers: int
     reason: str
 
 

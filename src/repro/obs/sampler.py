@@ -13,8 +13,7 @@ two timelines:
   the row-vs-columnar footprint comparison needs both).
 
 Each timeline is a step function, returned as ``(time, value)`` change
-points; ``repro.elastic.policy.windowed_mean`` averages one over a
-window.
+points.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .events import (
     TASK_PHASE_TABLE,
     BlockCached,
     BlockEvicted,
-    BlocksMigrated,
     BrokerEvicted,
     BrokerMigrated,
     BrokerPrefixHit,
@@ -46,14 +45,12 @@ from .events import (
     FailureInjected,
     FetchFailed,
     JobEnd,
-    JobShed,
     JobStart,
     LineageRecovered,
     PoolWeightsUpdated,
     QueryCompleted,
     QueryFailed,
     QueryPlanned,
-    ScalingDecision,
     StageCompleted,
     StageResubmitted,
     StageSubmitted,
@@ -61,8 +58,6 @@ from .events import (
     TaskRetried,
     TenantJobShed,
     TenantSloAlert,
-    WorkerDecommissioned,
-    WorkerProvisioned,
 )
 
 _US = 1e6  # simulated seconds -> trace microseconds
@@ -82,16 +77,15 @@ SQL_TID = 6
 #: Tid 4 is the critical-path annotation track
 #: (:data:`~repro.obs.critical_path.CRITICAL_PATH_TID`).
 _DRIVER_TRACKS: Dict[int, str] = {
-    1: "jobs", 2: "stages", 3: "scaling", SERVICE_TID: "service",
+    1: "jobs", 2: "stages", SERVICE_TID: "service",
     SQL_TID: "sql",
 }
 
 #: Counter tracks (Perfetto step charts), name -> args key, in section
-#: order: alive workers per membership change; cluster-wide resident
-#: bytes per cache or eviction event (the sampler's cache_bytes timeline);
-#: cumulative broker evictions + migrations + cross-job prefix hits.
+#: order: cluster-wide resident bytes per cache or eviction event (the
+#: sampler's cache_bytes timeline); cumulative broker evictions +
+#: migrations + cross-job prefix hits.
 _COUNTERS: Dict[str, str] = {
-    "cluster size": "alive workers",
     "cache bytes": "resident bytes",
     "broker actions": "broker actions",
 }
@@ -153,21 +147,6 @@ _INSTANTS: Dict[Type[Event], Tuple[Union[str, int], str, str,
                        lambda e: (f"resubmit stage {e.stage_id} "
                                   f"(attempt {e.attempt})"),
                        ("job_id", "shuffle_id", "reason")),
-    WorkerProvisioned: ("worker_id", "elastic", "g",
-                        lambda e: "worker provisioned",
-                        ("cores", "ready_at", "spinup_seconds")),
-    WorkerDecommissioned: ("worker_id", "elastic", "g",
-                           lambda e: "worker decommissioned",
-                           ("migrated_blocks", "dropped_blocks",
-                            "drain_seconds")),
-    BlocksMigrated: ("worker_id", "elastic", "t",
-                     lambda e: f"migrated {e.num_blocks} blocks",
-                     ("total_bytes", "migration_seconds")),
-    JobShed: (1, "elastic", "p",
-              lambda e: f"shed job {e.job_index}", ("pending_jobs",)),
-    ScalingDecision: (3, "elastic", "p",
-                      lambda e: f"{e.action} ({e.policy})",
-                      ("delta", "alive_workers", "reason")),
     CheckpointWritten: (1, "checkpoint", "p",
                         lambda e: f"checkpoint rdd_{e.rdd_id}",
                         ("total_bytes",)),
@@ -359,10 +338,6 @@ class ChromeTraceExporter:
         series = self._counters["broker actions"]
         series.append((event.time, len(series) + 1))
 
-    def _on_membership(self, event: Any) -> None:
-        self._counters["cluster size"].append(
-            (event.time, event.alive_workers))
-
     # ---- rendering ---------------------------------------------------------
 
     def records(self) -> Iterator[Dict[str, Any]]:
@@ -465,6 +440,4 @@ _HANDLERS: Dict[Type[Event], Callable[[ChromeTraceExporter, Any], None]] = {
     BrokerEvicted: ChromeTraceExporter._on_broker_action,
     BrokerMigrated: ChromeTraceExporter._on_broker_action,
     BrokerPrefixHit: ChromeTraceExporter._on_broker_action,
-    WorkerProvisioned: ChromeTraceExporter._on_membership,
-    WorkerDecommissioned: ChromeTraceExporter._on_membership,
 }

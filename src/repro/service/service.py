@@ -4,7 +4,7 @@ One service instance turns a single-tenant driver into a shared one:
 
 * tenants are created with a fair-share **pool** (weight, min-share), an
   optional per-tenant **cache quota**, and an optional per-tenant
-  **admission bound** (generalizing ``JobDriver.max_pending_jobs``);
+  **admission bound** (``max_pending_jobs``: arrivals past it are shed);
 * datasets are registered/looked-up/branched/dropped through the
   :class:`~repro.service.registry.DatasetRegistry`, with ownership
   declared to the quota manager;

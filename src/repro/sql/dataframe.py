@@ -5,7 +5,7 @@ and a :class:`SQLSession`; transformations
 (``select``/``filter``/``group_by``/``agg``/``join``/``order_by``/
 ``limit``) build new plans lazily, and actions (``collect``/``count``)
 optimize → compile → submit an ordinary engine job — so SQL queries get
-fair-share pools, retries, elastic scaling, critical-path tracing,
+fair-share pools, retries, critical-path tracing,
 and cache policies with zero SQL-specific scheduler code.
 
 The session is the query front door: it registers

@@ -39,8 +39,8 @@ class TestWriteBenchJson:
 
     def test_round_trips_payload(self, tmp_path):
         payload = {"config": {"hours": 12}, "p95": 0.435}
-        path = write_bench_json("elastic_diurnal", payload, tmp_path)
-        assert path == tmp_path / "BENCH_elastic_diurnal.json"
+        path = write_bench_json("fig19", payload, tmp_path)
+        assert path == tmp_path / "BENCH_fig19.json"
         assert json.loads(path.read_text()) == payload
 
     def test_creates_missing_directory(self, tmp_path):

@@ -233,7 +233,7 @@ class QuotaAwarePolicy(CachePolicy):
     ``quotas_fn`` is late-bound (returns ``None`` until a service layer
     attaches quotas), so stores built at context creation pick up quota
     awareness the moment a :class:`~repro.service.DatasetService` turns
-    it on, including elastically provisioned workers.
+    it on.
     """
 
     def __init__(self, inner: CachePolicy, worker_id: int,

@@ -1,7 +1,7 @@
 """Cluster-wide cache broker: global value ranking, the eviction /
 migration memory market, cross-job lineage-prefix sharing and its pins,
-quota interplay, ledger accounting, and the elastic layer's
-density-driven scale-in."""
+quota interplay, ledger accounting, and the hottest-first drain
+order."""
 
 import math
 
@@ -10,7 +10,6 @@ import pytest
 from repro import obs
 from repro.cache.policy import ScoredPolicy, value_score
 from repro.cluster.cost_model import SimStr
-from repro.elastic import BacklogPolicy, ResourceManager
 from repro.engine.block_manager import Block
 from repro.engine.context import StarkConfig, StarkContext
 from repro.service.quotas import TenantCacheQuotas
@@ -398,13 +397,13 @@ class TestQuotaBrokerInterplay:
         assert ledger_matches_stores(sc)
 
 
-class TestElasticScaleIn:
-    """The memory market's scale-in arm: victim choice by cached value
-    density, hottest worker protected, drains hottest-block-first."""
+class TestDrainOrder:
+    """Value ranks a worker's blocks for a drain: hottest first, and a
+    block migrated off the worker keeps the ledger exact."""
 
     def sculpt(self, sc):
         """w_cold ends with only near-zero-value blocks, w_hot keeps a
-        network-sourced block: unequal densities, deterministic."""
+        network-sourced block: unequal values, deterministic."""
         hot = dataset(sc, payload_bytes=20_000, partitions=2,
                       read_cost="network", name="hot").cache()
         cheap = dataset(sc, payload_bytes=100_000, partitions=4,
@@ -417,45 +416,27 @@ class TestElasticScaleIn:
             for w in master.locations((hot.rdd_id, pid)))
         w_hot = hot_workers[0]
         w_cold = next(w for w in sorted(master.stores) if w != w_hot)
-        # Strip hot blocks from the cold worker so densities diverge.
+        # Strip hot blocks from the cold worker so the values diverge.
         for pid in sorted(master.cached_partitions_of(hot.rdd_id)):
             bid = (hot.rdd_id, pid)
             if w_cold in master.locations(bid):
                 master.remove_block(bid, w_cold)
         return hot, cheap, w_hot, w_cold
 
-    def test_scale_in_spares_the_hottest_density_worker(self):
+    def test_hot_workers_blocks_outrank_the_cold_ones(self):
         sc = make_context()
         hot, cheap, w_hot, w_cold = self.sculpt(sc)
         broker = sc.cache_broker
-        assert broker.worker_value_density(w_cold) \
-            < broker.worker_value_density(w_hot)
-        # The cold worker may well hold MORE bytes — density, not byte
-        # count, is what the broker-aware victim rule ranks by.
-        manager = ResourceManager(sc, BacklogPolicy(), min_workers=1)
-        assert manager._pick_victim() == w_cold
-
-    def test_exhausted_budget_unprotects_the_hottest(self):
-        # With every candidate's resident bytes over the migration
-        # budget, any choice drops cache — density ordering alone
-        # decides, and equal densities fall through to the newest
-        # worker, hottest or not.
-        sc = make_context()
-        hot = dataset(sc, payload_bytes=20_000, partitions=4,
-                      read_cost="network", name="hot").cache()
-        hot.count()
         master = sc.block_manager_master
-        stores = sorted(master.stores)
-        assert all(len(master.stores[w]) == 2 for w in stores)
-        d0 = sc.cache_broker.worker_value_density(stores[0])
-        d1 = sc.cache_broker.worker_value_density(stores[1])
-        assert d0 == d1
-
-        generous = ResourceManager(sc, BacklogPolicy(), min_workers=1)
-        assert generous._pick_victim() == stores[0]  # hottest tie = w1
-        broke = ResourceManager(sc, BacklogPolicy(), min_workers=1,
-                                migration_budget_bytes=1.0)
-        assert broke._pick_victim() == stores[1]
+        cold = [broker.block_value(w_cold, bid)
+                for bid in master.stores[w_cold].block_ids()]
+        assert cold, "cold worker should hold blocks"
+        # The cold worker may well hold MORE bytes; the network-sourced
+        # block still outranks every block on it.
+        value, wid, bid = broker.top_blocks(1)[0]
+        assert (wid, bid[0]) == (w_hot, hot.rdd_id)
+        assert max(cold) < value
+        assert value == broker.block_value(w_hot, bid)
 
     def test_migration_order_is_hottest_first(self):
         sc = make_context()
@@ -467,15 +448,17 @@ class TestElasticScaleIn:
         assert values == sorted(values, reverse=True)
         assert order[0][0] == hot.rdd_id
 
-    def test_decommission_saves_the_hot_block(self):
+    def test_draining_in_order_saves_the_hot_block(self):
         sc = make_context()
         hot, cheap, w_hot, w_cold = self.sculpt(sc)
-        manager = ResourceManager(sc, BacklogPolicy(), min_workers=1)
-        report = manager.decommission(w_hot)
-        assert report.migrated_blocks > 0
         master = sc.block_manager_master
-        # The network-sourced blocks survived the scale-in by migrating
-        # into the survivor's store.
+        hot_blocks = [bid for bid in sc.cache_broker.migration_order(w_hot)
+                      if bid[0] == hot.rdd_id]
+        assert hot_blocks
+        for bid in hot_blocks:
+            assert master.migrate_block(bid, w_hot, w_cold)
+        # The network-sourced blocks moved into the other store, and
+        # the ledger followed them exactly.
         assert master.cached_partitions_of(hot.rdd_id) \
             == set(range(hot.num_partitions))
         for pid in master.cached_partitions_of(hot.rdd_id):

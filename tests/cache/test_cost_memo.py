@@ -223,5 +223,6 @@ def test_a_scan_walks_lineage_once_per_rdd_then_not_at_all(monkeypatch):
     broker.top_blocks(n=k * partitions)
     for wid in range(4):
         broker.choose_local_victim(wid)
-        broker.worker_value_density(wid)
+        for bid in sc.block_manager_master.stores[wid].block_ids():
+            broker.block_value(wid, bid)
     assert len(walks) == k

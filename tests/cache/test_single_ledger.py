@@ -111,9 +111,9 @@ class Harness:
         elif kind == "lose":
             master.lose_worker(op[1])
         else:
-            _, wid, deregister_first = op
-            if deregister_first:
-                master.deregister_worker(wid)
+            _, wid, lose_first = op
+            if lose_first:
+                master.lose_worker(wid)
             sc.register_worker(wid)
         return None
 

@@ -1,8 +1,8 @@
 """Determinism: same seed + same config ⇒ byte-identical event log.
 
 The acceptance bar for the single-kernel refactor: an open-loop run with
-task failures, a worker kill and restart, and elastic scaling all enabled —
-every subsystem posting events on the one heap — must replay exactly.
+task failures and a worker kill and restart — arrivals and failures
+sharing the one heap — must replay exactly.
 Each scenario runs twice into an in-memory JSONL event log and the two
 byte streams are compared verbatim.
 """
@@ -12,7 +12,6 @@ import io
 from repro import StarkContext
 from repro.cluster.cluster import Cluster
 from repro.cluster.queueing import JobDriver
-from repro.elastic import BacklogPolicy, ResourceManager
 from repro.engine.context import StarkConfig
 from repro.engine.failure import FailureEvent, FailureSchedule
 from repro.obs.listeners import JsonlEventLog
@@ -30,12 +29,10 @@ def full_stack_run(seed: int) -> str:
     log = JsonlEventLog(sink)
     sc.event_bus.subscribe(log)
 
-    manager = ResourceManager(
-        sc, BacklogPolicy(high_backlog=1.0),
-        min_workers=2, max_workers=6,
-        cooldown_seconds=4.0, evaluate_interval_seconds=2.0)
     FailureSchedule(sc, [
-        FailureEvent(time=6.0, worker_id=1, restart_after=5.0),
+        # Inside the arrival window of every seed below, so the kill and
+        # the restart both land mid-run.
+        FailureEvent(time=1.0, worker_id=1, restart_after=1.0),
     ])
 
     data = make_pairs(400)
@@ -46,16 +43,15 @@ def full_stack_run(seed: int) -> str:
                    description=f"det{index}")
         return sc.metrics.last_job().finish_time
 
-    driver = JobDriver(sc, seed=seed, resource_manager=manager)
+    driver = JobDriver(sc, seed=seed)
     driver.run_constant_rate(job, rate_jobs_per_sec=2.0, num_jobs=12,
                              poisson=True)
-    manager.stop()
     log.flush()
     return sink.getvalue()
 
 
 def simple_run(seed: int) -> str:
-    """A minimal kernel-driven run (no elastic/failures) for contrast."""
+    """A minimal kernel-driven run (no failures) for contrast."""
     sc = StarkContext(num_workers=2, cores_per_worker=2)
     sink = io.StringIO()
     log = JsonlEventLog(sink)
@@ -108,6 +104,9 @@ class TestByteIdenticalReplay:
         second = full_stack_run(seed=42)
         assert first, "run produced no events"
         assert first == second
+        # The replay covers what it names: the kill and the retries.
+        assert '"FailureInjected"' in first
+        assert '"TaskRetried"' in first
 
     def test_full_stack_log_is_nonempty_and_timestamped(self):
         import json

@@ -1,4 +1,4 @@
-"""SimKernel: timers, daemon events, pump, and the slot ledger.
+"""SimKernel: time authority, the run_all drain, pump, and the slot ledger.
 
 The EventQueue primitives are covered by test_events.py; this file tests
 what the kernel adds on top — plus the property test that event delivery
@@ -64,104 +64,35 @@ class TestTimeAuthority:
         assert kernel.run_all() == 0
 
 
-class TestDaemonEvents:
-    def test_run_all_ignores_pure_daemons(self):
+class TestDrain:
+    def test_run_all_drains_events_scheduled_by_callbacks(self):
         kernel = make_kernel()
         fired = []
-        kernel.schedule(1.0, lambda: fired.append("d"), daemon=True)
-        assert kernel.run_all() == 0
-        assert fired == []
 
-    def test_daemons_fire_before_regular_events(self):
-        kernel = make_kernel()
-        fired = []
-        kernel.schedule(1.0, lambda: fired.append("daemon"), daemon=True)
-        kernel.schedule(2.0, lambda: fired.append("regular"))
-        kernel.run_all()
-        assert fired == ["daemon", "regular"]
+        def first():
+            fired.append("first")
+            kernel.schedule(3.0, lambda: fired.append("chained"))
 
-    def test_run_until_fires_due_daemons(self):
-        kernel = make_kernel()
-        fired = []
-        kernel.schedule(1.0, lambda: fired.append("d"), daemon=True)
-        kernel.run_until(2.0)
-        assert fired == ["d"]
+        kernel.schedule(1.0, first)
+        kernel.schedule(2.0, lambda: fired.append("second"))
+        assert kernel.run_all() == 3
+        assert fired == ["first", "second", "chained"]
+        assert len(kernel) == 0
 
-    def test_cancelled_regular_event_does_not_block_drain(self):
+    def test_cancelled_event_does_not_block_drain(self):
         kernel = make_kernel()
         handle = kernel.schedule(5.0, lambda: None)
         handle.cancel()
-        kernel.schedule(1.0, lambda: None, daemon=True)
         assert kernel.run_all() == 0
+        assert len(kernel) == 0
 
     def test_cancel_after_fire_keeps_counter_sane(self):
         kernel = make_kernel()
         handle = kernel.schedule(1.0, lambda: None)
         kernel.run_all()
-        handle.cancel()  # must not corrupt the live-event counter
+        handle.cancel()  # must not corrupt the cancelled-event counter
         kernel.schedule(2.0, lambda: None)
         assert kernel.run_all() == 1
-
-
-class TestTimers:
-    def test_periodic_cadence_and_nominal_times(self):
-        kernel = make_kernel()
-        ticks = []
-        kernel.every(2.0, ticks.append)
-        kernel.run_until(7.0)
-        assert ticks == [pytest.approx(2.0), pytest.approx(4.0),
-                         pytest.approx(6.0)]
-
-    def test_explicit_start(self):
-        kernel = make_kernel()
-        ticks = []
-        kernel.every(5.0, ticks.append, start=1.0)
-        kernel.run_until(7.0)
-        assert ticks == [pytest.approx(1.0), pytest.approx(6.0)]
-
-    def test_cancel_stops_ticks(self):
-        kernel = make_kernel()
-        ticks = []
-        handle = kernel.every(1.0, ticks.append)
-        kernel.run_until(2.5)
-        handle.cancel()
-        kernel.run_until(10.0)
-        assert len(ticks) == 2
-
-    def test_timer_does_not_keep_run_all_alive(self):
-        kernel = make_kernel()
-        ticks = []
-        kernel.every(1.0, ticks.append)
-        kernel.schedule(3.5, lambda: None)
-        kernel.run_all()  # must terminate despite the repeating timer
-        assert ticks == [pytest.approx(1.0), pytest.approx(2.0),
-                         pytest.approx(3.0)]
-
-    def test_late_ticks_coalesce_onto_grid(self):
-        # The frontier raced 10 intervals ahead (a long synchronous job);
-        # the timer fires once with its overdue nominal time, then skips
-        # to the next grid point instead of replaying every missed tick.
-        kernel = make_kernel()
-        ticks = []
-        kernel.every(1.0, ticks.append)
-        kernel.advance_to(10.5)
-        kernel.pump()
-        assert ticks == [pytest.approx(1.0)]
-        kernel.run_until(12.5)
-        assert ticks[1:] == [pytest.approx(11.0), pytest.approx(12.0)]
-
-    def test_catch_up_replays_missed_ticks(self):
-        kernel = make_kernel()
-        ticks = []
-        kernel.every(1.0, ticks.append, catch_up=True)
-        kernel.advance_to(3.5)
-        kernel.run_until(3.5)
-        assert ticks == [pytest.approx(1.0), pytest.approx(2.0),
-                         pytest.approx(3.0)]
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            make_kernel().every(0.0, lambda t: None)
 
 
 class TestSlotLedger:
@@ -209,20 +140,6 @@ class TestSlotLedger:
         kernel.restart_worker(w)
         assert kernel.earliest_free_time(w) == 6.0
 
-    def test_register_with_ready_at_occupies_slots(self):
-        kernel = make_kernel()
-        w = Worker(7, cores=2)
-        kernel.register_worker(w, ready_at=9.0)
-        assert w.slot_free_times == [9.0, 9.0]
-        assert kernel.earliest_free_slot(w) == (0, 9.0)
-
-    def test_deregister_detaches(self):
-        kernel, w = self.attached()
-        kernel.deregister_worker(w)
-        assert w._kernel is None
-        # Reads fall back to the worker's own scan.
-        assert w.earliest_free_time() == 0.0
-
     def test_worker_reads_delegate_to_kernel(self):
         kernel, w = self.attached(cores=2)
         kernel.occupy_slot(w, 0, 0.0, 4.0)
@@ -256,12 +173,19 @@ class TestDeliveryOrderProperty:
                   allow_nan=False, allow_infinity=False),
         min_size=1, max_size=10,
     ))
-    def test_order_holds_with_daemon_timers_interleaved(self, times):
+    def test_order_holds_with_chained_events(self, times):
         kernel = make_kernel()
         fired = []
-        kernel.every(0.7, lambda tick: fired.append(tick))
+        end = max(times)
+
+        def tick(t=0.7):
+            fired.append(t)
+            if t + 0.7 <= end:
+                kernel.schedule(t + 0.7, lambda: tick(t + 0.7))
+
+        kernel.schedule(0.7, tick)
         for t in sorted(times):
             kernel.schedule(t, lambda t=t: fired.append(t))
         kernel.run_all()
-        # Delivered timestamps (nominal, for timer ticks) never decrease.
+        # Delivered timestamps never decrease.
         assert fired == sorted(fired)

@@ -167,13 +167,3 @@ class TestFreeSlotHeapEquivalence:
         kernel.kill_worker(worker)
         assert kernel.earliest_free_worker() is None
         assert _scan_earliest(kernel) is None
-
-    def test_deregistered_worker_is_skipped(self):
-        kernel = SimKernel()
-        first = Worker(worker_id=0, cores=1)
-        second = Worker(worker_id=1, cores=1)
-        kernel.register_worker(first)
-        kernel.register_worker(second)
-        kernel.run_on_earliest_slot(second, not_before=0.0, duration=3.0)
-        kernel.deregister_worker(first)
-        assert kernel.earliest_free_worker() == (1, 0, 3.0)

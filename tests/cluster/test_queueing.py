@@ -1,9 +1,9 @@
-"""Tests for the open-loop job driver and throughput search."""
+"""Tests for the open-loop job driver and its response-time aggregate."""
 
 import pytest
 
 from repro import StarkContext
-from repro.cluster.queueing import JobDriver, LoadResult, find_max_throughput
+from repro.cluster.queueing import JobDriver, LoadResult
 
 from ..conftest import make_pairs
 
@@ -64,6 +64,16 @@ class TestJobDriver:
         with pytest.raises(ValueError):
             driver.run_constant_rate(lambda a, i: a, 0.0, 1)
 
+    def test_every_arrival_runs_none_is_shed(self):
+        # JobDriver queues without bound: a job is never turned away,
+        # however deep the backlog behind it.
+        sc = StarkContext(num_workers=1)
+        driver = JobDriver(sc)
+        result = driver.run_arrivals(lambda t, i: t + 100.0,
+                                     [float(i) for i in range(10)])
+        assert result.shed_jobs == 0
+        assert len(result.results) == 10
+
 
 class TestLoadResult:
     def make(self, delays):
@@ -102,165 +112,3 @@ class TestLoadResult:
         assert empty.p95_delay == 0.0
         assert empty.p99_delay == 0.0
         assert empty.max_delay == 0.0
-
-    def test_merge_and_offered(self):
-        a = self.make([1.0, 2.0])
-        b = self.make([3.0])
-        b.shed_jobs = 2
-        a.merge(b)
-        assert len(a.results) == 3
-        assert a.shed_jobs == 2
-        assert a.offered_jobs == 5
-
-
-class TestFindMaxThroughput:
-    def test_finds_capacity_of_synthetic_system(self):
-        # Model: delay = 0.1 / (1 - rate/100) (M/M/1-ish), capacity where
-        # mean delay crosses 0.8 -> rate = 100 * (1 - 0.1/0.8) = 87.5.
-        def run(rate):
-            result = LoadResult(rate)
-            from repro.cluster.queueing import ArrivalResult
-
-            delay = 1e9 if rate >= 100 else 0.1 / (1 - rate / 100.0)
-            result.results.append(ArrivalResult(0.0, delay))
-            return result
-
-        cap = find_max_throughput(run, delay_cap=0.8, lo=1.0, hi=64.0)
-        assert 70 < cap < 95
-
-    def test_zero_when_even_low_rate_saturates(self):
-        def run(rate):
-            from repro.cluster.queueing import ArrivalResult
-
-            result = LoadResult(rate)
-            result.results.append(ArrivalResult(0.0, 99.0))
-            return result
-
-        assert find_max_throughput(run, delay_cap=0.8) == 0.0
-
-
-class TestAdmissionControl:
-    """max_pending_jobs: bounded queue with load shedding."""
-
-    def synthetic_driver(self, sc, bound):
-        return JobDriver(sc, max_pending_jobs=bound)
-
-    def test_sheds_beyond_bound(self):
-        sc = StarkContext(num_workers=1)
-        driver = self.synthetic_driver(sc, 2)
-        # Every job takes 10 s; arrivals 1 s apart: the first two are
-        # admitted, the rest find the queue full.
-        result = driver.run_arrivals(lambda t, i: t + 10.0,
-                                     [0.0, 1.0, 2.0, 3.0, 4.0])
-        assert len(result.results) == 2
-        assert result.shed_jobs == 3
-        assert result.offered_jobs == 5
-
-    def test_queue_drains_and_readmits(self):
-        sc = StarkContext(num_workers=1)
-        driver = self.synthetic_driver(sc, 1)
-        result = driver.run_arrivals(lambda t, i: t + 1.0,
-                                     [0.0, 0.5, 2.0])
-        # t=0 admitted (finishes 1.0), t=0.5 shed, t=2.0 admitted.
-        assert len(result.results) == 2
-        assert result.shed_jobs == 1
-
-    def test_shed_event_posted(self):
-        from repro import obs
-
-        sc = StarkContext(num_workers=1)
-        collector = obs.EventCollector()
-        sc.event_bus.subscribe(collector)
-        driver = self.synthetic_driver(sc, 1)
-        driver.run_arrivals(lambda t, i: t + 10.0, [0.0, 1.0, 2.0])
-        shed = collector.of_type(obs.JobShed)
-        assert len(shed) == 2
-        assert [e.job_index for e in shed] == [1, 2]
-        assert all(e.pending_jobs == 1 for e in shed)
-
-    def test_bound_must_be_positive(self):
-        sc = StarkContext(num_workers=1)
-        with pytest.raises(ValueError):
-            JobDriver(sc, max_pending_jobs=0)
-
-    def test_unbounded_by_default(self):
-        sc = StarkContext(num_workers=1)
-        driver = JobDriver(sc)
-        result = driver.run_arrivals(lambda t, i: t + 100.0,
-                                     [float(i) for i in range(10)])
-        assert result.shed_jobs == 0
-        assert len(result.results) == 10
-
-
-class TestResourceManagerHooks:
-    class StubManager:
-        def __init__(self):
-            self.evaluations = []
-            self.completions = []
-            self.pending_source = None
-
-        def bind_pending_jobs(self, source):
-            self.pending_source = source
-
-        def evaluate(self, pending_jobs=0, now=None):
-            self.evaluations.append((pending_jobs, now))
-
-        def on_job_completed(self, arrival, finish):
-            self.completions.append((arrival, finish))
-
-    def test_scaling_not_tied_to_arrivals(self):
-        # Scaling runs on the manager's periodic kernel timer; the
-        # driver no longer evaluates the policy at arrival epochs.
-        sc = StarkContext(num_workers=1)
-        stub = self.StubManager()
-        driver = JobDriver(sc, resource_manager=stub)
-        driver.run_arrivals(lambda t, i: t + 5.0, [1.0, 2.0])
-        assert stub.evaluations == []
-
-    def test_pending_jobs_bound_as_backlog_source(self):
-        # The driver hands its queue depth to the manager so timer
-        # ticks can measure pending jobs at their own nominal time.
-        sc = StarkContext(num_workers=1)
-        stub = self.StubManager()
-        driver = JobDriver(sc, resource_manager=stub)
-        assert stub.pending_source is not None
-        assert stub.pending_source.__self__ is driver
-        driver.run_arrivals(lambda t, i: t + 5.0, [1.0, 2.0])
-        # At t=2 the first job (finish 6.0) is still in flight; the
-        # second's finish (7.0) is also queued by then.
-        assert stub.pending_source(2.5) == 2
-        assert stub.pending_source(10.0) == 0
-
-    def test_real_manager_evaluates_on_timer(self):
-        from repro.elastic import BacklogPolicy, ResourceManager
-
-        sc = StarkContext(num_workers=2)
-        manager = ResourceManager(sc, BacklogPolicy(), min_workers=1,
-                                  max_workers=2, cooldown_seconds=0.0,
-                                  evaluate_interval_seconds=1.0)
-        evaluated = []
-        original = manager.evaluate
-
-        def spy(pending_jobs=0, now=None):
-            evaluated.append(now)
-            return original(pending_jobs=pending_jobs, now=now)
-
-        manager.evaluate = spy
-        sc.cluster.kernel.run_until(3.5)
-        assert evaluated == [1.0, 2.0, 3.0]
-
-    def test_completions_fed_back(self):
-        sc = StarkContext(num_workers=1)
-        stub = self.StubManager()
-        driver = JobDriver(sc, resource_manager=stub)
-        driver.run_arrivals(lambda t, i: t + 5.0, [1.0])
-        assert stub.completions == [(1.0, 6.0)]
-
-    def test_shed_jobs_do_not_report_completion(self):
-        sc = StarkContext(num_workers=1)
-        stub = self.StubManager()
-        driver = JobDriver(sc, resource_manager=stub,
-                           max_pending_jobs=1)
-        driver.run_arrivals(lambda t, i: t + 10.0, [0.0, 1.0])
-        # Two arrivals offered, only the admitted one completed.
-        assert len(stub.completions) == 1

@@ -139,67 +139,3 @@ class TestCluster:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Cluster(num_workers=0)
-
-
-class TestElasticMembership:
-    def test_add_worker_assigns_next_id(self):
-        cluster = Cluster(num_workers=3)
-        assert cluster.add_worker() == 3
-        assert cluster.worker_ids == [0, 1, 2, 3]
-
-    def test_add_worker_reuses_template_shape(self):
-        cluster = Cluster(num_workers=2, cores_per_worker=3,
-                          memory_per_worker=5e9)
-        wid = cluster.add_worker()
-        worker = cluster.get_worker(wid)
-        assert worker.cores == 3
-        assert worker.memory_bytes == 5e9
-
-    def test_add_worker_explicit_shape(self):
-        cluster = Cluster(num_workers=1)
-        wid = cluster.add_worker(cores=8, memory_bytes=1e9)
-        worker = cluster.get_worker(wid)
-        assert worker.cores == 8
-        assert worker.memory_bytes == 1e9
-
-    def test_ready_at_occupies_slots(self):
-        cluster = Cluster(num_workers=1, cores_per_worker=2)
-        wid = cluster.add_worker(ready_at=8.0)
-        worker = cluster.get_worker(wid)
-        assert worker.slot_free_times == [8.0, 8.0]
-        assert worker.idle_slots(4.0) == 0
-        assert worker.idle_slots(8.0) == 2
-
-    def test_add_after_remove_does_not_reuse_id(self):
-        cluster = Cluster(num_workers=3)
-        cluster.remove_worker(1)
-        # max existing + 1, so old block/event attributions stay unique.
-        assert cluster.add_worker() == 3
-
-    def test_remove_worker_drops_membership(self):
-        cluster = Cluster(num_workers=3)
-        removed = cluster.remove_worker(1)
-        assert removed.worker_id == 1
-        assert cluster.worker_ids == [0, 2]
-        assert 1 not in cluster.alive_worker_ids()
-        with pytest.raises(KeyError):
-            cluster.get_worker(1)
-
-    def test_remove_unknown_worker_raises(self):
-        with pytest.raises(KeyError):
-            Cluster(num_workers=1).remove_worker(7)
-
-    def test_removed_worker_differs_from_killed(self):
-        cluster = Cluster(num_workers=2)
-        cluster.kill_worker(0)
-        assert 0 in cluster.worker_ids  # killed: dead but present
-        cluster.remove_worker(1)
-        assert 1 not in cluster.worker_ids  # removed: gone entirely
-
-    def test_total_cores_tracks_membership(self):
-        cluster = Cluster(num_workers=2, cores_per_worker=2)
-        assert cluster.total_cores() == 4
-        cluster.add_worker()
-        assert cluster.total_cores() == 6
-        cluster.remove_worker(0)
-        assert cluster.total_cores() == 4

@@ -176,6 +176,18 @@ class TestPreferredExecutors:
         # Partition 0 belongs to group 0 -> same placement for partition 1.
         assert sc.group_manager.preferred_executors("taxi", 1) == execs
 
+    def test_removed_executor_leaves_every_group(self):
+        sc = make_ctx()
+        part = ext_partitioner()
+        load_rdd(sc, part, "taxi", range(0, KEY_SPACE, 16))
+        victim = sc.group_manager.preferred_executors("taxi", 0)[0]
+        sc.group_manager.remove_executor(victim)
+        for pid in range(part.num_partitions):
+            # Purged, and re-homed: no group is left without a home.
+            execs = sc.group_manager.preferred_executors("taxi", pid)
+            assert execs
+            assert victim not in execs
+
     def test_out_of_range_partition_empty(self):
         sc = make_ctx()
         part = ext_partitioner()

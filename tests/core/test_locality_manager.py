@@ -162,3 +162,22 @@ class TestContentionAccounting:
         plain = sc.parallelize(make_pairs(10), 2)
         sc.block_manager_master.put(0, Block((plain.rdd_id, 0), ["x"], 10.0))
         assert sc.locality_manager.unique_collection_partitions_cached(0) == 0
+
+
+class TestRemoveExecutor:
+    def test_locality_and_groups_forget_the_executor(self, sc):
+        partitioner = HashPartitioner(8)
+        rdd = (sc.parallelize(make_pairs(400), 8)
+               .locality_partition_by(partitioner, "ns").cache())
+        rdd.count()
+        sc.group_manager.report_rdd(rdd)
+        victim = sc.cluster.alive_worker_ids()[0]
+        assert any(victim in sc.locality_manager.preferred_executors("ns", pid)
+                   for pid in range(8))
+        sc.locality_manager.remove_executor(victim)
+        sc.group_manager.remove_executor(victim)
+        for pid in range(8):
+            # Purged, and re-homed: no partition is left without a home.
+            executors = sc.locality_manager.preferred_executors("ns", pid)
+            assert executors
+            assert victim not in executors

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.elastic.policy import windowed_mean
 from repro.obs import UtilizationSampler
 from repro.obs.events import BlockCached, BlockEvicted, TaskEnd
 
@@ -95,5 +94,7 @@ class TestFinalFlush:
         s.on_event(task_end(0, 0.0, 2.0))
         s.flush(t_end=4.0)
         timeline = s.slot_occupancy(0)
-        assert windowed_mean(timeline, timeline[0][0], timeline[-1][0]) \
-            == pytest.approx(0.5)
+        area = sum(level * (t_next - t)
+                   for (t, level), (t_next, _) in zip(timeline, timeline[1:]))
+        span = timeline[-1][0] - timeline[0][0]
+        assert area / span == pytest.approx(0.5)

@@ -156,19 +156,6 @@ EXPECTED_RECORDS = {
                             "reason")],
     "StageResubmitted": [_marker(_DRIVER, 2, "failure", "p", "job_id",
                                  "shuffle_id", "reason")],
-    "WorkerProvisioned": [
-        _marker(_WORKER, 0, "elastic", "g", "cores", "ready_at",
-                "spinup_seconds"),
-        _counter("alive workers")],
-    "WorkerDecommissioned": [
-        _marker(_WORKER, 0, "elastic", "g", "migrated_blocks",
-                "dropped_blocks", "drain_seconds"),
-        _counter("alive workers")],
-    "BlocksMigrated": [_marker(_WORKER, 0, "elastic", "t", "total_bytes",
-                               "migration_seconds")],
-    "JobShed": [_marker(_DRIVER, 1, "elastic", "p", "pending_jobs")],
-    "ScalingDecision": [_marker(_DRIVER, 3, "elastic", "p", "delta",
-                                "alive_workers", "reason")],
     "CheckpointWritten": [_marker(_DRIVER, 1, "checkpoint", "p",
                                   "total_bytes")],
     "TenantJobShed": [_marker(_DRIVER, SERVICE_TID, "service", "t",

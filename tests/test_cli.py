@@ -62,57 +62,16 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--cache-policy", "belady", "list"])
 
-
-class TestElasticCli:
-    def test_elastic_defaults(self):
-        parser = build_parser()
-        args = parser.parse_args(["elastic"])
-        assert args.min_workers == 2
-        assert args.max_workers == 8
-        assert sorted(args.policies) == ["backlog", "latency", "utilization"]
-        assert args.delay_cap == 0.8
-
-    def test_scaling_flags_on_load_figures(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["fig20", "--scale-policy", "latency",
-             "--min-workers", "2", "--max-workers", "6"])
-        assert args.scale_policy == "latency"
-        assert args.min_workers == 2
-        assert args.max_workers == 6
-
-    def test_unknown_scale_policy_rejected(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fig19", "--scale-policy", "nope"])
-
-    @staticmethod
-    def exits_before_any_context(argv, capsys):
+    def test_bad_knob_exits_with_error_before_any_context(self, capsys):
         built = []
         observer = obs.add_context_observer(built.append)
         try:
-            code = main(argv)
+            code = main(["service", "--tenant-quota-mb", "-1"])
         finally:
             obs.remove_context_observer(observer)
         assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert not built, "the bounds are checked before any context"
-
-    def test_bad_bounds_exit_with_error(self, capsys):
-        self.exits_before_any_context(
-            ["elastic", "--min-workers", "6", "--max-workers", "2"], capsys)
-
-    @pytest.mark.parametrize("argv", [
-        ["fig19", "--rates", "2", "--scale-policy", "backlog",
-         "--min-workers", "6", "--max-workers", "2"],
-        ["fig19", "--rates", "2", "--max-workers", "4"],
-        ["fig20", "--hours", "2", "--scale-policy", "latency",
-         "--min-workers", "0"],
-        ["fig20", "--hours", "2", "--min-workers", "6", "--max-workers", "2"],
-    ], ids=["fig19-min-above-max", "fig19-initial-above-max",
-            "fig20-min-zero", "fig20-min-above-max"])
-    def test_bad_figure_bounds_exit_with_error(self, argv, capsys):
-        self.exits_before_any_context(argv, capsys)
+        assert not built, "the knob is checked before any context"
 
 
 class TestObservabilityCli:

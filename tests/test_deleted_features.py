@@ -73,19 +73,53 @@ cache gate could fire there.
   was 0.6 everywhere outside tests; it is the module constant
   ``repro.engine.context.STORAGE_MEMORY_FRACTION`` now.
 
+* **Cluster autoscaling** (``repro.elastic``: ``ResourceManager``, the
+  backlog / utilization / latency scaling policies, graceful
+  decommission; ``Cluster.add_worker`` / ``remove_worker``,
+  ``SimKernel.every`` and its daemon events,
+  ``CostModel.worker_spinup_seconds``, ``JobDriver``'s
+  ``resource_manager`` and ``max_pending_jobs``, the
+  ``WorkerProvisioned`` / ``WorkerDecommissioned`` / ``BlocksMigrated``
+  / ``JobShed`` / ``ScalingDecision`` events, ``stark elastic`` and
+  ``--scale-policy`` / ``--min-workers`` / ``--max-workers``).  The
+  paper runs on a fixed cluster; its elasticity is group elasticity
+  (``GroupManager``), which stays.  Measured before deletion:
+
+  - Fig 19 (``run_fig19(events_per_step=1_000)``, jobs/s at the 800 ms
+    cap, Spark-H / Stark-H / Stark-E): static 8 workers 20 / 80 / 10,
+    the 4.0x headline.  Each policy scaling 8 -> 16 workers: identical,
+    20 / 80 / 10.  Each policy starting at 2 with a ceiling of 8 (the
+    ``stark elastic`` defaults): 5 / 5 / 0, a 1.0x headline that fails
+    the bench's ``ratio >= 3.0`` and Stark-H > Spark-H asserts.
+  - Fig 20 (``run_fig20(hours=24, steps_per_hour=1, jobs_per_step=5)``,
+    light-hour / peak-hour mean delay): static Spark-H 122.1 / 323.0 ms,
+    Stark-E 181.5 / 282.7 ms, Stark-H max 92.6 ms, all four shape
+    checks hold.  ``backlog`` and ``utilization`` 8 -> 16: identical.
+    ``latency`` 8 -> 16: Stark-E 220.5 / 234.7 ms, +21 % at light hours
+    and -17 % at the peak, on a crossover that already held.
+    ``utilization`` and ``latency`` 2 -> 8 fail two of the four checks
+    (Stark-H max < 0.6 x Spark-H max, Stark-E peak < Spark-H peak).
+
+  So it reproduced no paper claim and broke two when it started below
+  the static size.
+
 The checks below fail if any part of these features comes back under
 its old names.
 """
 
 import argparse
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-from repro import StarkConfig, StarkContext
+from repro import StarkConfig, StarkContext, obs
 from repro.cli import build_parser
+from repro.cluster import Cluster, CostModel, SimKernel
+from repro.cluster.queueing import JobDriver
 from repro.engine.failure import FailureInjector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -106,6 +140,13 @@ DELETED = {
                        "costawarepolicy", "quotaawarepolicy"),
     "sim_time_logger": ("obs_log", "simtimeformatter", "bind_clock",
                         "log_level", "tenantstatscollector"),
+    "autoscaling": ("autoscal", "resource_manager", "resourcemanager",
+                    "scale_polic", "scaling_polic", "scalingdecision",
+                    "workerprovisioned", "workerdecommissioned",
+                    "blocksmigrated", "decommission", "spinup",
+                    "add_worker", "remove_worker", "deregister_worker",
+                    "value_density", "windowed_mean", "min_workers",
+                    "max_workers"),
 }
 
 
@@ -220,3 +261,57 @@ def test_only_the_collection_reports_rdds():
                     and node.func.attr == "report_rdd"):
                 callers.add(str(path.relative_to(SRC)))
     assert callers == {"core/collection.py"}
+
+
+def test_elastic_package_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.elastic")
+
+
+def test_job_driver_takes_no_scaling_hooks():
+    params = inspect.signature(JobDriver).parameters
+    assert "context" in params  # the lookup read the real signature
+    assert "resource_manager" not in params
+    assert "max_pending_jobs" not in params
+
+
+def test_cluster_membership_is_fixed():
+    assert hasattr(Cluster, "kill_worker")
+    assert not hasattr(Cluster, "add_worker")
+    assert not hasattr(Cluster, "remove_worker")
+    assert hasattr(SimKernel, "run_all")
+    assert not hasattr(SimKernel, "every")
+
+
+def test_cost_model_has_no_spinup_delay():
+    names = {f.name for f in dataclasses.fields(CostModel)}
+    assert "cpu_per_record" in names
+    assert "worker_spinup_seconds" not in names
+
+
+@pytest.mark.parametrize("name", ["WorkerProvisioned", "WorkerDecommissioned",
+                                  "BlocksMigrated", "JobShed",
+                                  "ScalingDecision"])
+def test_obs_exports_no_scaling_event(name):
+    assert hasattr(obs, "TenantJobShed")  # the tenant's shed event stays
+    assert not hasattr(obs, name)
+    assert name not in obs.__all__
+    assert not hasattr(obs.events, name)
+
+
+def test_cli_has_no_elastic_command():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert "fig19" in commands
+    assert "elastic" not in commands
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig19", "--scale-policy", "backlog"],
+    ["fig20", "--min-workers", "2"],
+    ["fig20", "--max-workers", "8"],
+])
+def test_cli_rejects_the_scaling_flags(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2  # argparse's usage error
