@@ -1,19 +1,11 @@
 """Spark-core-equivalent execution engine (simulated cluster backend)."""
 
-from . import pair_ops  # noqa: F401  (attaches extended ops onto RDD)
 from .block_manager import Block, BlockManagerMaster, BlockStore
 from .checkpoint import CheckpointRecord, CheckpointStore
 from .compute import EvalContext, RDDStats
 from .context import StarkConfig, StarkContext
 from .dag_scheduler import DAGScheduler
-from .dependency import (
-    Dependency,
-    GroupedDependency,
-    NarrowDependency,
-    OneToOneDependency,
-    RangeDependency,
-    ShuffleDependency,
-)
+from .dependency import Dependency, OneToOneDependency, ShuffleDependency
 from .failure import (
     FailureEvent,
     FailureInjector,
@@ -30,7 +22,7 @@ from .partitioner import (
 )
 from .rdd import RDD
 from .shuffle import MapOutput, MapOutputTracker
-from .shuffled import CoGroupedRDD, LocalityShuffledRDD, ShuffledRDD, UnionRDD
+from .shuffled import CoGroupedRDD, LocalityShuffledRDD, ShuffledRDD
 from .sources import GeneratedRDD, ParallelCollectionRDD, TextFileRDD
 from .stage import Stage
 from .task import (
@@ -65,21 +57,18 @@ __all__ = [
     "GeneratedRDD",
     "GroupResultTask",
     "GroupShuffleMapTask",
-    "GroupedDependency",
     "HashPartitioner",
     "JobMetrics",
     "LocalityShuffledRDD",
     "MapOutput",
     "MapOutputTracker",
     "MetricsCollector",
-    "NarrowDependency",
     "OneToOneDependency",
     "PROCESS_LOCAL",
     "ParallelCollectionRDD",
     "Partitioner",
     "RDD",
     "RDDStats",
-    "RangeDependency",
     "RangePartitioner",
     "RecoveryReport",
     "ResultTask",
@@ -94,6 +83,5 @@ __all__ = [
     "TaskMetrics",
     "TaskScheduler",
     "TextFileRDD",
-    "UnionRDD",
     "stable_hash",
 ]

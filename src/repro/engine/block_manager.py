@@ -145,9 +145,6 @@ class BlockStore:
         self.used_bytes = 0.0
         return lost
 
-    def utilisation(self) -> float:
-        return self.used_bytes / self.capacity_bytes
-
 
 #: ``listener(worker_id, block_id, reason)`` where reason is one of
 #: ``"capacity"`` | ``"explicit"`` | ``"worker_lost"`` | ``"migrated"``
@@ -267,9 +264,6 @@ class BlockManagerMaster:
             block_id = (rdd_id, pid)
             for worker_id in self._locations[block_id]:
                 yield worker_id, block_id
-
-    def memory_utilisation(self, worker_id: int) -> float:
-        return self.stores[worker_id].utilisation()
 
     def used_bytes(self, worker_id: int) -> float:
         return self.stores[worker_id].used_bytes

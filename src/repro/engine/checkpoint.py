@@ -63,6 +63,3 @@ class CheckpointStore:
     def checkpoint_bytes(self, rdd_id: int) -> float:
         parts = self._partitions.get(rdd_id, {})
         return sum(size for size, _ in parts.values())
-
-    def checkpointed_rdd_ids(self) -> List[int]:
-        return sorted(self._partitions)

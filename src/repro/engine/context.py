@@ -409,16 +409,3 @@ class StarkContext:
 
     def cached_bytes(self) -> float:
         return self.block_manager_master.total_cached_bytes()
-
-    def describe_cluster(self) -> str:
-        lines = [f"cluster: {len(self.cluster)} workers, "
-                 f"{self.cluster.total_cores()} cores"]
-        for wid in self.cluster.worker_ids:
-            store = self.block_manager_master.stores[wid]
-            worker = self.cluster.get_worker(wid)
-            lines.append(
-                f"  worker {wid}: alive={worker.alive} "
-                f"cache={store.used_bytes / 1e6:.1f}MB/"
-                f"{store.capacity_bytes / 1e6:.0f}MB blocks={len(store)}"
-            )
-        return "\n".join(lines)

@@ -34,7 +34,7 @@ from ..obs.events import (
     StageResubmitted,
     StageSubmitted,
 )
-from .dependency import NarrowDependency, ShuffleDependency
+from .dependency import OneToOneDependency, ShuffleDependency
 from .fault_tolerance import FetchFailedError
 from .lineage import post_order
 from .metrics import JobMetrics
@@ -404,11 +404,9 @@ class DAGScheduler:
                 if locs:
                     return sorted(locs)
         for dep in rdd.dependencies:
-            if isinstance(dep, NarrowDependency):
-                for parent_pid in dep.get_parents(pid):
-                    parent_locs = self._cached_chain_locations(
-                        dep.rdd, parent_pid, depth + 1
-                    )
-                    if parent_locs:
-                        return parent_locs
+            if isinstance(dep, OneToOneDependency):
+                parent_locs = self._cached_chain_locations(
+                    dep.rdd, pid, depth + 1)
+                if parent_locs:
+                    return parent_locs
         return []

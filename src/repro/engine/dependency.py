@@ -1,13 +1,13 @@
 """RDD dependencies: the edges of the lineage graph.
 
-Narrow dependencies keep the child partition a function of a bounded set
-of parent partitions (map, filter, co-partitioned cogroup); wide
-(shuffle) dependencies repartition data and form stage boundaries.
+A narrow dependency reads the parent partition with the child's index
+(map, filter, co-partitioned cogroup); wide (shuffle) dependencies
+repartition data and form stage boundaries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .partitioner import Partitioner
@@ -22,50 +22,9 @@ class Dependency:
         self.rdd = rdd
 
 
-class NarrowDependency(Dependency):
-    """Child partition depends on a bounded list of parent partitions."""
-
-    def get_parents(self, partition: int) -> List[int]:
-        """Parent partition ids feeding child ``partition``."""
-        raise NotImplementedError
-
-
-class OneToOneDependency(NarrowDependency):
-    """Child partition *i* depends exactly on parent partition *i*."""
-
-    def get_parents(self, partition: int) -> List[int]:
-        return [partition]
-
-
-class RangeDependency(NarrowDependency):
-    """Child partitions ``[out_start, out_start+length)`` map one-to-one to
-    parent partitions ``[in_start, in_start+length)`` — used by union."""
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int) -> None:
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def get_parents(self, partition: int) -> List[int]:
-        if self.out_start <= partition < self.out_start + self.length:
-            return [partition - self.out_start + self.in_start]
-        return []
-
-
-class GroupedDependency(NarrowDependency):
-    """Child partition depends on an explicit list of parent partitions.
-
-    Used by group tasks (``GroupResultTask``) and by group-tree splits and
-    merges, where one logical unit covers several fine partitions.
-    """
-
-    def __init__(self, rdd: "RDD", mapping: dict) -> None:
-        super().__init__(rdd)
-        self._mapping = {int(k): [int(p) for p in v] for k, v in mapping.items()}
-
-    def get_parents(self, partition: int) -> List[int]:
-        return list(self._mapping.get(partition, []))
+class OneToOneDependency(Dependency):
+    """A narrow dependency: child partition *i* depends exactly on parent
+    partition *i* (map, filter, co-partitioned cogroup)."""
 
 
 class ShuffleDependency(Dependency):

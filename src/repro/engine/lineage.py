@@ -1,15 +1,15 @@
-"""Lineage-graph utilities: traversal, statistics, and DOT export.
+"""Lineage-graph utilities: traversal, fingerprints and the recovery cut.
 
 The lineage graph (RDDs + dependencies) is the paper's central data
 structure: stages are its shuffle-cut components, recovery re-executes
 its paths, and the CheckpointOptimizer runs min-cut over it.  This module
-provides read-only views used by diagnostics, tests, and the examples.
+provides the read-only walks the schedulers, the cache and the service
+share.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import (
     Callable,
@@ -66,92 +66,12 @@ def ancestors(rdd: "RDD", include_self: bool = False) -> List["RDD"]:
     return order if include_self else order[:-1]
 
 
-def lineage_depth(rdd: "RDD") -> int:
-    """Longest dependency chain above ``rdd`` (edges, not nodes)."""
-    depth: Dict[int, int] = {}
-    for node in ancestors(rdd, include_self=True):  # parents first
-        depth[node.rdd_id] = max(
-            (1 + depth[dep.rdd.rdd_id] for dep in node.dependencies),
-            default=0)
-    return depth[rdd.rdd_id]
-
-
 def shuffle_boundaries(rdd: "RDD") -> List[ShuffleDependency]:
     """Every shuffle dependency in the lineage of ``rdd``."""
     out: List[ShuffleDependency] = []
     for node in ancestors(rdd, include_self=True):
         out.extend(node.shuffle_dependencies())
     return out
-
-
-@dataclass
-class LineageSummary:
-    """Aggregate view of one RDD's lineage."""
-
-    num_rdds: int
-    depth: int
-    num_shuffles: int
-    num_cached: int
-    num_checkpointed: int
-    namespaces: List[str] = field(default_factory=list)
-
-
-def summarize(rdd: "RDD") -> LineageSummary:
-    """Aggregate statistics of ``rdd``'s lineage (including itself)."""
-    nodes = ancestors(rdd, include_self=True)
-    checkpoint_store = rdd.context.checkpoint_store
-    return LineageSummary(
-        num_rdds=len(nodes),
-        depth=lineage_depth(rdd),
-        num_shuffles=len(shuffle_boundaries(rdd)),
-        num_cached=sum(1 for n in nodes if n.cached),
-        num_checkpointed=sum(
-            1 for n in nodes if checkpoint_store.has_checkpoint(n.rdd_id)
-        ),
-        namespaces=sorted({n.namespace for n in nodes if n.namespace}),
-    )
-
-
-def to_dot(
-    roots: Iterable["RDD"],
-    label: Optional[Callable[["RDD"], str]] = None,
-) -> str:
-    """Render the lineage of ``roots`` as a Graphviz DOT digraph.
-
-    Cached RDDs are drawn filled, checkpointed ones doubled, shuffle
-    edges dashed — mirroring how the paper draws Figs 1/2/16.
-    """
-    roots = list(roots)
-    if not roots:
-        return "digraph lineage {\n}"
-    context = roots[0].context
-
-    def default_label(node: "RDD") -> str:
-        return f"{node.name}\\n#{node.rdd_id}"
-
-    fmt = label or default_label
-    nodes: Dict[int, "RDD"] = {}
-    for root in roots:
-        for node in ancestors(root, include_self=True):
-            nodes[node.rdd_id] = node
-
-    lines = ["digraph lineage {", "  rankdir=LR;",
-             "  node [shape=box, fontsize=10];"]
-    for node in nodes.values():
-        attrs = [f'label="{fmt(node)}"']
-        if context.checkpoint_store.has_checkpoint(node.rdd_id):
-            attrs.append("peripheries=2")
-        if node.cached:
-            attrs.append('style=filled, fillcolor="#dce9f7"')
-        lines.append(f"  r{node.rdd_id} [{', '.join(attrs)}];")
-    for node in nodes.values():
-        for dep in node.dependencies:
-            style = ""
-            if isinstance(dep, ShuffleDependency):
-                style = ' [style=dashed, label="shuffle"]'
-            lines.append(f"  r{dep.rdd.rdd_id} -> r{node.rdd_id}{style};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def _describe_callable(fn: object) -> str:

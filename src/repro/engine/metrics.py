@@ -109,25 +109,8 @@ class JobMetrics:
     def makespan(self) -> float:
         return self.finish_time - self.submit_time
 
-    def total_gc_time(self) -> float:
-        return sum(t.gc_time for t in self.tasks)
-
     def total_shuffle_fetch_time(self) -> float:
         return sum(t.shuffle_fetch_time for t in self.tasks)
-
-    def tasks_sorted_by_delay(self) -> List[TaskMetrics]:
-        return sorted(self.tasks, key=lambda t: t.duration, reverse=True)
-
-    def task_delay_stats(self) -> Dict[str, float]:
-        """min / median / max task delay — the bars of Fig 15."""
-        if not self.tasks:
-            return {"min": 0.0, "mid": 0.0, "max": 0.0}
-        delays = sorted(t.duration for t in self.tasks)
-        return {
-            "min": delays[0],
-            "mid": statistics.median(delays),
-            "max": delays[-1],
-        }
 
 
 class MetricsCollector:

@@ -8,7 +8,7 @@ This mirrors Spark's RDD contract:
 * ``compute(pid, ctx)`` produces the records of one partition, pulling
   parent data (and paying simulated cost) through the evaluation context;
 * transformations are lazy — nothing runs until an action
-  (``count``/``collect``/``take``) submits a job through the context.
+  (``count``/``collect``) submits a job through the context.
 
 Pair-RDD operations (``reduce_by_key``, ``cogroup``, ``join``,
 ``partition_by``, ``locality_partition_by``) live directly on ``RDD`` and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
-from .dependency import Dependency, NarrowDependency, ShuffleDependency
+from .dependency import Dependency, OneToOneDependency, ShuffleDependency
 from .partitioner import Partitioner
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +52,7 @@ class RDD:
         # and automatically carried through narrow transformations.
         self.namespace: Optional[str] = None
         for dep in self.dependencies:
-            if isinstance(dep, NarrowDependency) and dep.rdd.namespace is not None:
+            if isinstance(dep, OneToOneDependency) and dep.rdd.namespace is not None:
                 self.namespace = dep.rdd.namespace
                 break
         context.register_rdd(self)
@@ -69,8 +69,9 @@ class RDD:
     def shuffle_dependencies(self) -> List[ShuffleDependency]:
         return [d for d in self.dependencies if isinstance(d, ShuffleDependency)]
 
-    def narrow_dependencies(self) -> List[NarrowDependency]:
-        return [d for d in self.dependencies if isinstance(d, NarrowDependency)]
+    def narrow_dependencies(self) -> List[OneToOneDependency]:
+        return [d for d in self.dependencies
+                if isinstance(d, OneToOneDependency)]
 
     # ---- persistence ---------------------------------------------------------
 
@@ -134,59 +135,12 @@ class RDD:
 
         return FlatMappedRDD(self, fn, name=name)
 
-    def map_partitions(
-        self, fn: Callable[[list], Iterable[Any]], name: str = ""
-    ) -> "RDD":
-        from .transforms import MapPartitionsRDD
-
-        return MapPartitionsRDD(self, fn, name=name)
-
-    def union(self, other: "RDD") -> "RDD":
-        from .shuffled import UnionRDD
-
-        return UnionRDD(self.context, [self, other])
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Narrow partition-count reduction: consecutive parent partitions
-        are concatenated, with no shuffle (Spark's ``coalesce``)."""
-        from .shuffled import CoalescedRDD
-
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute records over ``num_partitions`` via a shuffle.
-
-        Records must be (key, value) pairs; a fresh hash layout is used,
-        so the result is NOT co-partitioned with anything prior.
-        """
-        from .partitioner import HashPartitioner
-        from .shuffled import ShuffledRDD
-
-        return ShuffledRDD(self, HashPartitioner(num_partitions),
-                           name="repartition")
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
-        from .partitioner import HashPartitioner
-
-        n = num_partitions or self.num_partitions
-        return (
-            self.map(lambda x: (x, None))
-            .reduce_by_key(lambda a, b: a, HashPartitioner(n))
-            .map(lambda kv: kv[0], name="distinct")
-        )
-
     # ---- pair transformations (records must be (key, value) tuples) -----------
 
     def map_values(self, fn: Callable[[Any], Any], name: str = "") -> "RDD":
         return self.map(lambda kv: (kv[0], fn(kv[1])),
                         name=name or "map_values",
                         preserves_partitioning=True)
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0], name="keys")
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1], name="values")
 
     def partition_by(self, partitioner: Partitioner, name: str = "") -> "RDD":
         """Shuffle into ``partitioner``'s layout (Spark's ``partitionBy``)."""
@@ -282,12 +236,6 @@ class RDD:
         for part in results:
             out.extend(part)
         return out
-
-    def take(self, n: int) -> list:
-        """Collect up to ``n`` records (simplified: materializes all
-        partitions, like ``collect`` — the simulator has no incremental
-        job submission)."""
-        return self.collect()[:n]
 
     def collect_partitions(self) -> List[list]:
         """Collect keeping partition boundaries (testing/diagnostics)."""

@@ -1,15 +1,11 @@
-"""Wide-dependency RDDs: shuffle, cogroup, union, locality shuffle."""
+"""Wide-dependency RDDs: shuffle, cogroup, locality shuffle."""
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING
 
-from .dependency import (
-    OneToOneDependency,
-    RangeDependency,
-    ShuffleDependency,
-)
+from .dependency import OneToOneDependency, ShuffleDependency
 from .partitioner import HashPartitioner, Partitioner
 from .rdd import RDD
 
@@ -146,69 +142,3 @@ class CoGroupedRDD(RDD):
         if size is not None:
             ctx.declare_size(out, size)
         return out
-
-
-class CoalescedRDD(RDD):
-    """Narrow reduction of the partition count.
-
-    Output partition ``i`` concatenates a contiguous run of parent
-    partitions; no data moves through a shuffle, so lineage stays narrow
-    (but any parent partitioner is lost — key ranges merge).
-    """
-
-    def __init__(self, parent: RDD, num_partitions: int, name: str = "") -> None:
-        if num_partitions <= 0:
-            raise ValueError(f"need at least one partition: {num_partitions}")
-        if num_partitions > parent.num_partitions:
-            raise ValueError(
-                f"coalesce cannot grow partitions ({parent.num_partitions} "
-                f"-> {num_partitions}); use repartition"
-            )
-        from .dependency import GroupedDependency
-
-        base = parent.num_partitions // num_partitions
-        extra = parent.num_partitions % num_partitions
-        mapping = {}
-        start = 0
-        for out_pid in range(num_partitions):
-            width = base + (1 if out_pid < extra else 0)
-            mapping[out_pid] = list(range(start, start + width))
-            start += width
-        dep = GroupedDependency(parent, mapping)
-        super().__init__(parent.context, [dep], num_partitions,
-                         partitioner=None, name=name or "coalesce")
-        self.parent = parent
-        self._mapping = mapping
-
-    def compute(self, pid: int, ctx: "EvalContext") -> list:
-        out: list = []
-        for parent_pid in self._mapping[pid]:
-            out.extend(ctx.evaluate(self.parent, parent_pid))
-        ctx.charge_compute(self, 0)
-        return out
-
-
-class UnionRDD(RDD):
-    """Concatenation of parents' partitions (no data movement)."""
-
-    def __init__(self, context: "StarkContext", parents: Sequence[RDD],
-                 name: str = "") -> None:
-        parents = list(parents)
-        if not parents:
-            raise ValueError("union needs at least one parent RDD")
-        deps = []
-        out_start = 0
-        for parent in parents:
-            deps.append(RangeDependency(parent, 0, out_start, parent.num_partitions))
-            out_start += parent.num_partitions
-        super().__init__(context, deps, out_start, partitioner=None,
-                         name=name or "union")
-
-    def compute(self, pid: int, ctx: "EvalContext") -> list:
-        for dep in self.dependencies:
-            parent_pids = dep.get_parents(pid)
-            if parent_pids:
-                records = ctx.evaluate(dep.rdd, parent_pids[0])
-                ctx.charge_compute(self, 0)
-                return list(records)
-        raise IndexError(f"union partition {pid} out of range")

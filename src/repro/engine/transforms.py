@@ -91,8 +91,8 @@ class FlatMappedRDD(UnaryNarrowRDD):
 
 
 class MapPartitionsRDD(UnaryNarrowRDD):
-    """Whole-partition transformation (used by pre-partitioned
-    ``reduce_by_key`` and custom aggregation pipelines)."""
+    """Whole-partition transformation: the in-place combine of a
+    ``reduce_by_key`` over input already in the target layout."""
 
     def __init__(self, parent: RDD, fn: Callable[[list], Iterable[Any]],
                  name: str = "", preserves_partitioning: bool = True) -> None:

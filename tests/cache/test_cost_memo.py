@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import StarkConfig, StarkContext
 from repro.engine.block_manager import Block
+from repro.engine.partitioner import HashPartitioner
+from repro.engine.shuffled import CoGroupedRDD
 
 
 def reference_cost(context, rdd_id):
@@ -46,11 +48,15 @@ def reference_cost(context, rdd_id):
 IDX = st.integers(0, 63)
 WORKERS = st.integers(0, 2)
 
-#: Each node derives from earlier ones: diamonds arise when a union's two
-#: sides share an ancestor, shuffles cut the narrow chain.
+#: Each node derives from earlier ones: diamonds arise when a cogroup's
+#: two sides share a narrow ancestor, shuffles cut the narrow chain.
 NODES = st.lists(st.tuples(
-    st.sampled_from(["map", "filter", "union", "shuffle"]), IDX, IDX,
+    st.sampled_from(["map", "filter", "cogroup", "shuffle"]), IDX, IDX,
     st.booleans()), min_size=1, max_size=7)
+
+#: The layout ``reduce_by_key`` picks for two partitions, so a cogroup
+#: over shuffle outputs (and their filters) reads both sides narrowly.
+PART = HashPartitioner(2)
 
 OPS = st.lists(st.one_of(
     st.tuples(st.just("cache"), IDX),
@@ -71,6 +77,10 @@ def _source(pid):
     return [(pid, 1), (pid + 1, 2), (pid, 3)]
 
 
+def _total(groups):
+    return sum(v for values in groups for v in values)
+
+
 class Harness:
     def __init__(self, mode, nodes):
         self.sc = sc = StarkContext(
@@ -84,8 +94,9 @@ class Harness:
                 node = left.map(lambda kv: (kv[0], kv[1] + 1))
             elif kind == "filter":
                 node = left.filter(lambda kv: kv[1] != 2)
-            elif kind == "union":
-                node = left.union(right)
+            elif kind == "cogroup":  # the one multi-parent narrow RDD
+                node = left.partition_by(PART).cogroup(
+                    right.partition_by(PART)).map_values(_total)
             else:
                 node = left.reduce_by_key(lambda x, y: x + y)
             if cached:
@@ -120,7 +131,10 @@ class Harness:
             rdd.cached = op[2]
         elif kind == "put":
             bid = (rdd.rdd_id, op[2] % rdd.num_partitions)
-            master.put(op[3], Block(bid, [(0, 1)], float(op[4])))
+            # A planted block holds records of its RDD's shape: a cogroup's
+            # read back through ``map_values(_total)`` must still sum.
+            record = (0, ([1], [1])) if isinstance(rdd, CoGroupedRDD) else (0, 1)
+            master.put(op[3], Block(bid, [record], float(op[4])))
         elif kind == "evict":
             master.remove_block((rdd.rdd_id, op[2] % rdd.num_partitions),
                                 op[3])

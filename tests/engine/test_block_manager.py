@@ -67,11 +67,6 @@ class TestBlockStore:
         assert len(lost) == 2
         assert store.used_bytes == 0
 
-    def test_utilisation(self):
-        store = BlockStore(0, 100.0)
-        store.put(block(1, 0, 25))
-        assert store.utilisation() == pytest.approx(0.25)
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             BlockStore(0, 0.0)

@@ -86,11 +86,6 @@ class TestDiagnostics:
         rdd.count()
         assert sc.cached_bytes() > 0
 
-    def test_describe_cluster(self):
-        sc = StarkContext(num_workers=2)
-        text = sc.describe_cluster()
-        assert "worker 0" in text and "worker 1" in text
-
 
 class TestSimStr:
     def test_behaves_like_str(self):

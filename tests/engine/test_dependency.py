@@ -1,45 +1,10 @@
-"""Tests for dependency types and grouped dependencies."""
+"""Tests for shuffle dependencies."""
 
 
-from repro.engine.dependency import (
-    GroupedDependency,
-    OneToOneDependency,
-    RangeDependency,
-    ShuffleDependency,
-)
+from repro.engine.dependency import ShuffleDependency
 from repro.engine.partitioner import HashPartitioner
 
 from ..conftest import make_pairs
-
-
-class TestOneToOne:
-    def test_maps_identity(self, sc):
-        rdd = sc.parallelize([1], 4)
-        dep = OneToOneDependency(rdd)
-        assert dep.get_parents(2) == [2]
-
-
-class TestRangeDependency:
-    def test_inside_range(self, sc):
-        rdd = sc.parallelize([1], 3)
-        dep = RangeDependency(rdd, in_start=0, out_start=5, length=3)
-        assert dep.get_parents(5) == [0]
-        assert dep.get_parents(7) == [2]
-
-    def test_outside_range_empty(self, sc):
-        rdd = sc.parallelize([1], 3)
-        dep = RangeDependency(rdd, in_start=0, out_start=5, length=3)
-        assert dep.get_parents(4) == []
-        assert dep.get_parents(8) == []
-
-
-class TestGroupedDependency:
-    def test_explicit_mapping(self, sc):
-        rdd = sc.parallelize([1], 8)
-        dep = GroupedDependency(rdd, {0: [0, 1, 2], 1: [3]})
-        assert dep.get_parents(0) == [0, 1, 2]
-        assert dep.get_parents(1) == [3]
-        assert dep.get_parents(2) == []
 
 
 class TestShuffleDependency:

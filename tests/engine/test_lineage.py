@@ -4,11 +4,8 @@ import pytest
 
 from repro.engine.lineage import (
     ancestors,
-    lineage_depth,
     recovery_cut,
     shuffle_boundaries,
-    summarize,
-    to_dot,
 )
 from repro.engine.partitioner import HashPartitioner
 
@@ -45,62 +42,9 @@ class TestTraversal:
         ids = [r.rdd_id for r in ancestors(joined)]
         assert ids.count(base.rdd_id) == 1
 
-    def test_depth(self, sc, chain):
-        base, shuffled, mapped, filtered = chain
-        assert lineage_depth(base) == 0
-        assert lineage_depth(filtered) == 3
-
     def test_shuffle_boundaries(self, sc, chain):
         *_, filtered = chain
         assert len(shuffle_boundaries(filtered)) == 1
-
-
-class TestSummary:
-    def test_summarize_counts(self, sc, chain):
-        base, shuffled, mapped, filtered = chain
-        summary = summarize(filtered)
-        assert summary.num_rdds == 4
-        assert summary.depth == 3
-        assert summary.num_shuffles == 1
-        assert summary.num_cached == 1
-        assert summary.num_checkpointed == 0
-
-    def test_summarize_checkpoint_and_namespace(self, sc):
-        part = HashPartitioner(4)
-        rdd = sc.parallelize(make_pairs(20), 4).locality_partition_by(
-            part, "ns"
-        )
-        rdd.count()
-        rdd.force_checkpoint()
-        summary = summarize(rdd.filter(lambda kv: True))
-        assert summary.num_checkpointed == 1
-        assert summary.namespaces == ["ns"]
-
-
-class TestDot:
-    def test_dot_contains_nodes_and_edges(self, sc, chain):
-        base, shuffled, mapped, filtered = chain
-        dot = to_dot([filtered])
-        assert dot.startswith("digraph lineage {")
-        for rdd in chain:
-            assert f"r{rdd.rdd_id}" in dot
-        assert "style=dashed" in dot  # the shuffle edge
-
-    def test_dot_marks_cached_and_checkpointed(self, sc, chain):
-        base, shuffled, mapped, filtered = chain
-        mapped.count()
-        mapped.force_checkpoint()
-        dot = to_dot([filtered])
-        assert "fillcolor" in dot      # cached
-        assert "peripheries=2" in dot  # checkpointed
-
-    def test_dot_empty(self):
-        assert to_dot([]) == "digraph lineage {\n}"
-
-    def test_dot_custom_label(self, sc, chain):
-        *_, filtered = chain
-        dot = to_dot([filtered], label=lambda r: f"X{r.rdd_id}X")
-        assert f"X{filtered.rdd_id}X" in dot
 
 
 class TestRecoveryCut:

@@ -45,25 +45,10 @@ class TestJobMetrics:
 
     def test_totals(self):
         job = JobMetrics(job_id=0)
-        job.tasks = [task(gc=0.1), task(gc=0.3)]
-        assert job.total_gc_time() == pytest.approx(0.4)
-
-    def test_tasks_sorted_by_delay(self):
-        job = JobMetrics(job_id=0)
-        job.tasks = [task(duration=1.0), task(duration=3.0),
-                     task(duration=2.0)]
-        durations = [t.duration for t in job.tasks_sorted_by_delay()]
-        assert durations == [3.0, 2.0, 1.0]
-
-    def test_task_delay_stats(self):
-        job = JobMetrics(job_id=0)
-        job.tasks = [task(duration=d) for d in (1.0, 5.0, 3.0)]
-        stats = job.task_delay_stats()
-        assert stats == {"min": 1.0, "mid": 3.0, "max": 5.0}
-
-    def test_task_delay_stats_empty(self):
-        assert JobMetrics(job_id=0).task_delay_stats() == \
-            {"min": 0.0, "mid": 0.0, "max": 0.0}
+        job.tasks = [task(), task()]
+        job.tasks[0].shuffle_fetch_local_time = 0.1
+        job.tasks[1].shuffle_fetch_remote_time = 0.3
+        assert job.total_shuffle_fetch_time() == pytest.approx(0.4)
 
 
 class TestMetricsCollector:

